@@ -1,22 +1,28 @@
-"""Hot numerical kernels with a compiled path and a pure-numpy fallback.
+"""Hot numerical kernels of the simulator: the latency update and the race.
 
-Two kernels dominate simulation time: dense-graph shortest paths and the
-elementwise latency update. Each exists twice, once as a numba-compiled loop
-and once vectorized in numpy. Both variants apply the same floating-point
-operations in the same order per element, so their outputs are bit-identical;
-the equality is asserted by the test suite and the benchmark.
+Both kernels work on the flat pair vector of a network: one weight per
+unordered node pair in row-major upper-triangle order (``pair_indices``),
+with the sentinel 1e7 marking an inactive link. ``entry_pairs`` maps each
+off-diagonal matrix entry, row by row, to its pair; through it a pair vector
+becomes a symmetric matrix (``fill_off_diagonal``) or the data of a graph.
 
-Backend selection: setting the environment variable GAMMACHAIN_NO_NUMBA=1
-forces the numpy path. Otherwise the compiled path is used whenever numba
-imports cleanly, with numpy as the silent fallback.
+The race is a single ``scipy.sparse.csgraph.dijkstra`` call from both
+sources over a CSR graph that holds every off-diagonal pair. Its pattern
+depends only on the node count and is built once; each race refills only the
+data, with inactive links as inf so they never relax. Distances are then
+clamped to at most the sentinel, so unreachable nodes and nodes whose
+cheapest path costs at least 1e7 both report exactly 1e7. Every finite
+weight is at least 1.0, so fl(d + w) > d: each node settles after every
+predecessor on its shortest paths, and the float distances equal those of a
+plain dense-matrix Dijkstra bit for bit, whatever order ties settle in.
 
 All random draws happen outside these kernels; callers pass the drawn arrays
-in, which keeps the consumed RNG stream independent of the backend.
+in, which keeps the consumed random stream fixed.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,36 +32,59 @@ WEIGHT_FLOOR = 1.0
 WEIGHT_CEIL = INACTIVE - 1.0
 
 
-def _numpy_forced() -> bool:
-    return os.environ.get("GAMMACHAIN_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
-def dijkstra_numpy(weights: np.ndarray, source: int) -> np.ndarray:
-    """Single-source shortest latencies on a dense weight matrix.
-
-    Distances start at the sentinel and only strict improvements below it are
-    recorded, so unreachable nodes and nodes whose best path costs at least
-    1e7 both report exactly 1e7. Sentinel-valued edges never relax.
-    """
-    n = weights.shape[0]
-    dist = np.full(n, INACTIVE)
-    dist[source] = 0.0
-    visited = np.zeros(n, dtype=bool)
-    for _ in range(n):
-        masked = np.where(visited, np.inf, dist)
-        u = int(np.argmin(masked))
-        if masked[u] >= INACTIVE:
-            # every remaining node is unreachable below the sentinel
-            break
-        visited[u] = True
-        row = weights[u]
-        candidate = dist[u] + row
-        better = (row < INACTIVE) & ~visited & (candidate < dist)
-        dist[better] = candidate[better]
-    return dist
+@lru_cache(maxsize=8)
+def pair_indices(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every unordered pair, in flat-vector order."""
+    # row-major upper-triangle order fixes both storage and RNG draw order
+    rows, cols = np.triu_indices(node_count, k=1)
+    return _frozen(rows), _frozen(cols)
 
 
-def perturb_numpy(
+@lru_cache(maxsize=8)
+def entry_pairs(node_count: int) -> np.ndarray:
+    """Pair index of every off-diagonal matrix entry, in row-major order."""
+    rows, cols = pair_indices(node_count)
+    pair_of = np.empty((node_count, node_count), dtype=np.intp)
+    pair_of[rows, cols] = pair_of[cols, rows] = np.arange(len(rows))
+    return _frozen(pair_of[~np.eye(node_count, dtype=bool)])
+
+
+def fill_off_diagonal(matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Write pair values into both triangles of a C-contiguous square matrix; return it."""
+    n = len(matrix)
+    # the row-major buffer minus its first entry is n - 1 rows of n
+    # off-diagonal entries, each followed by the next diagonal entry
+    matrix.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] = flat[entry_pairs(n)].reshape(n - 1, n)
+    return matrix
+
+
+@lru_cache(maxsize=8)
+def _csr_pattern(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and ``indices`` of a graph holding every off-diagonal entry."""
+    index_dtype = np.int32 if node_count * node_count <= np.iinfo(np.int32).max else np.int64
+    indptr = np.arange(node_count + 1, dtype=index_dtype) * (node_count - 1)
+    _, indices = np.nonzero(~np.eye(node_count, dtype=bool))
+    return _frozen(indptr), _frozen(indices.astype(index_dtype))
+
+
+def race_latencies(flat: np.ndarray, node_count: int, sources) -> np.ndarray:
+    """Shortest latencies from each source, one row per source, capped at 1e7."""
+    # imported here: csgraph costs about 0.4 s, and only races need it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    indptr, indices = _csr_pattern(node_count)
+    data = np.where(flat < INACTIVE, flat, np.inf)[entry_pairs(node_count)]
+    graph = csr_matrix((data, indices, indptr), shape=(node_count, node_count))
+    return np.minimum(dijkstra(graph, directed=True, indices=sources), INACTIVE)
+
+
+def perturb_weights(
     prev: np.ndarray,
     mean: np.ndarray,
     omega_sum: np.ndarray,
@@ -75,86 +104,13 @@ def perturb_numpy(
     """
     alpha = 3.0 * omega_sum
     delta = alpha / np.sqrt(1.0 + alpha * alpha)
-    shock = delta * np.abs(u0) + np.sqrt(1.0 - delta * delta) * u1
-    factor = 1.0 + delta_t * shock
+    factor = delta * np.abs(u0)
+    factor += np.sqrt(1.0 - delta * delta) * u1
+    factor *= delta_t
+    factor += 1.0
     prev_finite = prev < INACTIVE
-    base = np.where(prev_finite, prev, mean)
-    value = np.minimum(np.maximum(base * factor, WEIGHT_FLOOR), WEIGHT_CEIL)
-    stays_active = ~prev_finite | active
-    return np.where(stays_active, value, INACTIVE)
-
-
-_HAVE_NUMBA = False
-if not _numpy_forced():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _dijkstra_jit(weights, source):
-        n = weights.shape[0]
-        dist = np.full(n, INACTIVE)
-        dist[source] = 0.0
-        visited = np.zeros(n, dtype=np.bool_)
-        for _ in range(n):
-            best = np.inf
-            u = -1
-            for v in range(n):
-                if not visited[v] and dist[v] < best:
-                    best = dist[v]
-                    u = v
-            if u < 0 or best >= INACTIVE:
-                break
-            visited[u] = True
-            du = dist[u]
-            for v in range(n):
-                w = weights[u, v]
-                if w < INACTIVE and not visited[v]:
-                    candidate = du + w
-                    if candidate < dist[v]:
-                        dist[v] = candidate
-        return dist
-
-    @njit(cache=True)
-    def _perturb_jit(prev, mean, omega_sum, u0, u1, delta_t, active):
-        n = prev.shape[0]
-        out = np.empty(n)
-        for k in range(n):
-            alpha = 3.0 * omega_sum[k]
-            delta = alpha / np.sqrt(1.0 + alpha * alpha)
-            shock = delta * np.abs(u0[k]) + np.sqrt(1.0 - delta * delta) * u1[k]
-            factor = 1.0 + delta_t * shock
-            if prev[k] < INACTIVE:
-                if not active[k]:
-                    out[k] = INACTIVE
-                    continue
-                value = prev[k] * factor
-            else:
-                value = mean[k] * factor
-            if value < WEIGHT_FLOOR:
-                value = WEIGHT_FLOOR
-            elif value > WEIGHT_CEIL:
-                value = WEIGHT_CEIL
-            out[k] = value
-        return out
-
-    dijkstra_numba = _dijkstra_jit
-    perturb_numba = _perturb_jit
-    dijkstra_dense = _dijkstra_jit
-    perturb_weights = _perturb_jit
-else:
-    dijkstra_numba = None
-    perturb_numba = None
-    dijkstra_dense = dijkstra_numpy
-    perturb_weights = perturb_numpy
-
-NUMBA_ENABLED = _HAVE_NUMBA
-
-
-def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    value = np.where(prev_finite, prev, mean)
+    value *= factor
+    np.clip(value, WEIGHT_FLOOR, WEIGHT_CEIL, out=value)
+    value[prev_finite & ~active] = INACTIVE
+    return value

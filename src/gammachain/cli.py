@@ -126,7 +126,8 @@ class AnalyzeResult:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    # strict JSON: a NaN or infinity raises instead of writing a bare token
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _config_hash(obj: dict) -> str:

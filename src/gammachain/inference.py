@@ -92,6 +92,10 @@ class TransitionCounts:
         return json.dumps(self.to_json_obj(), indent=2)
 
 
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class LikelihoodReport:
     """Score of one model against observed counts."""
@@ -105,11 +109,18 @@ class LikelihoodReport:
             raise ValueError("relative likelihood must be non-negative")
 
     def to_json_obj(self) -> dict:
-        return {
+        """Strict-JSON form: a non-finite figure becomes null with a note."""
+        obj = {
             "model_name": self.model_name,
-            "relative_likelihood": self.relative_likelihood,
-            "log_likelihood": self.log_likelihood,
+            "relative_likelihood": _finite_or_none(self.relative_likelihood),
+            "log_likelihood": _finite_or_none(self.log_likelihood),
         }
+        if obj["relative_likelihood"] is None:
+            obj["note"] = (
+                "relative likelihood is infinite: the model gives "
+                "probability zero to an observed transition"
+            )
+        return obj
 
 
 def bin_gamma(value: float, partition: StrategyPartition) -> int:
@@ -124,9 +135,9 @@ def bin_gamma(value: float, partition: StrategyPartition) -> int:
 
 
 def bin_series(values, partition: StrategyPartition) -> np.ndarray:
-    """Vectorized binning of many gamma values."""
+    """Vectorized binning of many gamma values; NaN or values outside [0, 1] raise."""
     arr = np.asarray(values, dtype=float)
-    if np.any((arr < 0) | (arr > 1)):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("gamma values must lie in [0, 1]")
     uppers = np.asarray([iv.upper for iv in partition])
     idx = np.searchsorted(uppers, arr, side="right")

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad
 
 from .partition import Interval, StrategyPartition
 
@@ -241,6 +240,9 @@ def model2_transition_matrix(
         def integral(a, b, c, d):
             return kernel_box_integral(a, b, c, d, scale)
     elif method == "quadrature":
+        # imported here: scipy.integrate costs about 0.6 s of every cold start
+        from scipy.integrate import dblquad
+
         def integral(a, b, c, d):
             value, _ = dblquad(
                 lambda x, y: sq_exp_kernel(x, y, config),

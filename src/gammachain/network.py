@@ -16,8 +16,15 @@ first attacker/honest pair. Every later step draws one adjacency uniform per
 pair, then two blocks of standard normals (all pairs each, consumed by the
 perturbation whether or not a given pair uses one), then its attacker/honest
 pair. The second node of a pair is redrawn until it differs from the first.
-All draws happen outside the compiled kernels, so the numba and numpy
-backends consume identical streams and produce bit-identical series.
+
+The simulation loop keeps the network as its flat pair vector, in the same
+upper-triangle order, and never builds a ``NetworkState``; the public
+functions expand and flatten states around the very helpers the loop calls.
+Each race is one ``scipy.sparse.csgraph.dijkstra`` call from both nodes,
+with distances clamped so that unreachable nodes, and nodes whose cheapest
+path costs at least the sentinel, report exactly 1e7 and tie. Every weight
+is at least 1.0, so fl(d + w) > d and the float distances match a plain
+dense-matrix Dijkstra bit for bit (see ``_kernels``).
 
 Centrality note: the adjacency derived from a weight matrix marks every
 finite entry as an edge, and the zero diagonal is finite, so nodes carry
@@ -31,7 +38,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +45,10 @@ from ._kernels import (
     INACTIVE,
     WEIGHT_CEIL,
     WEIGHT_FLOOR,
-    dijkstra_dense,
+    fill_off_diagonal,
+    pair_indices,
     perturb_weights,
+    race_latencies,
 )
 
 _POWER_ITERATIONS = 50
@@ -71,15 +79,6 @@ def _readonly(arr: np.ndarray, dtype=float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _pair_indices(node_count: int) -> tuple[np.ndarray, np.ndarray]:
-    # row-major upper-triangle order fixes both storage and RNG draw order
-    rows, cols = np.triu_indices(node_count, k=1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 @dataclass(frozen=True, eq=False)
 class RegionConfig:
     """Region layout: names, node counts per region, mean latency matrix.
@@ -88,7 +87,7 @@ class RegionConfig:
     ------
     ValueError
         If the field lengths disagree, a node count is negative, or the
-        latency matrix is not symmetric with positive entries.
+        latency matrix is not symmetric with finite positive entries.
     """
 
     region_names: tuple[str, ...] = REGION_NAMES
@@ -111,6 +110,8 @@ class RegionConfig:
             raise ValueError("node counts must be non-negative")
         if sum(counts) < 1:
             raise ValueError("at least one node is required")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("mean latencies must be finite")
         if not np.array_equal(matrix, matrix.T):
             raise ValueError("mean_latency must be symmetric")
         if np.any(matrix <= 0):
@@ -258,8 +259,9 @@ class GammaSeries:
     Raises
     ------
     ValueError
-        If the series is empty, lengths differ, times are not strictly
-        increasing, or a value leaves [0, 1].
+        If the series is empty, lengths differ, a time is not finite, times
+        are not strictly increasing, or a value is not in [0, 1] (NaN
+        included).
     """
 
     times: np.ndarray
@@ -277,9 +279,11 @@ class GammaSeries:
             raise ValueError("times and values must have equal length")
         if len(times) == 0:
             raise ValueError("series must contain at least one sample")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if np.any((values < 0) | (values > 1)):
+        if not np.all((values >= 0) & (values <= 1)):
             raise ValueError("gamma values must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -332,16 +336,30 @@ class GammaSeries:
 
 
 def _pair_means(config: RegionConfig, region_of: np.ndarray) -> np.ndarray:
-    rows, cols = _pair_indices(len(region_of))
-    return np.ascontiguousarray(config.mean_latency[region_of[rows], region_of[cols]])
+    rows, cols = pair_indices(len(region_of))
+    return config.mean_latency[region_of[rows], region_of[cols]]
 
 
-def _expand_symmetric(flat: np.ndarray, node_count: int) -> np.ndarray:
-    rows, cols = _pair_indices(node_count)
-    weights = np.zeros((node_count, node_count))
-    weights[rows, cols] = flat
-    weights[cols, rows] = flat
-    return weights
+def _flatten(state: NetworkState) -> np.ndarray:
+    rows, cols = pair_indices(state.node_count)
+    return state.weights[rows, cols]
+
+
+def _initial_flat(config: RegionConfig, dropout: float, rng: np.random.Generator):
+    """Validated initial draw: node regions, pair means and flat weights."""
+    if not 0.0 <= dropout < 1.0:
+        raise ValueError("dropout must lie in [0, 1)")
+    if np.any(config.mean_latency <= 5.0):
+        raise ValueError("regional means must exceed 5")
+    region_of = config.region_assignment()
+    means = _pair_means(config, region_of)
+    drop_uniforms = rng.random(len(means))
+    pareto_uniforms = rng.random(len(means))
+    shape = 0.2 * means
+    scale = means - 5.0
+    drawn = scale / pareto_uniforms ** (1.0 / shape)
+    drawn = np.minimum(np.maximum(drawn, WEIGHT_FLOOR), WEIGHT_CEIL)
+    return region_of, means, np.where(drop_uniforms < dropout, INACTIVE, drawn)
 
 
 def init_network(config: RegionConfig | None = None, dropout: float = 0.1, seed=None) -> NetworkState:
@@ -367,22 +385,9 @@ def init_network(config: RegionConfig | None = None, dropout: float = 0.1, seed=
         (the Pareto scale would not be positive).
     """
     config = config or default_region_config()
-    if not 0.0 <= dropout < 1.0:
-        raise ValueError("dropout must lie in [0, 1)")
-    if np.any(config.mean_latency <= 5.0):
-        raise ValueError("regional means must exceed 5")
-    rng = np.random.default_rng(seed)
-    region_of = config.region_assignment()
-    means = _pair_means(config, region_of)
-    n_pairs = len(means)
-    drop_uniforms = rng.random(n_pairs)
-    pareto_uniforms = rng.random(n_pairs)
-    shape = 0.2 * means
-    scale = means - 5.0
-    drawn = scale / pareto_uniforms ** (1.0 / shape)
-    drawn = np.minimum(np.maximum(drawn, WEIGHT_FLOOR), WEIGHT_CEIL)
-    flat = np.where(drop_uniforms < dropout, INACTIVE, drawn)
-    return NetworkState(_expand_symmetric(flat, config.node_count), region_of)
+    region_of, _, flat = _initial_flat(config, dropout, np.random.default_rng(seed))
+    n = config.node_count
+    return NetworkState(fill_off_diagonal(np.zeros((n, n)), flat), region_of)
 
 
 def _power_iteration(adjacency: np.ndarray) -> np.ndarray:
@@ -430,6 +435,26 @@ def sample_skew_normal(shape: float, seed=None) -> float:
     return float(delta * abs(u0) + np.sqrt(1.0 - delta * delta) * u1)
 
 
+def _check_activation(activation: float) -> None:
+    if not 0.0 <= activation <= 1.0:
+        raise ValueError("activation must lie in [0, 1]")
+
+
+def _evolve_flat(flat, means, delta_t, activation, rng, adjacency) -> np.ndarray:
+    """One evolution step on the flat pair vector; returns the new vector.
+
+    ``adjacency`` is a node-by-node buffer with a unit diagonal; every
+    off-diagonal entry is overwritten with the links sampled in this step.
+    """
+    rows, cols = pair_indices(len(adjacency))
+    active = rng.random(len(rows)) < activation
+    fill_off_diagonal(adjacency, active)
+    omega = _power_iteration(adjacency)
+    u0 = rng.standard_normal(len(rows))
+    u1 = rng.standard_normal(len(rows))
+    return perturb_weights(flat, means, omega[rows] + omega[cols], u0, u1, float(delta_t), active)
+
+
 def evolve_network(
     prev: NetworkState,
     delta_t: float,
@@ -456,28 +481,18 @@ def evolve_network(
     config = config or default_region_config()
     if not delta_t > 0:
         raise ValueError("delta_t must be positive")
-    if not 0.0 <= activation <= 1.0:
-        raise ValueError("activation must lie in [0, 1]")
+    _check_activation(activation)
     if not np.array_equal(config.region_assignment(), prev.region_of):
         raise ValueError("config region layout does not match the network state")
-    rng = np.random.default_rng(seed)
     n = prev.node_count
-    rows, cols = _pair_indices(n)
-    active = rng.random(len(rows)) < activation
-
-    adjacency = np.zeros((n, n))
-    adjacency[rows, cols] = active
-    adjacency[cols, rows] = active
-    np.fill_diagonal(adjacency, 1.0)
-    omega = _power_iteration(adjacency)
-
-    u0 = rng.standard_normal(len(rows))
-    u1 = rng.standard_normal(len(rows))
-    flat_prev = np.ascontiguousarray(prev.weights[rows, cols])
     means = _pair_means(config, prev.region_of)
-    omega_sum = np.ascontiguousarray(omega[rows] + omega[cols])
-    flat_new = perturb_weights(flat_prev, means, omega_sum, u0, u1, float(delta_t), active)
-    return NetworkState(_expand_symmetric(flat_new, n), prev.region_of)
+    flat = _evolve_flat(_flatten(prev), means, delta_t, activation, np.random.default_rng(seed), np.eye(n))
+    return NetworkState(fill_off_diagonal(np.zeros((n, n)), flat), prev.region_of)
+
+
+def _check_node(node: int, node_count: int) -> None:
+    if not 0 <= node < node_count:
+        raise ValueError(f"node {node} out of range for {node_count} nodes")
 
 
 def shortest_latencies(state: NetworkState, source: int) -> np.ndarray:
@@ -491,9 +506,15 @@ def shortest_latencies(state: NetworkState, source: int) -> np.ndarray:
     ValueError
         If ``source`` is out of range.
     """
-    if not 0 <= source < state.node_count:
-        raise ValueError(f"source {source} out of range for {state.node_count} nodes")
-    return dijkstra_dense(state.weights, source)
+    _check_node(source, state.node_count)
+    return race_latencies(_flatten(state), state.node_count, [source])[0]
+
+
+def _gamma(flat: np.ndarray, node_count: int, attacker: int, honest: int) -> float:
+    dist_attacker, dist_honest = race_latencies(flat, node_count, [attacker, honest])
+    closer = dist_attacker < dist_honest
+    closer[[attacker, honest]] = False
+    return int(closer.sum()) / node_count
 
 
 def gamma_of(state: NetworkState, attacker: int, honest: int) -> float:
@@ -501,7 +522,8 @@ def gamma_of(state: NetworkState, attacker: int, honest: int) -> float:
 
     Counts nodes outside the pair whose shortest latency to the attacker is
     strictly below their latency to the honest node, divided by the total
-    node count, so the result never exceeds (V - 2) / V.
+    node count, so the result never exceeds (V - 2) / V. Ties, including
+    nodes neither side reaches, count for the honest node.
 
     Raises
     ------
@@ -510,12 +532,9 @@ def gamma_of(state: NetworkState, attacker: int, honest: int) -> float:
     """
     if attacker == honest:
         raise ValueError("attacker and honest node must differ")
-    dist_attacker = shortest_latencies(state, attacker)
-    dist_honest = shortest_latencies(state, honest)
-    others = np.ones(state.node_count, dtype=bool)
-    others[[attacker, honest]] = False
-    closer = int((dist_attacker[others] < dist_honest[others]).sum())
-    return closer / state.node_count
+    _check_node(attacker, state.node_count)
+    _check_node(honest, state.node_count)
+    return _gamma(_flatten(state), state.node_count, attacker, honest)
 
 
 def _draw_node_pair(rng: np.random.Generator, node_count: int) -> tuple[int, int]:
@@ -539,12 +558,14 @@ def simulate_gamma_series(
 
     Initializes the network, races a fresh attacker/honest pair for the
     first sample, then alternates evolution steps (with delta_t equal to
-    the schedule gap) and races for the remaining samples.
+    the schedule gap) and races for the remaining samples. Equal to
+    replaying ``init_network``, ``evolve_network`` and ``gamma_of`` on one
+    generator, without building a ``NetworkState`` per step.
 
     Parameters
     ----------
     schedule : array-like
-        Strictly increasing sample times, at least one.
+        Strictly increasing finite sample times, at least one.
     seed : int, Generator or None
     config : RegionConfig, optional
     dropout, activation : float
@@ -553,24 +574,28 @@ def simulate_gamma_series(
     Raises
     ------
     ValueError
-        If the schedule is empty or not strictly increasing.
+        If the schedule is empty, not finite or not strictly increasing,
+        or a link probability is out of range.
     """
     times = np.asarray(schedule, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("schedule must be a non-empty one-dimensional sequence")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("schedule must be strictly increasing")
+    if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+        raise ValueError("schedule must be finite and strictly increasing")
+    _check_activation(activation)
     config = config or default_region_config()
     rng = np.random.default_rng(seed)
+    n = config.node_count
 
-    state = init_network(config, dropout, rng)
-    attacker, honest = _draw_node_pair(rng, state.node_count)
+    _, means, flat = _initial_flat(config, dropout, rng)
+    adjacency = np.eye(n)
+    gaps = np.diff(times)
     values = np.empty(len(times))
-    values[0] = gamma_of(state, attacker, honest)
-    for step in range(1, len(times)):
-        state = evolve_network(state, times[step] - times[step - 1], config, activation, rng)
-        attacker, honest = _draw_node_pair(rng, state.node_count)
-        values[step] = gamma_of(state, attacker, honest)
+    for step in range(len(times)):
+        if step:
+            flat = _evolve_flat(flat, means, gaps[step - 1], activation, rng, adjacency)
+        attacker, honest = _draw_node_pair(rng, n)
+        values[step] = _gamma(flat, n, attacker, honest)
     stored_seed = int(seed) if isinstance(seed, (int, np.integer)) else None
     return GammaSeries(times, values, stored_seed)
 

@@ -1,11 +1,9 @@
-"""Small construction helpers shared across test modules."""
+"""Small construction helpers and the race oracle shared across test modules."""
 
-import os
-from pathlib import Path
-
+import numpy as np
 from hypothesis import strategies as st
 
-import gammachain
+from gammachain._kernels import INACTIVE
 from gammachain.partition import Interval, StrategyPartition
 
 
@@ -32,16 +30,27 @@ def grid_partitions(max_cuts=5):
     )
 
 
-def subprocess_env(**overrides):
-    """The caller's environment for a child interpreter, plus ``overrides``.
+def dijkstra_numpy(weights, source):
+    """Reference single-source shortest latencies on a dense weight matrix.
 
-    The directory holding the imported ``gammachain`` package goes first on
-    ``PYTHONPATH``, so the child imports the same source as the test process
-    whether or not the package is installed.
+    A plain O(V^2) Dijkstra, kept as the oracle for the simulator's race.
+    Distances start at the sentinel and only strict improvements below it
+    are recorded, so unreachable nodes and nodes whose best path costs at
+    least 1e7 both report exactly 1e7. Sentinel-valued edges never relax.
     """
-    env = dict(os.environ, **overrides)
-    package_root = str(Path(gammachain.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
-    return env
+    n = weights.shape[0]
+    dist = np.full(n, INACTIVE)
+    dist[source] = 0.0
+    visited = np.zeros(n, dtype=bool)
+    for _ in range(n):
+        masked = np.where(visited, np.inf, dist)
+        u = int(np.argmin(masked))
+        if masked[u] >= INACTIVE:
+            # every remaining node is unreachable below the sentinel
+            break
+        visited[u] = True
+        row = weights[u]
+        candidate = dist[u] + row
+        better = (row < INACTIVE) & ~visited & (candidate < dist)
+        dist[better] = candidate[better]
+    return dist

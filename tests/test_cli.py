@@ -175,6 +175,14 @@ class TestAnalyzeCommand:
         assert run(tmp_path, "analyze", "--series", str(series_file)) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_row_fails(self, tmp_path, capsys):
+        series_file = tmp_path / "nan.csv"
+        series_file.write_text("time,gamma\n0.0,0.1\n1.0,nan\n2.0,0.9\n")
+        out = tmp_path / "out"
+        assert run(out, "analyze", "--series", str(series_file)) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_without_series_simulates(self, tmp_path):
         assert run(tmp_path, "analyze", "--steps", "40", "--seed", "5") == 0
         counts = TransitionCounts.from_csv(
@@ -221,6 +229,21 @@ class TestCompareCommand:
         run(wide, "compare", "--length-scale", "0.5")
         pick = lambda p: json.loads((p / "comparison.json").read_text())["models"][1]
         assert pick(narrow)["relative_likelihood"] != pick(wide)["relative_likelihood"]
+
+
+    def test_infinite_likelihood_is_strict_json(self, tmp_path):
+        assert run(tmp_path, "compare", "--length-scale", "0.002") == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (tmp_path / "comparison.json").read_text()
+        report = json.loads(text, parse_constant=reject)
+        model2 = report["models"][1]
+        assert model2["relative_likelihood"] is None
+        assert "infinite" in model2["note"]
+        assert "note" not in report["models"][0]
+        assert report["verdict"] == "model1 preferred"
 
 
 class TestPipelineCommand:

@@ -49,6 +49,10 @@ class TestBinGamma:
         scalar = [bin_gamma(v, partition) for v in values]
         assert vector.tolist() == scalar
 
+    def test_vectorized_rejects_nan(self, partition):
+        with pytest.raises(ValueError):
+            bin_series(np.array([0.2, np.nan]), partition)
+
     def test_vectorized_rejects_out_of_range(self, partition):
         with pytest.raises(ValueError):
             bin_series([0.5, 1.2], partition)

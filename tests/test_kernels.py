@@ -1,24 +1,27 @@
-"""Bit-equality of the jit-compiled kernels and their numpy fallbacks."""
-
-import subprocess
-import sys
+"""The simulator kernels: the csgraph race against a dense Dijkstra oracle,
+the pair-vector expansion, and the latency update."""
 
 import numpy as np
 import pytest
 
-from gammachain import _kernels
 from gammachain._kernels import (
     INACTIVE,
-    NUMBA_ENABLED,
     WEIGHT_CEIL,
     WEIGHT_FLOOR,
-    dijkstra_numpy,
-    perturb_numpy,
+    fill_off_diagonal,
+    pair_indices,
+    perturb_weights,
+)
+from gammachain.network import (
+    NetworkState,
+    default_region_config,
+    evolve_network,
+    gamma_of,
+    init_network,
+    shortest_latencies,
 )
 
-from helpers import subprocess_env
-
-needs_numba = pytest.mark.skipif(not NUMBA_ENABLED, reason="numba unavailable")
+from helpers import dijkstra_numpy
 
 
 def random_weight_matrix(rng, size, inactive_fraction):
@@ -65,36 +68,62 @@ class TestDijkstraNumpy:
         assert dijkstra_numpy(weights, 0)[1] == 10.0
 
 
-@needs_numba
-class TestBackendEquality:
-    def test_dijkstra_bit_identical(self, rng):
-        for trial in range(40):
-            size = int(rng.integers(2, 30))
-            weights = random_weight_matrix(rng, size, float(rng.uniform(0.0, 0.8)))
-            source = int(rng.integers(size))
-            a = _kernels.dijkstra_numba(weights, source)
-            b = dijkstra_numpy(weights, source)
-            assert np.array_equal(a, b)
+class TestRaceMatchesOracle:
+    @pytest.mark.parametrize("nodes", [100, 400])
+    def test_evolved_states_bit_for_bit(self, nodes):
+        config = default_region_config().scaled_to(nodes)
+        gen = np.random.default_rng(nodes)
+        state = init_network(config, seed=gen)
+        for _ in range(30):
+            state = evolve_network(state, float(gen.uniform(0.1, 2.0)), config, seed=gen)
+            attacker, honest = (int(v) for v in gen.choice(nodes, 2, replace=False))
+            dist_attacker = dijkstra_numpy(state.weights, attacker)
+            dist_honest = dijkstra_numpy(state.weights, honest)
+            assert np.array_equal(shortest_latencies(state, attacker), dist_attacker)
+            assert np.array_equal(shortest_latencies(state, honest), dist_honest)
+            others = np.ones(nodes, dtype=bool)
+            others[[attacker, honest]] = False
+            closer = int((dist_attacker[others] < dist_honest[others]).sum())
+            assert gamma_of(state, attacker, honest) == closer / nodes
 
-    def test_perturb_bit_identical(self, rng):
-        for trial in range(40):
-            n = int(rng.integers(1, 500))
-            prev = rng.uniform(WEIGHT_FLOOR, 500.0, n)
-            prev[rng.random(n) < 0.2] = INACTIVE
-            mean = rng.uniform(6.0, 325.0, n)
-            omega = rng.uniform(0.0, 0.5, n)
-            u0 = rng.standard_normal(n)
-            u1 = rng.standard_normal(n)
-            active = rng.random(n) < 0.9
-            dt = float(rng.uniform(0.1, 2.0))
-            a = _kernels.perturb_numba(prev, mean, omega, u0, u1, dt, active)
-            b = perturb_numpy(prev, mean, omega, u0, u1, dt, active)
-            assert np.array_equal(a, b)
+    def test_random_matrices_bit_for_bit(self, rng):
+        for _ in range(40):
+            size = int(rng.integers(1, 30))
+            weights = random_weight_matrix(rng, size, float(rng.uniform(0.0, 0.8)))
+            state = NetworkState(weights, np.zeros(size, dtype=np.int64))
+            source = int(rng.integers(size))
+            assert np.array_equal(shortest_latencies(state, source), dijkstra_numpy(weights, source))
+
+    def test_two_ceiling_links_clamp_to_sentinel(self):
+        # the only route from 0 to 2 costs 2 * WEIGHT_CEIL, above the sentinel
+        weights = np.array(
+            [
+                [0.0, WEIGHT_CEIL, INACTIVE],
+                [WEIGHT_CEIL, 0.0, WEIGHT_CEIL],
+                [INACTIVE, WEIGHT_CEIL, 0.0],
+            ]
+        )
+        state = NetworkState(weights, np.zeros(3, dtype=np.int64))
+        dist = shortest_latencies(state, 0)
+        assert dist.tolist() == [0.0, WEIGHT_CEIL, INACTIVE]
+        assert np.array_equal(dist, dijkstra_numpy(weights, 0))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7])
+def test_fill_off_diagonal_matches_both_triangles(size, rng):
+    rows, cols = pair_indices(size)
+    flat = rng.uniform(1.0, 9.0, len(rows))
+    expected = np.full((size, size), -1.0)
+    expected[rows, cols] = flat
+    expected[cols, rows] = flat
+    matrix = np.full((size, size), -1.0)
+    fill_off_diagonal(matrix, flat)
+    assert np.array_equal(matrix, expected)
 
 
 class TestPerturbSemantics:
     def test_surviving_link_scales(self):
-        out = perturb_numpy(
+        out = perturb_weights(
             np.array([100.0]),
             np.array([11.0]),
             np.array([0.0]),  # shape 0 makes the shock just u1
@@ -106,7 +135,7 @@ class TestPerturbSemantics:
         assert out[0] == pytest.approx(100.0 * 1.5)
 
     def test_deactivated_link_becomes_sentinel(self):
-        out = perturb_numpy(
+        out = perturb_weights(
             np.array([100.0]),
             np.array([11.0]),
             np.array([0.1]),
@@ -118,7 +147,7 @@ class TestPerturbSemantics:
         assert out[0] == INACTIVE
 
     def test_inactive_link_restarts_from_mean_even_when_inactive_again(self):
-        out = perturb_numpy(
+        out = perturb_weights(
             np.array([INACTIVE, INACTIVE]),
             np.array([11.0, 11.0]),
             np.array([0.0, 0.0]),
@@ -130,7 +159,7 @@ class TestPerturbSemantics:
         assert out.tolist() == [11.0, 11.0]
 
     def test_floor_clamp(self):
-        out = perturb_numpy(
+        out = perturb_weights(
             np.array([50.0]),
             np.array([11.0]),
             np.array([0.0]),
@@ -142,7 +171,7 @@ class TestPerturbSemantics:
         assert out[0] == WEIGHT_FLOOR
 
     def test_ceiling_clamp_stays_below_sentinel(self):
-        out = perturb_numpy(
+        out = perturb_weights(
             np.array([9e6]),
             np.array([11.0]),
             np.array([0.0]),
@@ -153,39 +182,3 @@ class TestPerturbSemantics:
         )
         assert out[0] == WEIGHT_CEIL
         assert out[0] < INACTIVE
-
-
-def test_env_flag_forces_numpy_backend():
-    code = (
-        "import gammachain._kernels as k; "
-        "print(k.backend_name(), k.dijkstra_dense is k.dijkstra_numpy)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=subprocess_env(GAMMACHAIN_NO_NUMBA="1"),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stdout.split() == ["numpy", "True"]
-
-
-@needs_numba
-def test_series_identical_across_backends():
-    code = (
-        "import hashlib, numpy as np; "
-        "from gammachain.network import simulate_gamma_series; "
-        "s = simulate_gamma_series(np.arange(40, dtype=float), seed=9); "
-        "print(hashlib.sha256(np.asarray(s.values).tobytes()).hexdigest())"
-    )
-    digests = {}
-    for flag in ("0", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=subprocess_env(GAMMACHAIN_NO_NUMBA=flag),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        digests[flag] = proc.stdout.strip()
-    assert digests["0"] == digests["1"]

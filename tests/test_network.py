@@ -1,5 +1,7 @@
 """Latency network simulation: init, centrality, evolution, and gamma series."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gammachain.network import (
     GammaSeries,
     NetworkState,
     RegionConfig,
+    _draw_node_pair,
     default_region_config,
     eigenvector_centrality,
     evolve_network,
@@ -77,6 +80,13 @@ class TestRegionConfig:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             region_override((34, 50, -1, 12, 2, 2))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_latency(self, bad):
+        matrix = np.asarray(DEFAULT_MEAN_LATENCY, dtype=float).copy()
+        matrix[0, 1] = matrix[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RegionConfig(REGION_NAMES, DEFAULT_NODE_COUNTS, matrix)
 
     def test_json_round_trip(self):
         config = default_region_config()
@@ -376,6 +386,19 @@ class TestGammaSeries:
         with pytest.raises(ValueError):
             GammaSeries(np.array([0.0, 1.0]), np.array([0.5]))
 
+    def test_rejects_nan_value(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            GammaSeries(np.array([0.0, 1.0]), np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_time(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GammaSeries(np.array([0.0, bad]), np.array([0.0, 0.5]))
+
+    def test_csv_with_nan_row_rejected(self):
+        with pytest.raises(ValueError):
+            GammaSeries.from_csv("time,gamma\n0.0,0.5\n1.0,nan\n")
+
 
 class TestSimulateGammaSeries:
     def test_single_sample_schedule(self):
@@ -419,6 +442,34 @@ class TestSimulateGammaSeries:
             np.arange(10, dtype=float), seed=3, config=default_region_config().scaled_to(10)
         )
         assert len(series) == 10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_schedule(self, bad):
+        with pytest.raises(ValueError):
+            simulate_gamma_series(np.array([0.0, 1.0, bad]), seed=0)
+
+    def test_seed3_digest_pinned(self):
+        series = simulate_gamma_series(np.arange(500, dtype=float), seed=3)
+        digest = hashlib.sha256(series.values.tobytes()).hexdigest()
+        assert digest == "d260d3269b9e3a9204b2166a10819ef9c7696b84f546c67b9340f7de50ff3db9"
+
+    @pytest.mark.parametrize(
+        "seed, nodes, dropout, activation",
+        [(3, 100, 0.1, 0.9), (8, 40, 0.3, 0.6), (21, 100, 0.0, 1.0)],
+    )
+    def test_flat_loop_matches_public_api_replay(self, seed, nodes, dropout, activation):
+        config = default_region_config().scaled_to(nodes)
+        schedule = np.cumsum(np.random.default_rng(seed).uniform(0.1, 2.0, 40))
+        series = simulate_gamma_series(schedule, seed, config, dropout, activation)
+
+        rng = np.random.default_rng(seed)
+        state = init_network(config, dropout, rng)
+        replay = []
+        for step, at in enumerate(schedule):
+            if step:
+                state = evolve_network(state, at - schedule[step - 1], config, activation, rng)
+            replay.append(gamma_of(state, *_draw_node_pair(rng, nodes)))
+        assert series.values.tobytes() == np.array(replay).tobytes()
 
 
 class TestMovingAverage:
