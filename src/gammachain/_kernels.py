@@ -4,17 +4,20 @@ Both kernels work on the flat pair vector of a network: one weight per
 unordered node pair in row-major upper-triangle order (``pair_indices``),
 with the sentinel 1e7 marking an inactive link. ``entry_pairs`` maps each
 off-diagonal matrix entry, row by row, to its pair; through it a pair vector
-becomes a symmetric matrix (``fill_off_diagonal``) or the data of a graph.
+becomes a symmetric matrix (``fill_off_diagonal``).
 
-The race is a single ``scipy.sparse.csgraph.dijkstra`` call from both
-sources over a CSR graph that holds every off-diagonal pair. Its pattern
-depends only on the node count and is built once; each race refills only the
-data, with inactive links as inf so they never relax. Distances are then
-clamped to at most the sentinel, so unreachable nodes and nodes whose
-cheapest path costs at least 1e7 both report exactly 1e7. Every finite
-weight is at least 1.0, so fl(d + w) > d: each node settles after every
-predecessor on its shortest paths, and the float distances equal those of a
-plain dense-matrix Dijkstra bit for bit, whatever order ties settle in.
+The race runs on such a matrix with an inf diagonal, in plain numpy. From
+each source it settles, in one vectorised round, every pending node whose
+distance is at most the smallest ``d[u] + reach[u]`` over pending nodes
+``u``, with ``reach[u]`` the lightest link of ``u`` (the OUT criterion of
+Crauser, Mehlhorn, Meyer and Sanders, 1998), and relaxes all their rows at
+once. Float addition is monotone, so a settled node is final and the result
+satisfies ``d(v) = min_u fl(d(u) + w_uv)``; every weight is at least 1.0, so
+fl(d + w) > d and that equation has one solution: the one a plain dense
+Dijkstra computes, bit for bit. The sentinel is an ordinary weight. A path
+over an inactive link costs at least 1e7, the race stops once every pending
+node is that far, and distances are clamped to the sentinel, so unreachable
+nodes and nodes whose cheapest path costs at least 1e7 report exactly 1e7.
 
 All random draws happen outside these kernels; callers pass the drawn arrays
 in, which keeps the consumed random stream fixed.
@@ -63,25 +66,28 @@ def fill_off_diagonal(matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return matrix
 
 
-@lru_cache(maxsize=8)
-def _csr_pattern(node_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``indptr`` and ``indices`` of a graph holding every off-diagonal entry."""
-    index_dtype = np.int32 if node_count * node_count <= np.iinfo(np.int32).max else np.int64
-    indptr = np.arange(node_count + 1, dtype=index_dtype) * (node_count - 1)
-    _, indices = np.nonzero(~np.eye(node_count, dtype=bool))
-    return _frozen(indptr), _frozen(indices.astype(index_dtype))
+def race_latencies(weights: np.ndarray, sources) -> np.ndarray:
+    """Shortest latencies from each source, one row per source, capped at 1e7.
 
-
-def race_latencies(flat: np.ndarray, node_count: int, sources) -> np.ndarray:
-    """Shortest latencies from each source, one row per source, capped at 1e7."""
-    # imported here: csgraph costs about 0.4 s, and only races need it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    indptr, indices = _csr_pattern(node_count)
-    data = np.where(flat < INACTIVE, flat, np.inf)[entry_pairs(node_count)]
-    graph = csr_matrix((data, indices, indptr), shape=(node_count, node_count))
-    return np.minimum(dijkstra(graph, directed=True, indices=sources), INACTIVE)
+    ``weights`` holds every link weight, the sentinel included, and an inf diagonal.
+    """
+    reach = weights.min(axis=1)
+    dist = weights[sources]
+    for d, source in zip(dist, sources):
+        d[source] = 0.0
+        # zero for a pending node, inf once it has settled
+        settled = np.zeros(len(d))
+        settled[source] = np.inf
+        while True:
+            pending = d + settled
+            if pending.min() >= INACTIVE:
+                break
+            batch = np.flatnonzero(pending <= (pending + reach).min())
+            settled[batch] = np.inf
+            rows = weights[batch]
+            rows += d[batch, None]
+            np.minimum(d, rows.min(axis=0), out=d)
+    return np.minimum(dist, INACTIVE, out=dist)
 
 
 def perturb_weights(

@@ -70,7 +70,7 @@ ANALYZE_DEFAULT_STEPS = 5000
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One parsed command invocation.
+    """One parsed command invocation; argparse has validated every field.
 
     ``label`` is free-form documentation carried into run metadata; it does
     not affect any computation.
@@ -90,16 +90,6 @@ class RunConfig:
     series_path: str | None = None
     counts_path: str | None = None
     out_dir: str = "."
-
-    def __post_init__(self):
-        if self.command not in {"model", "simulate", "analyze", "compare", "pipeline"}:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
-        if self.node_count < 1:
-            raise ValueError("node count must be positive")
-        if not self.length_scale > 0:
-            raise ValueError("length scale must be positive")
 
 
 class ArtifactWriter:
@@ -122,7 +112,8 @@ class AnalyzeResult:
     counts: TransitionCounts
     empirical: TransitionMatrix
     stationary: StateDistribution | None
-    note: str | None
+    # the empirical_stationary.json object; holds a note when stationary is None
+    stationary_obj: dict
 
 
 def _dumps(obj) -> str:
@@ -152,27 +143,22 @@ def _load_region_config(config: RunConfig) -> RegionConfig:
     return region
 
 
-def _render_matrix(matrix: TransitionMatrix) -> str:
-    width = max(len(label) for label in matrix.labels)
-    lines = [" " * (width + 2) + "  ".join(f"{l:>5}" for l in matrix.labels)]
-    for label, row in zip(matrix.labels, matrix.entries):
-        cells = "  ".join(f"{v:5.2f}" for v in row)
-        lines.append(f"{label:>{width}}  {cells}")
+def _render_table(labels, rows) -> str:
+    """Labelled square table of preformatted cells, right-aligned, at least 5 wide."""
+    width = max(len(label) for label in labels)
+    cell = max([5] + [len(text) for row in rows for text in row])
+    lines = [" " * (width + 2) + "  ".join(f"{l:>{cell}}" for l in labels)]
+    for label, row in zip(labels, rows):
+        lines.append(f"{label:>{width}}  " + "  ".join(f"{text:>{cell}}" for text in row))
     return "\n".join(lines)
+
+
+def _render_matrix(matrix: TransitionMatrix) -> str:
+    return _render_table(matrix.labels, [[f"{v:.2f}" for v in row] for row in matrix.entries])
 
 
 def _render_weights(dist: StateDistribution) -> str:
     return "(" + ", ".join(f"{v:.2f}" for v in dist.weights) + ")"
-
-
-def _render_counts(counts: TransitionCounts) -> str:
-    width = max(len(label) for label in counts.labels)
-    cell = max(5, len(str(int(counts.counts.max()))))
-    lines = [" " * (width + 2) + "  ".join(f"{l:>{cell}}" for l in counts.labels)]
-    for label, row in zip(counts.labels, counts.counts):
-        cells = "  ".join(f"{int(v):>{cell}}" for v in row)
-        lines.append(f"{label:>{width}}  {cells}")
-    return "\n".join(lines)
 
 
 def _build_model(config: RunConfig, partition: StrategyPartition) -> TransitionMatrix:
@@ -202,16 +188,19 @@ def cmd_model(config: RunConfig, writer: ArtifactWriter) -> None:
     print(f"stationary distribution: {_render_weights(stationary)}")
 
 
-def cmd_simulate(config: RunConfig, writer: ArtifactWriter) -> GammaSeries:
-    region = _load_region_config(config)
-    schedule = np.arange(config.steps, dtype=float)
-    series = simulate_gamma_series(
-        schedule,
+def _simulate(config: RunConfig, region: RegionConfig) -> GammaSeries:
+    return simulate_gamma_series(
+        np.arange(config.steps, dtype=float),
         seed=config.seed,
         config=region,
         dropout=config.dropout,
         activation=config.activation,
     )
+
+
+def cmd_simulate(config: RunConfig, writer: ArtifactWriter) -> GammaSeries:
+    region = _load_region_config(config)
+    series = _simulate(config, region)
     averaged = moving_average(series)
     metadata = {
         "command": config.command,
@@ -246,15 +235,7 @@ def _analysis_series(config: RunConfig) -> GammaSeries:
     if config.series_path is not None:
         text = Path(config.series_path).read_text(encoding="utf-8")
         return GammaSeries.from_csv(text)
-    region = _load_region_config(config)
-    schedule = np.arange(config.steps, dtype=float)
-    return simulate_gamma_series(
-        schedule,
-        seed=config.seed,
-        config=region,
-        dropout=config.dropout,
-        activation=config.activation,
-    )
+    return _simulate(config, _load_region_config(config))
 
 
 def cmd_analyze(
@@ -283,19 +264,20 @@ def cmd_analyze(
         "occupancy.json", _dumps(occupancy_fractions(series, partition).to_json_obj())
     )
     print(f"transition counts over {counts.total} pairs:")
-    print(_render_counts(counts))
+    print(_render_table(counts.labels, [[str(int(v)) for v in row] for row in counts.counts]))
     print("empirical transition matrix, rounded to 2 decimals:")
     print(_render_matrix(empirical))
     if stationary is not None:
         print(f"empirical stationary distribution: {_render_weights(stationary)}")
     else:
         print(f"empirical stationary distribution unavailable: {note}")
-    return AnalyzeResult(counts, empirical, stationary, note)
+    return AnalyzeResult(counts, empirical, stationary, stationary_obj)
 
 
 def cmd_compare(
     config: RunConfig, writer: ArtifactWriter, counts: TransitionCounts | None = None
-) -> dict:
+) -> tuple[dict, tuple[TransitionMatrix, TransitionMatrix]]:
+    """Write the likelihood report; return it with the two model matrices."""
     partition = _load_partition(config)
     if counts is None:
         if config.counts_path is not None:
@@ -303,12 +285,12 @@ def cmd_compare(
             counts = TransitionCounts.from_csv(text, partition)
         else:
             counts = load_reference_counts(partition)
-    model1 = score_model("model1", model1_transition_matrix(partition), counts)
-    model2 = score_model(
-        "model2",
+    matrices = (
+        model1_transition_matrix(partition),
         model2_transition_matrix(partition, KernelConfig(config.length_scale)),
-        counts,
     )
+    model1 = score_model("model1", matrices[0], counts)
+    model2 = score_model("model2", matrices[1], counts)
     if model1.relative_likelihood < model2.relative_likelihood:
         verdict = "model1 preferred"
     elif model2.relative_likelihood < model1.relative_likelihood:
@@ -328,33 +310,22 @@ def cmd_compare(
         f"model2 {model2.relative_likelihood:.2f}"
     )
     print(f"verdict: {verdict}")
-    return report
+    return report, matrices
 
 
 def cmd_pipeline(config: RunConfig, writer: ArtifactWriter) -> None:
     if config.steps < 2:
         raise ValueError("pipeline needs at least two steps to count transitions")
-    partition = _load_partition(config)
     series = cmd_simulate(config, writer)
     analysis = cmd_analyze(config, writer, series=series)
-    report = cmd_compare(config, writer, counts=analysis.counts)
-    pi1 = stationary_distribution(model1_transition_matrix(partition))
-    pi2 = stationary_distribution(
-        model2_transition_matrix(partition, KernelConfig(config.length_scale))
-    )
-    if analysis.stationary is not None:
-        empirical_obj = analysis.stationary.to_json_obj()
-    else:
-        empirical_obj = {
-            "labels": list(partition.labels),
-            "weights": None,
-            "note": analysis.note,
-        }
+    report, (matrix1, matrix2) = cmd_compare(config, writer, counts=analysis.counts)
+    pi1 = stationary_distribution(matrix1)
+    pi2 = stationary_distribution(matrix2)
     summary = {
         "stationary": {
             "model1": pi1.to_json_obj(),
             "model2": pi2.to_json_obj(),
-            "empirical": empirical_obj,
+            "empirical": analysis.stationary_obj,
         },
         "relative_likelihood": {
             entry["model_name"]: entry["relative_likelihood"]
@@ -369,7 +340,7 @@ def cmd_pipeline(config: RunConfig, writer: ArtifactWriter) -> None:
     if analysis.stationary is not None:
         print(f"  empirical {_render_weights(analysis.stationary)}")
     else:
-        print(f"  empirical unavailable: {analysis.note}")
+        print(f"  empirical unavailable: {analysis.stationary_obj['note']}")
 
 
 _DISPATCH = {
@@ -392,6 +363,20 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError("must be positive")
+    return value
+
+
+def _dropout(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError("must lie in [0, 1)")
+    return value
+
+
+def _activation(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError("must lie in [0, 1]")
     return value
 
 
@@ -419,10 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--nodes", type=_positive_int, default=100, help="number of network nodes"
     )
     sim.add_argument(
-        "--dropout", type=float, default=0.1, help="initial inactive-link probability"
+        "--dropout", type=_dropout, default=0.1, help="initial inactive-link probability"
     )
     sim.add_argument(
-        "--activation", type=float, default=0.9, help="per-step link activation probability"
+        "--activation", type=_activation, default=0.9, help="per-step link activation probability"
     )
     sim.add_argument(
         "--region-config", default=None, metavar="JSON", help="region latency config file"

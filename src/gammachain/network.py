@@ -20,11 +20,11 @@ pair. The second node of a pair is redrawn until it differs from the first.
 The simulation loop keeps the network as its flat pair vector, in the same
 upper-triangle order, and never builds a ``NetworkState``; the public
 functions expand and flatten states around the very helpers the loop calls.
-Each race is one ``scipy.sparse.csgraph.dijkstra`` call from both nodes,
-with distances clamped so that unreachable nodes, and nodes whose cheapest
-path costs at least the sentinel, report exactly 1e7 and tie. Every weight
-is at least 1.0, so fl(d + w) > d and the float distances match a plain
-dense-matrix Dijkstra bit for bit (see ``_kernels``).
+Each race fills one reused matrix from the vector and runs a radius-batched
+Dijkstra in numpy from both nodes; unreachable nodes, and nodes whose
+cheapest path costs at least the sentinel, report exactly 1e7 and tie. Every
+weight is at least 1.0, so fl(d + w) > d and the float distances match a
+plain dense-matrix Dijkstra bit for bit (see ``_kernels``).
 
 Centrality note: the adjacency derived from a weight matrix marks every
 finite entry as an edge, and the zero diagonal is finite, so nodes carry
@@ -36,6 +36,7 @@ bipartite graphs where the plain adjacency would oscillate.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
@@ -306,15 +307,17 @@ class GammaSeries:
 
     @classmethod
     def from_csv(cls, text: str, seed: int | None = None) -> "GammaSeries":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0].strip() != "time,gamma":
+        header, _, body = text.strip().partition("\n")
+        if header.strip() != "time,gamma":
             raise ValueError("series CSV must start with the header 'time,gamma'")
-        times, values = [], []
-        for ln in lines[1:]:
-            t, v = ln.split(",")
-            times.append(float(t))
-            values.append(float(v))
-        return cls(np.asarray(times), np.asarray(values), seed)
+        if not body:
+            raise ValueError("series must contain at least one sample")
+        # one bulk parse: blank lines are skipped; a non-numeric token or a
+        # row with another field count than the first raises ValueError
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        if rows.shape[1] != 2:
+            raise ValueError("series CSV rows must hold two fields, time and gamma")
+        return cls(rows[:, 0], rows[:, 1], seed)
 
     def to_json_obj(self) -> dict:
         return {
@@ -507,14 +510,18 @@ def shortest_latencies(state: NetworkState, source: int) -> np.ndarray:
         If ``source`` is out of range.
     """
     _check_node(source, state.node_count)
-    return race_latencies(_flatten(state), state.node_count, [source])[0]
+    return race_latencies(_race_weights(state), [source])[0]
 
 
-def _gamma(flat: np.ndarray, node_count: int, attacker: int, honest: int) -> float:
-    dist_attacker, dist_honest = race_latencies(flat, node_count, [attacker, honest])
+def _race_weights(state: NetworkState) -> np.ndarray:
+    return fill_off_diagonal(np.full(state.weights.shape, np.inf), _flatten(state))
+
+
+def _gamma(weights: np.ndarray, attacker: int, honest: int) -> float:
+    dist_attacker, dist_honest = race_latencies(weights, [attacker, honest])
     closer = dist_attacker < dist_honest
     closer[[attacker, honest]] = False
-    return int(closer.sum()) / node_count
+    return int(closer.sum()) / len(weights)
 
 
 def gamma_of(state: NetworkState, attacker: int, honest: int) -> float:
@@ -534,7 +541,7 @@ def gamma_of(state: NetworkState, attacker: int, honest: int) -> float:
         raise ValueError("attacker and honest node must differ")
     _check_node(attacker, state.node_count)
     _check_node(honest, state.node_count)
-    return _gamma(_flatten(state), state.node_count, attacker, honest)
+    return _gamma(_race_weights(state), attacker, honest)
 
 
 def _draw_node_pair(rng: np.random.Generator, node_count: int) -> tuple[int, int]:
@@ -589,13 +596,14 @@ def simulate_gamma_series(
 
     _, means, flat = _initial_flat(config, dropout, rng)
     adjacency = np.eye(n)
+    weights = np.full((n, n), np.inf)
     gaps = np.diff(times)
     values = np.empty(len(times))
     for step in range(len(times)):
         if step:
             flat = _evolve_flat(flat, means, gaps[step - 1], activation, rng, adjacency)
         attacker, honest = _draw_node_pair(rng, n)
-        values[step] = _gamma(flat, n, attacker, honest)
+        values[step] = _gamma(fill_off_diagonal(weights, flat), attacker, honest)
     stored_seed = int(seed) if isinstance(seed, (int, np.integer)) else None
     return GammaSeries(times, values, stored_seed)
 

@@ -1,8 +1,13 @@
-"""Small construction helpers and the race oracle shared across test modules."""
+"""Small construction helpers, the race oracle and the child-interpreter
+environment shared across test modules."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+import gammachain
 from gammachain._kernels import INACTIVE
 from gammachain.partition import Interval, StrategyPartition
 
@@ -54,3 +59,16 @@ def dijkstra_numpy(weights, source):
         better = (row < INACTIVE) & ~visited & (candidate < dist)
         dist[better] = candidate[better]
     return dist
+
+
+def subprocess_env():
+    """A copy of the caller's environment for a child interpreter.
+
+    The directory holding the imported ``gammachain`` package goes first on
+    ``PYTHONPATH``, so the child imports the same source as the test process
+    whether or not the package is installed.
+    """
+    env = dict(os.environ)
+    package_root = str(Path(gammachain.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env

@@ -183,6 +183,14 @@ class TestAnalyzeCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_malformed_row_fails(self, tmp_path, capsys):
+        series_file = tmp_path / "bad.csv"
+        series_file.write_text("time,gamma\n0.0,0.1\n1.0,0.2,0.3\n2.0,0.9\n")
+        out = tmp_path / "out"
+        assert run(out, "analyze", "--series", str(series_file)) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_without_series_simulates(self, tmp_path):
         assert run(tmp_path, "analyze", "--steps", "40", "--seed", "5") == 0
         counts = TransitionCounts.from_csv(
@@ -264,6 +272,14 @@ class TestPipelineCommand:
         model1_pi = summary["stationary"]["model1"]["weights"]
         assert model1_pi[0] == pytest.approx(0.73, abs=0.01)
 
+    def test_summary_stationary_matches_model_command(self, tmp_path):
+        run(tmp_path / "pipe", "pipeline", "--steps", "30", "--seed", "4")
+        summary = json.loads((tmp_path / "pipe" / "summary.json").read_text())
+        for kind, name in (("midpoint", "model1"), ("kernel", "model2")):
+            run(tmp_path / kind, "model", "--kind", kind)
+            alone = json.loads((tmp_path / kind / f"model_{kind}_stationary.json").read_text())
+            assert summary["stationary"][name] == alone
+
     def test_rejects_single_step(self, tmp_path, capsys):
         assert run(tmp_path, "pipeline", "--steps", "1") == 1
         assert "two steps" in capsys.readouterr().err
@@ -279,6 +295,32 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["simulate", "--steps", "-3", "--out", str(tmp_path)])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "pipeline"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--dropout", "1"),
+            ("--dropout", "-0.1"),
+            ("--dropout", "nan"),
+            ("--activation", "1.5"),
+            ("--activation", "-0.1"),
+            ("--activation", "nan"),
+        ],
+    )
+    def test_link_probability_out_of_range_exits_two(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--steps", "3", flag, value, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_link_probability_bounds_accepted(self, tmp_path):
+        args = ["--steps", "3", "--dropout", "0", "--activation", "1"]
+        assert run(tmp_path, "simulate", *args) == 0
+        metadata = json.loads((tmp_path / "run_metadata.json").read_text())
+        assert (metadata["dropout"], metadata["activation"]) == (0.0, 1.0)
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAMMACHAIN_OUT_DIR", str(tmp_path / "from_env"))

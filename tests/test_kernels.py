@@ -1,5 +1,8 @@
-"""The simulator kernels: the csgraph race against a dense Dijkstra oracle,
-the pair-vector expansion, and the latency update."""
+"""The simulator kernels: the radius-batched numpy race against a dense
+Dijkstra oracle, the pair-vector expansion, and the latency update."""
+
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from gammachain.network import (
     shortest_latencies,
 )
 
-from helpers import dijkstra_numpy
+from helpers import dijkstra_numpy, subprocess_env
 
 
 def random_weight_matrix(rng, size, inactive_fraction):
@@ -68,6 +71,18 @@ class TestDijkstraNumpy:
         assert dijkstra_numpy(weights, 0)[1] == 10.0
 
 
+def assert_race_matches_oracle(state, attacker, honest):
+    nodes = state.node_count
+    dist_attacker = dijkstra_numpy(state.weights, attacker)
+    dist_honest = dijkstra_numpy(state.weights, honest)
+    assert np.array_equal(shortest_latencies(state, attacker), dist_attacker)
+    assert np.array_equal(shortest_latencies(state, honest), dist_honest)
+    others = np.ones(nodes, dtype=bool)
+    others[[attacker, honest]] = False
+    closer = int((dist_attacker[others] < dist_honest[others]).sum())
+    assert gamma_of(state, attacker, honest) == closer / nodes
+
+
 class TestRaceMatchesOracle:
     @pytest.mark.parametrize("nodes", [100, 400])
     def test_evolved_states_bit_for_bit(self, nodes):
@@ -77,14 +92,59 @@ class TestRaceMatchesOracle:
         for _ in range(30):
             state = evolve_network(state, float(gen.uniform(0.1, 2.0)), config, seed=gen)
             attacker, honest = (int(v) for v in gen.choice(nodes, 2, replace=False))
-            dist_attacker = dijkstra_numpy(state.weights, attacker)
-            dist_honest = dijkstra_numpy(state.weights, honest)
-            assert np.array_equal(shortest_latencies(state, attacker), dist_attacker)
-            assert np.array_equal(shortest_latencies(state, honest), dist_honest)
-            others = np.ones(nodes, dtype=bool)
-            others[[attacker, honest]] = False
-            closer = int((dist_attacker[others] < dist_honest[others]).sum())
-            assert gamma_of(state, attacker, honest) == closer / nodes
+            assert_race_matches_oracle(state, attacker, honest)
+
+    @pytest.mark.parametrize("nodes", [100, 400])
+    def test_slow_drift_sparse_states_bit_for_bit(self, nodes):
+        # few active links and small shocks keep the Pareto spread of the
+        # initial draw, so each race needs many settle rounds
+        config = default_region_config().scaled_to(nodes)
+        gen = np.random.default_rng(nodes + 1)
+        state = init_network(config, dropout=0.6, seed=gen)
+        for _ in range(20):
+            state = evolve_network(state, 0.05, config, activation=0.3, seed=gen)
+            attacker, honest = (int(v) for v in gen.choice(nodes, 2, replace=False))
+            assert_race_matches_oracle(state, attacker, honest)
+
+    def test_heavy_route_below_sentinel_is_exact(self):
+        # two 4e6 links beat a direct WEIGHT_CEIL link: distances far above
+        # any simulated latency, but below the sentinel, still settle exactly
+        weights = np.array(
+            [
+                [0.0, 4e6, WEIGHT_CEIL],
+                [4e6, 0.0, 4e6],
+                [WEIGHT_CEIL, 4e6, 0.0],
+            ]
+        )
+        state = NetworkState(weights, np.zeros(3, dtype=np.int64))
+        assert shortest_latencies(state, 0).tolist() == [0.0, 4e6, 8e6]
+        assert np.array_equal(shortest_latencies(state, 0), dijkstra_numpy(weights, 0))
+
+    def test_node_with_every_link_inactive(self, rng):
+        weights = random_weight_matrix(rng, 12, 0.3)
+        weights[4, :] = weights[:, 4] = INACTIVE
+        weights[4, 4] = 0.0
+        state = NetworkState(weights, np.zeros(12, dtype=np.int64))
+        isolated = shortest_latencies(state, 4)
+        assert isolated[4] == 0.0
+        assert (np.delete(isolated, 4) == INACTIVE).all()
+        assert shortest_latencies(state, 0)[4] == INACTIVE
+        # no node is strictly closer to an isolated attacker
+        assert gamma_of(state, 4, 0) == 0.0
+        assert_race_matches_oracle(state, 4, 0)
+
+    def test_near_unit_weights_with_mass_ties(self, rng):
+        # eleven distinct weights in [1.0, 1.001]: many exact path-cost ties,
+        # and most of the graph settles in the same round
+        size = 60
+        weights = random_weight_matrix(rng, size, 0.3)
+        active = weights < INACTIVE
+        grid = 1.0 + rng.integers(0, 11, weights.shape) * 1e-4
+        weights[active] = np.minimum(grid, grid.T)[active]
+        np.fill_diagonal(weights, 0.0)
+        state = NetworkState(weights, np.zeros(size, dtype=np.int64))
+        for source in range(size):
+            assert np.array_equal(shortest_latencies(state, source), dijkstra_numpy(weights, source))
 
     def test_random_matrices_bit_for_bit(self, rng):
         for _ in range(40):
@@ -107,6 +167,25 @@ class TestRaceMatchesOracle:
         dist = shortest_latencies(state, 0)
         assert dist.tolist() == [0.0, WEIGHT_CEIL, INACTIVE]
         assert np.array_equal(dist, dijkstra_numpy(weights, 0))
+
+
+def test_simulation_leaves_scipy_sparse_unimported():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from gammachain.network import simulate_gamma_series\n"
+        "simulate_gamma_series(np.arange(5.0), seed=3)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7])

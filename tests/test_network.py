@@ -399,6 +399,34 @@ class TestGammaSeries:
         with pytest.raises(ValueError):
             GammaSeries.from_csv("time,gamma\n0.0,0.5\n1.0,nan\n")
 
+    @pytest.mark.parametrize("row", ["1.0,0.5,0.2", "1.0", "1.0,0.5,"])
+    def test_csv_row_with_wrong_field_count_rejected(self, row):
+        with pytest.raises(ValueError):
+            GammaSeries.from_csv(f"time,gamma\n0.0,0.5\n{row}\n2.0,0.5\n")
+
+    def test_csv_with_three_fields_on_every_row_rejected(self):
+        with pytest.raises(ValueError, match="two fields"):
+            GammaSeries.from_csv("time,gamma\n0.0,0.5,1\n1.0,0.5,1\n")
+
+    @pytest.mark.parametrize("row", ["1.0,abc", "one,0.5", "1.0;0.5"])
+    def test_csv_row_with_non_numeric_token_rejected(self, row):
+        with pytest.raises(ValueError):
+            GammaSeries.from_csv(f"time,gamma\n0.0,0.5\n{row}\n")
+
+    def test_csv_tolerates_blank_lines(self):
+        series = GammaSeries.from_csv("\ntime,gamma\n\n0.0,0.25\n\n\n1.0,0.5\n\n")
+        assert series.times.tolist() == [0.0, 1.0]
+        assert series.values.tolist() == [0.25, 0.5]
+
+    def test_csv_floats_match_python_parse_bit_for_bit(self, rng):
+        values = np.concatenate([rng.random(2000), [0.0, 5e-324, 0.1, 1.0 - 2.0**-53, 1.0]])
+        times = np.cumsum(rng.uniform(1e-9, 1e3, len(values)))
+        text = GammaSeries(times, values).to_csv()
+        parsed = GammaSeries.from_csv(text)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert parsed.times.tobytes() == np.array([float(t) for t, _ in rows]).tobytes()
+        assert parsed.values.tobytes() == values.tobytes()
+
 
 class TestSimulateGammaSeries:
     def test_single_sample_schedule(self):
@@ -452,6 +480,12 @@ class TestSimulateGammaSeries:
         series = simulate_gamma_series(np.arange(500, dtype=float), seed=3)
         digest = hashlib.sha256(series.values.tobytes()).hexdigest()
         assert digest == "d260d3269b9e3a9204b2166a10819ef9c7696b84f546c67b9340f7de50ff3db9"
+
+    def test_seed3_digest_pinned_at_400_nodes(self):
+        config = default_region_config().scaled_to(400)
+        series = simulate_gamma_series(np.arange(40, dtype=float), seed=3, config=config)
+        digest = hashlib.sha256(series.values.tobytes()).hexdigest()
+        assert digest == "b48429cdc87c75c1406bd8c65e0b5f1f17497e24d2dbfdaf9966c103f9c774be"
 
     @pytest.mark.parametrize(
         "seed, nodes, dropout, activation",
