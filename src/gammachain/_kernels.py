@@ -15,9 +15,11 @@ once. Float addition is monotone, so a settled node is final and the result
 satisfies ``d(v) = min_u fl(d(u) + w_uv)``; every weight is at least 1.0, so
 fl(d + w) > d and that equation has one solution: the one a plain dense
 Dijkstra computes, bit for bit. The sentinel is an ordinary weight. A path
-over an inactive link costs at least 1e7, the race stops once every pending
-node is that far, and distances are clamped to the sentinel, so unreachable
-nodes and nodes whose cheapest path costs at least 1e7 report exactly 1e7.
+over an inactive link costs at least 1e7. The race stops once the settle
+bound itself reaches 1e7: a path that leaves a pending node costs at least
+the bound, so every pending node below 1e7 already holds its exact distance.
+Distances are clamped to the sentinel, so unreachable nodes and nodes whose
+cheapest path costs at least 1e7 report exactly 1e7.
 
 All random draws happen outside these kernels; callers pass the drawn arrays
 in, which keeps the consumed random stream fixed.
@@ -69,9 +71,11 @@ def fill_off_diagonal(matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
 def race_latencies(weights: np.ndarray, sources) -> np.ndarray:
     """Shortest latencies from each source, one row per source, capped at 1e7.
 
-    ``weights`` holds every link weight, the sentinel included, and an inf diagonal.
+    ``weights`` is symmetric: it holds every link weight, the sentinel
+    included, and an inf diagonal.
     """
-    reach = weights.min(axis=1)
+    # column minima: the lightest link of each node, as the matrix is symmetric
+    reach = np.minimum.reduce(weights, axis=0)
     dist = weights[sources]
     for d, source in zip(dist, sources):
         d[source] = 0.0
@@ -80,13 +84,14 @@ def race_latencies(weights: np.ndarray, sources) -> np.ndarray:
         settled[source] = np.inf
         while True:
             pending = d + settled
-            if pending.min() >= INACTIVE:
+            bound = np.minimum.reduce(pending + reach)
+            if bound >= INACTIVE:
                 break
-            batch = np.flatnonzero(pending <= (pending + reach).min())
+            batch = (pending <= bound).nonzero()[0]
             settled[batch] = np.inf
             rows = weights[batch]
             rows += d[batch, None]
-            np.minimum(d, rows.min(axis=0), out=d)
+            np.minimum(d, np.minimum.reduce(rows, axis=0), out=d)
     return np.minimum(dist, INACTIVE, out=dist)
 
 
@@ -108,15 +113,25 @@ def perturb_weights(
     with shape 3 * omega_sum. Finite results are clamped into
     [WEIGHT_FLOOR, WEIGHT_CEIL].
     """
-    alpha = 3.0 * omega_sum
-    delta = alpha / np.sqrt(1.0 + alpha * alpha)
-    factor = delta * np.abs(u0)
-    factor += np.sqrt(1.0 - delta * delta) * u1
+    # the operations and their order are fixed by the seeded output bytes;
+    # intermediates go to scratch arrays so the caller's arrays stay as passed
+    alpha = np.multiply(omega_sum, 3.0)
+    scratch = np.multiply(alpha, alpha)
+    scratch += 1.0
+    np.sqrt(scratch, out=scratch)
+    delta = np.divide(alpha, scratch, out=alpha)
+    factor = np.abs(u0)
+    factor *= delta
+    np.multiply(delta, delta, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch *= u1
+    factor += scratch
     factor *= delta_t
     factor += 1.0
     prev_finite = prev < INACTIVE
     value = np.where(prev_finite, prev, mean)
     value *= factor
     np.clip(value, WEIGHT_FLOOR, WEIGHT_CEIL, out=value)
-    value[prev_finite & ~active] = INACTIVE
+    np.putmask(value, prev_finite > active, INACTIVE)
     return value

@@ -16,6 +16,9 @@ first attacker/honest pair. Every later step draws one adjacency uniform per
 pair, then two blocks of standard normals (all pairs each, consumed by the
 perturbation whether or not a given pair uses one), then its attacker/honest
 pair. The second node of a pair is redrawn until it differs from the first.
+Both normal blocks come from one call of twice the length: the generator
+fills an array in order, so the first half and the second half are the two
+blocks that two separate calls would return.
 
 The simulation loop keeps the network as its flat pair vector, in the same
 upper-triangle order, and never builds a ``NetworkState``; the public
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,8 +224,8 @@ class NetworkState:
         finite = vals < INACTIVE
         if np.any(vals[~finite] != INACTIVE):
             raise ValueError(f"inactive links must use the sentinel {INACTIVE}")
-        if np.any(vals[finite] <= 0.0):
-            raise ValueError("finite weights must be positive")
+        if np.any((vals[finite] < WEIGHT_FLOOR) | (vals[finite] > WEIGHT_CEIL)):
+            raise ValueError(f"finite weights must lie in [{WEIGHT_FLOOR}, {WEIGHT_CEIL}]")
 
     def __eq__(self, other):
         if not isinstance(other, NetworkState):
@@ -406,11 +410,11 @@ def _power_iteration(adjacency: np.ndarray) -> np.ndarray:
     for _ in range(_POWER_ITERATIONS):
         previous = x
         x = adjacency @ x
-        norm = np.sqrt(float((x * x).sum()))
+        norm = math.sqrt(np.add.reduce(x * x))
         if norm == 0.0:
             return np.full(n, 1.0) / np.sqrt(n)
         x = x / norm
-        if float(np.abs(x - previous).sum()) < n * _POWER_TOL:
+        if np.add.reduce(np.abs(x - previous)) < n * _POWER_TOL:
             return x
     return x
 
@@ -449,13 +453,15 @@ def _evolve_flat(flat, means, delta_t, activation, rng, adjacency) -> np.ndarray
     ``adjacency`` is a node-by-node buffer with a unit diagonal; every
     off-diagonal entry is overwritten with the links sampled in this step.
     """
-    rows, cols = pair_indices(len(adjacency))
-    active = rng.random(len(rows)) < activation
+    n = len(adjacency)
+    _, cols = pair_indices(n)
+    active = rng.random(len(cols)) < activation
     fill_off_diagonal(adjacency, active)
     omega = _power_iteration(adjacency)
-    u0 = rng.standard_normal(len(rows))
-    u1 = rng.standard_normal(len(rows))
-    return perturb_weights(flat, means, omega[rows] + omega[cols], u0, u1, float(delta_t), active)
+    u0, u1 = rng.standard_normal(2 * len(cols)).reshape(2, -1)
+    # in pair order the row index is n - 1 zeros, then n - 2 ones, and so on
+    omega_sum = np.repeat(omega[:-1], np.arange(n - 1, 0, -1)) + omega[cols]
+    return perturb_weights(flat, means, omega_sum, u0, u1, float(delta_t), active)
 
 
 def evolve_network(
@@ -520,8 +526,8 @@ def _race_weights(state: NetworkState) -> np.ndarray:
 def _gamma(weights: np.ndarray, attacker: int, honest: int) -> float:
     dist_attacker, dist_honest = race_latencies(weights, [attacker, honest])
     closer = dist_attacker < dist_honest
-    closer[[attacker, honest]] = False
-    return int(closer.sum()) / len(weights)
+    closer[attacker] = closer[honest] = False
+    return np.count_nonzero(closer) / len(weights)
 
 
 def gamma_of(state: NetworkState, attacker: int, honest: int) -> float:

@@ -1,5 +1,5 @@
-"""Small construction helpers, the race oracle and the child-interpreter
-environment shared across test modules."""
+"""Small construction helpers, the race and perturbation references and the
+child-interpreter environment shared across test modules."""
 
 import os
 from pathlib import Path
@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import gammachain
-from gammachain._kernels import INACTIVE
+from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR
 from gammachain.partition import Interval, StrategyPartition
 
 
@@ -59,6 +59,20 @@ def dijkstra_numpy(weights, source):
         better = (row < INACTIVE) & ~visited & (candidate < dist)
         dist[better] = candidate[better]
     return dist
+
+
+def perturb_reference(prev, mean, omega_sum, u0, u1, delta_t, active):
+    """Reference latency update, written as one expression per quantity.
+
+    ``_kernels.perturb_weights`` must match it bit for bit: same operations,
+    and every product and sum pairs the same two operands.
+    """
+    alpha = 3.0 * omega_sum
+    delta = alpha / np.sqrt(1.0 + alpha * alpha)
+    factor = 1.0 + delta_t * (delta * np.abs(u0) + np.sqrt(1.0 - delta * delta) * u1)
+    finite = prev < INACTIVE
+    value = np.clip(np.where(finite, prev, mean) * factor, WEIGHT_FLOOR, WEIGHT_CEIL)
+    return np.where(finite & ~active, INACTIVE, value)
 
 
 def subprocess_env():

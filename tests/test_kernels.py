@@ -24,7 +24,7 @@ from gammachain.network import (
     shortest_latencies,
 )
 
-from helpers import dijkstra_numpy, subprocess_env
+from helpers import dijkstra_numpy, perturb_reference, subprocess_env
 
 
 def random_weight_matrix(rng, size, inactive_fraction):
@@ -168,6 +168,21 @@ class TestRaceMatchesOracle:
         assert dist.tolist() == [0.0, WEIGHT_CEIL, INACTIVE]
         assert np.array_equal(dist, dijkstra_numpy(weights, 0))
 
+    def test_stops_with_a_pending_node_below_sentinel(self):
+        # from node 0 the settle bound is 9e6 + 9e6 = 1.8e7 in the first
+        # round, so the race stops with node 1 still pending at 9e6
+        weights = np.array(
+            [
+                [0.0, 9e6, INACTIVE],
+                [9e6, 0.0, INACTIVE],
+                [INACTIVE, INACTIVE, 0.0],
+            ]
+        )
+        state = NetworkState(weights, np.zeros(3, dtype=np.int64))
+        assert shortest_latencies(state, 0).tolist() == [0.0, 9e6, INACTIVE]
+        for source in range(3):
+            assert np.array_equal(shortest_latencies(state, source), dijkstra_numpy(weights, source))
+
 
 def test_simulation_leaves_scipy_sparse_unimported():
     code = (
@@ -261,3 +276,39 @@ class TestPerturbSemantics:
         )
         assert out[0] == WEIGHT_CEIL
         assert out[0] < INACTIVE
+
+
+def perturb_inputs(rng, size, prev_kind, active_kind):
+    if prev_kind == "sentinel":
+        prev = np.full(size, INACTIVE)
+    else:
+        prev = rng.uniform(1.0, 400.0, size)
+        prev[rng.random(size) < 0.2] = INACTIVE
+    active = {
+        "random": rng.random(size) < 0.7,
+        "all": np.ones(size, dtype=bool),
+        "none": np.zeros(size, dtype=bool),
+    }[active_kind]
+    # wide shocks: many factors go negative and hit the floor clamp
+    return (
+        prev,
+        rng.uniform(6.0, 330.0, size),
+        rng.uniform(0.0, 0.5, size),
+        rng.standard_normal(size) * 4.0,
+        rng.standard_normal(size) * 4.0,
+        0.37,
+        active,
+    )
+
+
+@pytest.mark.parametrize(
+    "prev_kind, active_kind",
+    [("mixed", "random"), ("sentinel", "random"), ("mixed", "all"), ("mixed", "none")],
+)
+def test_perturb_matches_reference_and_leaves_arguments(prev_kind, active_kind, rng):
+    args = perturb_inputs(rng, 500, prev_kind, active_kind)
+    before = [np.copy(arg) for arg in args]
+    out = perturb_weights(*args)
+    assert out.tobytes() == perturb_reference(*args).tobytes()
+    for arg, kept in zip(args, before):
+        assert np.array_equal(arg, kept)

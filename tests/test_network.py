@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from gammachain._kernels import INACTIVE, WEIGHT_FLOOR
+from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR
 from gammachain.network import (
     DEFAULT_MEAN_LATENCY,
     DEFAULT_NODE_COUNTS,
@@ -173,6 +173,15 @@ class TestNetworkStateValidation:
         weights = np.zeros((2, 2))
         with pytest.raises(ValueError):
             state_from_weights(weights)
+
+    def test_rejects_finite_weight_below_floor(self):
+        with pytest.raises(ValueError):
+            state_from_weights([[0.0, 0.5], [0.5, 0.0]])
+
+    @pytest.mark.parametrize("weight", [WEIGHT_FLOOR, WEIGHT_CEIL])
+    def test_accepts_weights_at_the_bounds(self, weight):
+        state = state_from_weights([[0.0, weight], [weight, 0.0]])
+        assert state.weights[0, 1] == weight
 
 
 class TestEigenvectorCentrality:
@@ -476,10 +485,16 @@ class TestSimulateGammaSeries:
         with pytest.raises(ValueError):
             simulate_gamma_series(np.array([0.0, 1.0, bad]), seed=0)
 
-    def test_seed3_digest_pinned(self):
-        series = simulate_gamma_series(np.arange(500, dtype=float), seed=3)
-        digest = hashlib.sha256(series.values.tobytes()).hexdigest()
-        assert digest == "d260d3269b9e3a9204b2166a10819ef9c7696b84f546c67b9340f7de50ff3db9"
+    @pytest.mark.parametrize(
+        "steps, expected",
+        [
+            pytest.param(500, "d260d3269b9e3a9204b2166a10819ef9c7696b84f546c67b9340f7de50ff3db9", id="500"),
+            pytest.param(5000, "ed1fb806d230a8a2ee073f56b03b17184c4241adbe09e5dee90f95d33b3dd6f1", id="5000"),
+        ],
+    )
+    def test_seed3_digest_pinned(self, steps, expected):
+        series = simulate_gamma_series(np.arange(steps, dtype=float), seed=3)
+        assert hashlib.sha256(series.values.tobytes()).hexdigest() == expected
 
     def test_seed3_digest_pinned_at_400_nodes(self):
         config = default_region_config().scaled_to(400)
