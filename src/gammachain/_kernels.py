@@ -31,15 +31,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._frozen import readonly
+
 INACTIVE = 1e7
 WEIGHT_FLOOR = 1.0
 # finite weights must stay strictly below the sentinel
 WEIGHT_CEIL = INACTIVE - 1.0
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @lru_cache(maxsize=8)
@@ -47,7 +44,7 @@ def pair_indices(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of every unordered pair, in flat-vector order."""
     # row-major upper-triangle order fixes both storage and RNG draw order
     rows, cols = np.triu_indices(node_count, k=1)
-    return _frozen(rows), _frozen(cols)
+    return readonly(rows, np.intp), readonly(cols, np.intp)
 
 
 @lru_cache(maxsize=8)
@@ -56,7 +53,7 @@ def entry_pairs(node_count: int) -> np.ndarray:
     rows, cols = pair_indices(node_count)
     pair_of = np.empty((node_count, node_count), dtype=np.intp)
     pair_of[rows, cols] = pair_of[cols, rows] = np.arange(len(rows))
-    return _frozen(pair_of[~np.eye(node_count, dtype=bool)])
+    return readonly(pair_of[~np.eye(node_count, dtype=bool)], np.intp)
 
 
 def fill_off_diagonal(matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:

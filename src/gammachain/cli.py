@@ -23,7 +23,8 @@ Artifacts land in ``--out`` (default: the GAMMACHAIN_OUT_DIR environment
 variable when set, else the working directory). Matrices print to stdout
 rounded to two decimals; files persist full precision. Every command is
 deterministic given its flags, so re-runs rewrite byte-identical files.
-Exit status is 0 exactly when all requested artifacts were written.
+Exit status is 2 when a flag is rejected, 1 when the run fails, and 0
+exactly when all requested artifacts were written.
 """
 
 from __future__ import annotations
@@ -68,30 +69,6 @@ SIMULATE_DEFAULT_STEPS = 1000
 ANALYZE_DEFAULT_STEPS = 5000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed command invocation; argparse has validated every field.
-
-    ``label`` is free-form documentation carried into run metadata; it does
-    not affect any computation.
-    """
-
-    command: str
-    seed: int = 0
-    steps: int = ANALYZE_DEFAULT_STEPS
-    node_count: int = 100
-    label: str = ""
-    model_kind: str = "midpoint"
-    length_scale: float = 0.25
-    dropout: float = 0.1
-    activation: float = 0.9
-    partition_path: str | None = None
-    region_config_path: str | None = None
-    series_path: str | None = None
-    counts_path: str | None = None
-    out_dir: str = "."
-
-
 class ArtifactWriter:
     """Collects output files under one directory."""
 
@@ -126,21 +103,19 @@ def _config_hash(obj: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _load_partition(config: RunConfig) -> StrategyPartition:
-    if config.partition_path is None:
+def _load_partition(args: argparse.Namespace) -> StrategyPartition:
+    if args.partition is None:
         return default_partition()
-    return StrategyPartition.from_file(config.partition_path)
+    return StrategyPartition.from_file(args.partition)
 
 
-def _load_region_config(config: RunConfig) -> RegionConfig:
+def _load_region_config(args: argparse.Namespace) -> RegionConfig:
     region = (
         default_region_config()
-        if config.region_config_path is None
-        else RegionConfig.from_file(config.region_config_path)
+        if args.region_config is None
+        else RegionConfig.from_file(args.region_config)
     )
-    if config.node_count != region.node_count:
-        region = region.scaled_to(config.node_count)
-    return region
+    return region.scaled_to(args.nodes)
 
 
 def _render_table(labels, rows) -> str:
@@ -161,10 +136,10 @@ def _render_weights(dist: StateDistribution) -> str:
     return "(" + ", ".join(f"{v:.2f}" for v in dist.weights) + ")"
 
 
-def _build_model(config: RunConfig, partition: StrategyPartition) -> TransitionMatrix:
-    if config.model_kind == "midpoint":
+def _build_model(args: argparse.Namespace, partition: StrategyPartition) -> TransitionMatrix:
+    if args.kind == "midpoint":
         return model1_transition_matrix(partition)
-    return model2_transition_matrix(partition, KernelConfig(config.length_scale))
+    return model2_transition_matrix(partition, KernelConfig(args.length_scale))
 
 
 def _plot_csv(series: GammaSeries, averaged: GammaSeries) -> str:
@@ -174,48 +149,48 @@ def _plot_csv(series: GammaSeries, averaged: GammaSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_model(config: RunConfig, writer: ArtifactWriter) -> None:
-    partition = _load_partition(config)
-    matrix = _build_model(config, partition)
+def cmd_model(args: argparse.Namespace, writer: ArtifactWriter) -> None:
+    partition = _load_partition(args)
+    matrix = _build_model(args, partition)
     stationary = stationary_distribution(matrix)
-    stem = f"model_{config.model_kind}"
+    stem = f"model_{args.kind}"
     writer.write(stem + "_matrix.json", _dumps(matrix.to_json_obj()))
     writer.write(stem + "_matrix.csv", matrix.to_csv())
     writer.write(stem + "_stationary.json", _dumps(stationary.to_json_obj()))
     writer.write(stem + "_stationary.csv", stationary.to_csv())
-    print(f"{config.model_kind} transition matrix, rounded to 2 decimals:")
+    print(f"{args.kind} transition matrix, rounded to 2 decimals:")
     print(_render_matrix(matrix))
     print(f"stationary distribution: {_render_weights(stationary)}")
 
 
-def _simulate(config: RunConfig, region: RegionConfig) -> GammaSeries:
+def _simulate(args: argparse.Namespace, region: RegionConfig) -> GammaSeries:
     return simulate_gamma_series(
-        np.arange(config.steps, dtype=float),
-        seed=config.seed,
+        np.arange(args.steps, dtype=float),
+        seed=args.seed,
         config=region,
-        dropout=config.dropout,
-        activation=config.activation,
+        dropout=args.dropout,
+        activation=args.activation,
     )
 
 
-def cmd_simulate(config: RunConfig, writer: ArtifactWriter) -> GammaSeries:
-    region = _load_region_config(config)
-    series = _simulate(config, region)
+def cmd_simulate(args: argparse.Namespace, writer: ArtifactWriter) -> GammaSeries:
+    region = _load_region_config(args)
+    series = _simulate(args, region)
     averaged = moving_average(series)
     metadata = {
-        "command": config.command,
-        "label": config.label,
-        "seed": config.seed,
-        "steps": config.steps,
+        "command": args.command,
+        "label": args.label,
+        "seed": args.seed,
+        "steps": args.steps,
         "nodes": region.node_count,
-        "dropout": config.dropout,
-        "activation": config.activation,
+        "dropout": args.dropout,
+        "activation": args.activation,
         "config_hash": _config_hash(
             {
-                "seed": config.seed,
-                "steps": config.steps,
-                "dropout": config.dropout,
-                "activation": config.activation,
+                "seed": args.seed,
+                "steps": args.steps,
+                "dropout": args.dropout,
+                "activation": args.activation,
                 "region_config": region.to_json_obj(),
             }
         ),
@@ -226,24 +201,19 @@ def cmd_simulate(config: RunConfig, writer: ArtifactWriter) -> GammaSeries:
     writer.write("run_metadata.json", _dumps(metadata))
     print(
         f"simulated {len(series)} samples on {region.node_count} nodes "
-        f"(seed {config.seed}); final moving average {averaged.values[-1]:.2f}"
+        f"(seed {args.seed}); final moving average {averaged.values[-1]:.2f}"
     )
     return series
 
 
-def _analysis_series(config: RunConfig) -> GammaSeries:
-    if config.series_path is not None:
-        text = Path(config.series_path).read_text(encoding="utf-8")
-        return GammaSeries.from_csv(text)
-    return _simulate(config, _load_region_config(config))
-
-
 def cmd_analyze(
-    config: RunConfig, writer: ArtifactWriter, series: GammaSeries | None = None
+    args: argparse.Namespace, writer: ArtifactWriter, series: GammaSeries | None = None
 ) -> AnalyzeResult:
-    partition = _load_partition(config)
-    if series is None:
-        series = _analysis_series(config)
+    partition = _load_partition(args)
+    if series is None and args.series is not None:
+        series = GammaSeries.from_csv(Path(args.series).read_text(encoding="utf-8"))
+    elif series is None:
+        series = _simulate(args, _load_region_config(args))
     if len(series) < 2:
         raise ValueError("series must hold at least two samples to count transitions")
     counts = count_transitions(series, partition)
@@ -275,19 +245,18 @@ def cmd_analyze(
 
 
 def cmd_compare(
-    config: RunConfig, writer: ArtifactWriter, counts: TransitionCounts | None = None
+    args: argparse.Namespace, writer: ArtifactWriter, counts: TransitionCounts | None = None
 ) -> tuple[dict, tuple[TransitionMatrix, TransitionMatrix]]:
     """Write the likelihood report; return it with the two model matrices."""
-    partition = _load_partition(config)
-    if counts is None:
-        if config.counts_path is not None:
-            text = Path(config.counts_path).read_text(encoding="utf-8")
-            counts = TransitionCounts.from_csv(text, partition)
-        else:
-            counts = load_reference_counts(partition)
+    partition = _load_partition(args)
+    if counts is None and args.counts is not None:
+        text = Path(args.counts).read_text(encoding="utf-8")
+        counts = TransitionCounts.from_csv(text, partition)
+    elif counts is None:
+        counts = load_reference_counts(partition)
     matrices = (
         model1_transition_matrix(partition),
-        model2_transition_matrix(partition, KernelConfig(config.length_scale)),
+        model2_transition_matrix(partition, KernelConfig(args.length_scale)),
     )
     model1 = score_model("model1", matrices[0], counts)
     model2 = score_model("model2", matrices[1], counts)
@@ -299,7 +268,7 @@ def cmd_compare(
         verdict = "tie"
     report = {
         "counts_total": counts.total,
-        "length_scale": config.length_scale,
+        "length_scale": args.length_scale,
         "models": [model1.to_json_obj(), model2.to_json_obj()],
         "verdict": verdict,
     }
@@ -313,12 +282,12 @@ def cmd_compare(
     return report, matrices
 
 
-def cmd_pipeline(config: RunConfig, writer: ArtifactWriter) -> None:
-    if config.steps < 2:
+def cmd_pipeline(args: argparse.Namespace, writer: ArtifactWriter) -> None:
+    if args.steps < 2:
         raise ValueError("pipeline needs at least two steps to count transitions")
-    series = cmd_simulate(config, writer)
-    analysis = cmd_analyze(config, writer, series=series)
-    report, (matrix1, matrix2) = cmd_compare(config, writer, counts=analysis.counts)
+    series = cmd_simulate(args, writer)
+    analysis = cmd_analyze(args, writer, series=series)
+    report, (matrix1, matrix2) = cmd_compare(args, writer, counts=analysis.counts)
     pi1 = stationary_distribution(matrix1)
     pi2 = stationary_distribution(matrix2)
     summary = {
@@ -359,10 +328,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _node_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("must be at least 2")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 
@@ -401,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = argparse.ArgumentParser(add_help=False)
     sim.add_argument("--seed", type=int, default=0, help="simulation seed")
     sim.add_argument(
-        "--nodes", type=_positive_int, default=100, help="number of network nodes"
+        "--nodes", type=_node_count, default=100, help="number of network nodes"
     )
     sim.add_argument(
         "--dropout", type=_dropout, default=0.1, help="initial inactive-link probability"
@@ -463,32 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    out_dir = args.out if args.out is not None else environ.get(OUT_DIR_ENV, ".")
-    return RunConfig(
-        command=args.command,
-        seed=getattr(args, "seed", 0),
-        steps=getattr(args, "steps", ANALYZE_DEFAULT_STEPS),
-        node_count=getattr(args, "nodes", 100),
-        label=args.label,
-        model_kind=getattr(args, "kind", "midpoint"),
-        length_scale=getattr(args, "length_scale", 0.25),
-        dropout=getattr(args, "dropout", 0.1),
-        activation=getattr(args, "activation", 0.9),
-        partition_path=args.partition,
-        region_config_path=getattr(args, "region_config", None),
-        series_path=getattr(args, "series", None),
-        counts_path=getattr(args, "counts", None),
-        out_dir=out_dir,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    writer = ArtifactWriter(args.out if args.out is not None else environ.get(OUT_DIR_ENV, "."))
     try:
-        config = _config_from_args(args)
-        writer = ArtifactWriter(config.out_dir)
-        _DISPATCH[config.command](config, writer)
+        _DISPATCH[args.command](args, writer)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

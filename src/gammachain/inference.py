@@ -18,6 +18,7 @@ from importlib import resources
 
 import numpy as np
 
+from ._frozen import ArrayEq, readonly
 from .markov import StateDistribution, TransitionMatrix
 from .network import GammaSeries
 from .partition import StrategyPartition, default_partition
@@ -25,14 +26,8 @@ from .partition import StrategyPartition, default_partition
 REFERENCE_COUNTS_FILE = "reference_counts.csv"
 
 
-def _readonly_int(arr) -> np.ndarray:
-    out = np.array(arr, dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
-class TransitionCounts:
+class TransitionCounts(ArrayEq):
     """Non-negative transition counts over the states of a partition.
 
     Raises
@@ -46,20 +41,13 @@ class TransitionCounts:
     partition: StrategyPartition
 
     def __post_init__(self):
-        counts = _readonly_int(self.counts)
+        counts = readonly(self.counts, np.int64)
         object.__setattr__(self, "counts", counts)
         k = len(self.partition)
         if counts.shape != (k, k):
             raise ValueError("counts must be square over the partition states")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-
-    def __eq__(self, other):
-        if not isinstance(other, TransitionCounts):
-            return NotImplemented
-        return self.partition == other.partition and np.array_equal(
-            self.counts, other.counts
-        )
 
     @property
     def total(self) -> int:
@@ -174,8 +162,7 @@ def empirical_transition_matrix(counts: TransitionCounts) -> TransitionMatrix:
     row_sums = matrix.sum(axis=1, keepdims=True)
     k = matrix.shape[0]
     uniform = np.full((k, k), 1.0 / k)
-    with np.errstate(invalid="ignore"):
-        normalized = np.where(row_sums > 0, matrix / np.maximum(row_sums, 1.0), uniform)
+    normalized = np.where(row_sums > 0, matrix / np.maximum(row_sums, 1.0), uniform)
     return TransitionMatrix(normalized, counts.labels)
 
 

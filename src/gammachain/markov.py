@@ -16,50 +16,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import ArrayEq, readonly
 from .partition import Interval, StrategyPartition
 
 _ROW_SUM_TOL = 1e-9
 _STATIONARY_RESIDUAL_TOL = 1e-10
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
-class TransitionMatrix:
+class TransitionMatrix(ArrayEq):
     """Row-stochastic matrix over partition states.
 
     Raises
     ------
     ValueError
-        If the matrix is not square, has entries outside [0, 1], or has a
-        row that does not sum to 1 within 1e-9.
+        If the matrix is not square, has entries outside [0, 1] (NaN
+        included), or has a row that does not sum to 1 within 1e-9.
     """
 
     entries: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        entries = _readonly(self.entries)
+        entries = readonly(self.entries)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "labels", tuple(self.labels))
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("transition matrix must be square")
         if entries.shape[0] != len(self.labels):
             raise ValueError("label count must match matrix size")
-        if np.any(entries < -1e-12) or np.any(entries > 1.0 + 1e-12):
+        if not np.all((entries >= -1e-12) & (entries <= 1.0 + 1e-12)):
             raise ValueError("transition probabilities must lie in [0, 1]")
         row_sums = entries.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > _ROW_SUM_TOL):
             raise ValueError("every row must sum to 1 within 1e-9")
-
-    def __eq__(self, other):
-        if not isinstance(other, TransitionMatrix):
-            return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.entries, other.entries)
 
     @property
     def size(self) -> int:
@@ -86,27 +76,22 @@ class TransitionMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class StateDistribution:
-    """Probability vector over partition states."""
+class StateDistribution(ArrayEq):
+    """Probability vector over partition states; NaN is rejected as out of range."""
 
     weights: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        weights = _readonly(self.weights)
+        weights = readonly(self.weights)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "labels", tuple(self.labels))
         if weights.ndim != 1 or weights.shape[0] != len(self.labels):
             raise ValueError("weight count must match label count")
-        if np.any(weights < -1e-12) or np.any(weights > 1.0 + 1e-12):
+        if not np.all((weights >= -1e-12) & (weights <= 1.0 + 1e-12)):
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(float(weights.sum()) - 1.0) > _ROW_SUM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-9")
-
-    def __eq__(self, other):
-        if not isinstance(other, StateDistribution):
-            return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.weights, other.weights)
 
     def to_json_obj(self) -> dict:
         return {
@@ -123,13 +108,13 @@ class StateDistribution:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Length scale of the squared-exponential kernel."""
+    """Length scale of the squared-exponential kernel, positive and finite."""
 
     length_scale: float = 0.25
 
     def __post_init__(self):
-        if not self.length_scale > 0:
-            raise ValueError("length_scale must be positive")
+        if not 0 < self.length_scale < math.inf:
+            raise ValueError("length_scale must be positive and finite")
 
 
 def _sig12(value: float) -> float:

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import ArrayEq, readonly
 from ._kernels import (
     INACTIVE,
     WEIGHT_CEIL,
@@ -78,14 +79,8 @@ DEFAULT_MEAN_LATENCY = (
 )
 
 
-def _readonly(arr: np.ndarray, dtype=float) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
-class RegionConfig:
+class RegionConfig(ArrayEq):
     """Region layout: names, node counts per region, mean latency matrix.
 
     Raises
@@ -102,7 +97,7 @@ class RegionConfig:
     def __post_init__(self):
         names = tuple(str(n) for n in self.region_names)
         counts = tuple(int(c) for c in self.node_counts)
-        matrix = _readonly(self.mean_latency)
+        matrix = readonly(self.mean_latency)
         object.__setattr__(self, "region_names", names)
         object.__setattr__(self, "node_counts", counts)
         object.__setattr__(self, "mean_latency", matrix)
@@ -121,15 +116,6 @@ class RegionConfig:
             raise ValueError("mean_latency must be symmetric")
         if np.any(matrix <= 0):
             raise ValueError("mean latencies must be positive")
-
-    def __eq__(self, other):
-        if not isinstance(other, RegionConfig):
-            return NotImplemented
-        return (
-            self.region_names == other.region_names
-            and self.node_counts == other.node_counts
-            and np.array_equal(self.mean_latency, other.mean_latency)
-        )
 
     @property
     def node_count(self) -> int:
@@ -191,7 +177,7 @@ def default_region_config() -> RegionConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class NetworkState:
+class NetworkState(ArrayEq):
     """Immutable latency snapshot: symmetric weights plus region assignment.
 
     Raises
@@ -206,8 +192,8 @@ class NetworkState:
     region_of: np.ndarray
 
     def __post_init__(self):
-        weights = _readonly(self.weights)
-        region_of = _readonly(self.region_of, dtype=np.int64)
+        weights = readonly(self.weights)
+        region_of = readonly(self.region_of, dtype=np.int64)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "region_of", region_of)
         n = weights.shape[0]
@@ -227,38 +213,26 @@ class NetworkState:
         if np.any((vals[finite] < WEIGHT_FLOOR) | (vals[finite] > WEIGHT_CEIL)):
             raise ValueError(f"finite weights must lie in [{WEIGHT_FLOOR}, {WEIGHT_CEIL}]")
 
-    def __eq__(self, other):
-        if not isinstance(other, NetworkState):
-            return NotImplemented
-        return np.array_equal(self.weights, other.weights) and np.array_equal(
-            self.region_of, other.region_of
-        )
-
     @property
     def node_count(self) -> int:
         return self.weights.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
-class CentralityVector:
+class CentralityVector(ArrayEq):
     """Non-negative node scores, L2-normalized."""
 
     scores: np.ndarray
 
     def __post_init__(self):
-        scores = _readonly(self.scores)
+        scores = readonly(self.scores)
         object.__setattr__(self, "scores", scores)
         if np.any(scores < 0):
             raise ValueError("centrality scores must be non-negative")
 
-    def __eq__(self, other):
-        if not isinstance(other, CentralityVector):
-            return NotImplemented
-        return np.array_equal(self.scores, other.scores)
-
 
 @dataclass(frozen=True, eq=False)
-class GammaSeries:
+class GammaSeries(ArrayEq):
     """Gamma samples over a strictly increasing time schedule.
 
     Raises
@@ -274,8 +248,8 @@ class GammaSeries:
     seed: int | None = None
 
     def __post_init__(self):
-        times = _readonly(self.times)
-        values = _readonly(self.values)
+        times = readonly(self.times)
+        values = readonly(self.values)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.ndim != 1:
@@ -293,15 +267,6 @@ class GammaSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, GammaSeries):
-            return NotImplemented
-        return (
-            np.array_equal(self.times, other.times)
-            and np.array_equal(self.values, other.values)
-            and self.seed == other.seed
-        )
 
     def to_csv(self) -> str:
         # repr of a python float is the shortest exact round-trip form

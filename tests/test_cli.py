@@ -71,6 +71,17 @@ class TestSimulateCommand:
         assert len(metadata["config_hash"]) == 64
         assert "timestamp" not in metadata
 
+    def test_label_is_recorded_and_not_hashed(self, tmp_path):
+        args = ["simulate", "--steps", "3", "--seed", "3"]
+        run(tmp_path / "plain", *args)
+        run(tmp_path / "labelled", *args, "--label", "trial run")
+        plain, labelled = (
+            json.loads((tmp_path / name / "run_metadata.json").read_text())
+            for name in ("plain", "labelled")
+        )
+        assert (plain["label"], labelled["label"]) == ("", "trial run")
+        assert labelled["config_hash"] == plain["config_hash"]
+
     def test_series_round_trips_exactly(self, tmp_path):
         run(tmp_path, "simulate", "--steps", "5", "--seed", "3")
         series = GammaSeries.from_csv((tmp_path / "series.csv").read_text())
@@ -291,6 +302,15 @@ class TestArgumentHandling:
             cli.main(["compare", "--length-scale", "0", "--out", str(tmp_path)])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", ["model", "compare", "pipeline"])
+    def test_infinite_length_scale_exits_two(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--length-scale", "inf", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "--length-scale" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_steps_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["simulate", "--steps", "-3", "--out", str(tmp_path)])
@@ -306,6 +326,7 @@ class TestArgumentHandling:
             ("--activation", "1.5"),
             ("--activation", "-0.1"),
             ("--activation", "nan"),
+            ("--nodes", "1"),
         ],
     )
     def test_link_probability_out_of_range_exits_two(self, tmp_path, capsys, command, flag, value):

@@ -111,6 +111,16 @@ class TestKernel:
         with pytest.raises(ValueError):
             KernelConfig(-0.25)
 
+    def test_rejects_infinite_length_scale(self):
+        with pytest.raises(ValueError, match="finite"):
+            KernelConfig(math.inf)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_huge_length_scale_fails_in_the_matrix(self):
+        # l * l overflows; the all-NaN result must not pass as a model
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            model2_transition_matrix(default_partition(), KernelConfig(1e300))
+
 
 class TestKernelBoxIntegral:
     @pytest.mark.parametrize(
@@ -271,6 +281,14 @@ class TestValueValidation:
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError):
             TransitionMatrix(np.eye(2), ("A", "B", "C"))
+
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            TransitionMatrix(np.full((2, 2), np.nan), ("A", "B"))
+
+    def test_rejects_nan_distribution(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            StateDistribution(np.full(2, np.nan), ("A", "B"))
 
     def test_distribution_must_sum_to_one(self):
         with pytest.raises(ValueError):
