@@ -6,20 +6,19 @@ with the sentinel 1e7 marking an inactive link. ``entry_pairs`` maps each
 off-diagonal matrix entry, row by row, to its pair; through it a pair vector
 becomes a symmetric matrix (``fill_off_diagonal``).
 
-The race runs on such a matrix with an inf diagonal, in plain numpy. From
-each source it settles, in one vectorised round, every pending node whose
-distance is at most the smallest ``d[u] + reach[u]`` over pending nodes
-``u``, with ``reach[u]`` the lightest link of ``u`` (the OUT criterion of
-Crauser, Mehlhorn, Meyer and Sanders, 1998), and relaxes all their rows at
-once. Float addition is monotone, so a settled node is final and the result
-satisfies ``d(v) = min_u fl(d(u) + w_uv)``; every weight is at least 1.0, so
-fl(d + w) > d and that equation has one solution: the one a plain dense
-Dijkstra computes, bit for bit. The sentinel is an ordinary weight. A path
-over an inactive link costs at least 1e7. The race stops once the settle
-bound itself reaches 1e7: a path that leaves a pending node costs at least
-the bound, so every pending node below 1e7 already holds its exact distance.
-Distances are clamped to the sentinel, so unreachable nodes and nodes whose
-cheapest path costs at least 1e7 report exactly 1e7.
+The race reads a square matrix row by row as out-links, in plain numpy; it
+needs no symmetry, and a non-negative diagonal has no effect. From each source it settles, in
+one vectorised round, every pending node whose distance is at most
+``bound = min(pending) + WEIGHT_FLOOR`` and relaxes all their rows at once.
+Every off-diagonal weight, the sentinel included, is at least WEIGHT_FLOOR,
+and float addition is monotone, so any path through a pending node costs at
+least the bound: a settled node is final. The result satisfies
+``d(v) = min_u fl(d(u) + w_uv)``; as fl(d + w) > d, that equation has one
+solution, the one a plain dense Dijkstra computes, bit for bit. The sentinel is an ordinary
+weight, so a path over an inactive link costs at least 1e7. The race stops
+once the bound reaches 1e7, when every pending node below 1e7 already holds
+its exact distance. Distances are clamped to the sentinel, so unreachable
+nodes and nodes whose cheapest path costs at least 1e7 report exactly 1e7.
 
 All random draws happen outside these kernels; callers pass the drawn arrays
 in, which keeps the consumed random stream fixed.
@@ -68,11 +67,10 @@ def fill_off_diagonal(matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
 def race_latencies(weights: np.ndarray, sources) -> np.ndarray:
     """Shortest latencies from each source, one row per source, capped at 1e7.
 
-    ``weights`` is symmetric: it holds every link weight, the sentinel
-    included, and an inf diagonal.
+    Row ``u`` of ``weights`` holds the out-links of node ``u``; every
+    off-diagonal entry, the sentinel included, is at least WEIGHT_FLOOR,
+    and the diagonal may hold any non-negative value.
     """
-    # column minima: the lightest link of each node, as the matrix is symmetric
-    reach = np.minimum.reduce(weights, axis=0)
     dist = weights[sources]
     for d, source in zip(dist, sources):
         d[source] = 0.0
@@ -81,7 +79,7 @@ def race_latencies(weights: np.ndarray, sources) -> np.ndarray:
         settled[source] = np.inf
         while True:
             pending = d + settled
-            bound = np.minimum.reduce(pending + reach)
+            bound = np.minimum.reduce(pending) + WEIGHT_FLOOR
             if bound >= INACTIVE:
                 break
             batch = (pending <= bound).nonzero()[0]

@@ -321,42 +321,25 @@ _DISPATCH = {
 }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _checked(convert, accept, message: str):
+    """Argparse type: ``convert`` the text, then reject values ``accept`` refuses.
 
+    The callable carries the converter's name, so a malformed value reads
+    "invalid int value: 'x'" or "invalid float value: 'x'".
+    """
 
-def _node_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be at least 2")
-    return value
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
 
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return value
-
-
-def _dropout(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError("must lie in [0, 1)")
-    return value
-
-
-def _activation(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("must lie in [0, 1]")
-    return value
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
+    positive_int = _checked(int, lambda v: v >= 1, "must be a positive integer")
     parser = argparse.ArgumentParser(
         prog="gammachain",
         description="Markov models and latency-network simulation of the fork-following fraction.",
@@ -377,13 +360,22 @@ def build_parser() -> argparse.ArgumentParser:
     sim = argparse.ArgumentParser(add_help=False)
     sim.add_argument("--seed", type=int, default=0, help="simulation seed")
     sim.add_argument(
-        "--nodes", type=_node_count, default=100, help="number of network nodes"
+        "--nodes",
+        type=_checked(int, lambda v: v >= 2, "must be at least 2"),
+        default=100,
+        help="number of network nodes",
     )
     sim.add_argument(
-        "--dropout", type=_dropout, default=0.1, help="initial inactive-link probability"
+        "--dropout",
+        type=_checked(float, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+        default=0.1,
+        help="initial inactive-link probability",
     )
     sim.add_argument(
-        "--activation", type=_activation, default=0.9, help="per-step link activation probability"
+        "--activation",
+        type=_checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+        default=0.9,
+        help="per-step link activation probability",
     )
     sim.add_argument(
         "--region-config", default=None, metavar="JSON", help="region latency config file"
@@ -392,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel = argparse.ArgumentParser(add_help=False)
     kernel.add_argument(
         "--length-scale",
-        type=_positive_float,
+        type=_checked(float, lambda v: 0 < v < np.inf, "must be positive and finite"),
         default=0.25,
         help="kernel length scale",
     )
@@ -410,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", parents=[common, sim], help="run the network simulation"
     )
     p_sim.add_argument(
-        "--steps", type=_positive_int, default=SIMULATE_DEFAULT_STEPS, help="samples to draw"
+        "--steps", type=positive_int, default=SIMULATE_DEFAULT_STEPS, help="samples to draw"
     )
 
     p_analyze = sub.add_parser(
         "analyze", parents=[common, sim], help="bin a gamma series into transition counts"
     )
     p_analyze.add_argument(
-        "--steps", type=_positive_int, default=ANALYZE_DEFAULT_STEPS, help="samples to draw"
+        "--steps", type=positive_int, default=ANALYZE_DEFAULT_STEPS, help="samples to draw"
     )
     p_analyze.add_argument(
         "--series", default=None, metavar="CSV", help="existing series file (otherwise simulate)"
@@ -434,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline", parents=[common, sim, kernel], help="simulate, analyze, and compare"
     )
     p_pipe.add_argument(
-        "--steps", type=_positive_int, default=ANALYZE_DEFAULT_STEPS, help="samples to draw"
+        "--steps", type=positive_int, default=ANALYZE_DEFAULT_STEPS, help="samples to draw"
     )
     return parser
 

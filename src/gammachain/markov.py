@@ -173,8 +173,10 @@ def sq_exp_kernel(x: float, y: float, config: KernelConfig = KernelConfig()) -> 
 
 
 def _erf_antiderivative(s: float) -> float:
-    # E(s) = integral of erf; d/ds [s*erf(s) + exp(-s^2)/sqrt(pi)] = erf(s)
-    return s * math.erf(s) + math.exp(-s * s) / math.sqrt(math.pi)
+    # E(s) = s*erf(s) + (exp(-s^2) - 1)/sqrt(pi), the integral of erf from 0;
+    # the constant 1/sqrt(pi) cancels in the four-term sum, and leaving it
+    # out keeps the digits of small s, that is of large length scales
+    return s * math.erf(s) + math.expm1(-s * s) / math.sqrt(math.pi)
 
 
 def kernel_box_integral(a: float, b: float, c: float, d: float, length_scale: float) -> float:
@@ -182,7 +184,7 @@ def kernel_box_integral(a: float, b: float, c: float, d: float, length_scale: fl
 
     Integrating exp(-((x - y) / l)**2 / 2) in x over [a, b] gives a scaled
     difference of error functions in y; integrating again uses the erf
-    antiderivative E(s) = s*erf(s) + exp(-s**2)/sqrt(pi), yielding
+    antiderivative E(s) = s*erf(s) + (exp(-s**2) - 1)/sqrt(pi), yielding
     l**2 * sqrt(pi) * (E((b-c)/h) - E((b-d)/h) - E((a-c)/h) + E((a-d)/h))
     with h = l*sqrt(2).
     """
@@ -217,8 +219,9 @@ def model2_transition_matrix(
         as an independent cross-check (absolute tolerance 1e-10).
     """
     k = len(partition)
-    lo = np.asarray([iv.lower for iv in partition])
-    hi = np.asarray([iv.upper for iv in partition])
+    # python floats: an overflowed scale yields inf or nan without a warning
+    lo = [float(iv.lower) for iv in partition]
+    hi = [float(iv.upper) for iv in partition]
     scale = config.length_scale
 
     if method == "closed_form":
@@ -240,6 +243,8 @@ def model2_transition_matrix(
     entries = np.empty((k, k))
     for i in range(k):
         denom = integral(0.0, 1.0, lo[i], hi[i])
+        if not 0.0 < denom < math.inf:
+            raise ValueError(f"length_scale {scale!r} gives a row kernel mass of {denom}")
         for j in range(k):
             entries[i, j] = integral(lo[j], hi[j], lo[i], hi[i]) / denom
     return TransitionMatrix(entries, partition.labels)

@@ -23,11 +23,15 @@ blocks that two separate calls would return.
 The simulation loop keeps the network as its flat pair vector, in the same
 upper-triangle order, and never builds a ``NetworkState``; the public
 functions expand and flatten states around the very helpers the loop calls.
-Each race fills one reused matrix from the vector and runs a radius-batched
-Dijkstra in numpy from both nodes; unreachable nodes, and nodes whose
-cheapest path costs at least the sentinel, report exactly 1e7 and tie. Every
-weight is at least 1.0, so fl(d + w) > d and the float distances match a
-plain dense-matrix Dijkstra bit for bit (see ``_kernels``).
+The loop owns one node-by-node matrix with a unit diagonal: each evolution
+step writes the sampled adjacency into its off-diagonal entries, and each
+race overwrites them with the weights. The diagonal gives the adjacency its
+self-loops and does not affect the race; the public functions race a
+state's own weight matrix. The race is a radius-batched Dijkstra in numpy
+from both nodes; unreachable nodes, and nodes whose cheapest path costs at
+least the sentinel, report exactly 1e7 and tie. Every weight is at least
+1.0, so fl(d + w) > d and the float distances match a plain dense-matrix
+Dijkstra bit for bit (see ``_kernels``).
 
 Centrality note: the adjacency derived from a weight matrix marks every
 finite entry as an edge, and the zero diagonal is finite, so nodes carry
@@ -312,11 +316,6 @@ def _pair_means(config: RegionConfig, region_of: np.ndarray) -> np.ndarray:
     return config.mean_latency[region_of[rows], region_of[cols]]
 
 
-def _flatten(state: NetworkState) -> np.ndarray:
-    rows, cols = pair_indices(state.node_count)
-    return state.weights[rows, cols]
-
-
 def _initial_flat(config: RegionConfig, dropout: float, rng: np.random.Generator):
     """Validated initial draw: node regions, pair means and flat weights."""
     if not 0.0 <= dropout < 1.0:
@@ -459,8 +458,10 @@ def evolve_network(
     if not np.array_equal(config.region_assignment(), prev.region_of):
         raise ValueError("config region layout does not match the network state")
     n = prev.node_count
+    rows, cols = pair_indices(n)
     means = _pair_means(config, prev.region_of)
-    flat = _evolve_flat(_flatten(prev), means, delta_t, activation, np.random.default_rng(seed), np.eye(n))
+    rng = np.random.default_rng(seed)
+    flat = _evolve_flat(prev.weights[rows, cols], means, delta_t, activation, rng, np.eye(n))
     return NetworkState(fill_off_diagonal(np.zeros((n, n)), flat), prev.region_of)
 
 
@@ -481,11 +482,7 @@ def shortest_latencies(state: NetworkState, source: int) -> np.ndarray:
         If ``source`` is out of range.
     """
     _check_node(source, state.node_count)
-    return race_latencies(_race_weights(state), [source])[0]
-
-
-def _race_weights(state: NetworkState) -> np.ndarray:
-    return fill_off_diagonal(np.full(state.weights.shape, np.inf), _flatten(state))
+    return race_latencies(state.weights, [source])[0]
 
 
 def _gamma(weights: np.ndarray, attacker: int, honest: int) -> float:
@@ -512,7 +509,7 @@ def gamma_of(state: NetworkState, attacker: int, honest: int) -> float:
         raise ValueError("attacker and honest node must differ")
     _check_node(attacker, state.node_count)
     _check_node(honest, state.node_count)
-    return _gamma(_race_weights(state), attacker, honest)
+    return _gamma(state.weights, attacker, honest)
 
 
 def _draw_node_pair(rng: np.random.Generator, node_count: int) -> tuple[int, int]:
@@ -566,15 +563,15 @@ def simulate_gamma_series(
     n = config.node_count
 
     _, means, flat = _initial_flat(config, dropout, rng)
-    adjacency = np.eye(n)
-    weights = np.full((n, n), np.inf)
+    # the evolution step's adjacency, then the race's weights
+    matrix = np.eye(n)
     gaps = np.diff(times)
     values = np.empty(len(times))
     for step in range(len(times)):
         if step:
-            flat = _evolve_flat(flat, means, gaps[step - 1], activation, rng, adjacency)
+            flat = _evolve_flat(flat, means, gaps[step - 1], activation, rng, matrix)
         attacker, honest = _draw_node_pair(rng, n)
-        values[step] = _gamma(fill_off_diagonal(weights, flat), attacker, honest)
+        values[step] = _gamma(fill_off_diagonal(matrix, flat), attacker, honest)
     stored_seed = int(seed) if isinstance(seed, (int, np.integer)) else None
     return GammaSeries(times, values, stored_seed)
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line entry point, run in-process."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -310,6 +311,30 @@ class TestArgumentHandling:
         assert excinfo.value.code == 2
         assert "--length-scale" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, type_name",
+        [
+            ("simulate", "--nodes", "int"),
+            ("simulate", "--steps", "int"),
+            ("simulate", "--dropout", "float"),
+            ("simulate", "--activation", "float"),
+            ("compare", "--length-scale", "float"),
+        ],
+    )
+    def test_malformed_value_names_the_type(self, tmp_path, capsys, command, flag, type_name):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, flag, "x", "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid {type_name} value: 'x'" in err
+        assert re.search(r"\b_\w", err) is None
+
+    def test_overflowing_length_scale_exits_one(self, tmp_path, capsys):
+        assert run(tmp_path, "compare", "--length-scale", "1e300") == 1
+        err = capsys.readouterr().err
+        assert "length_scale 1e+300" in err
+        assert "Warning" not in err
 
     def test_negative_steps_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -14,6 +14,7 @@ from gammachain._kernels import (
     fill_off_diagonal,
     pair_indices,
     perturb_weights,
+    race_latencies,
 )
 from gammachain.network import (
     NetworkState,
@@ -169,19 +170,41 @@ class TestRaceMatchesOracle:
         assert np.array_equal(dist, dijkstra_numpy(weights, 0))
 
     def test_stops_with_a_pending_node_below_sentinel(self):
-        # from node 0 the settle bound is 9e6 + 9e6 = 1.8e7 in the first
-        # round, so the race stops with node 1 still pending at 9e6
+        # from node 0 the settle bound is WEIGHT_CEIL + WEIGHT_FLOOR = 1e7 in
+        # the first round, so the race stops with node 1 still pending below 1e7
         weights = np.array(
             [
-                [0.0, 9e6, INACTIVE],
-                [9e6, 0.0, INACTIVE],
+                [0.0, WEIGHT_CEIL, INACTIVE],
+                [WEIGHT_CEIL, 0.0, INACTIVE],
                 [INACTIVE, INACTIVE, 0.0],
             ]
         )
         state = NetworkState(weights, np.zeros(3, dtype=np.int64))
-        assert shortest_latencies(state, 0).tolist() == [0.0, 9e6, INACTIVE]
+        assert shortest_latencies(state, 0).tolist() == [0.0, WEIGHT_CEIL, INACTIVE]
         for source in range(3):
             assert np.array_equal(shortest_latencies(state, source), dijkstra_numpy(weights, source))
+
+
+def random_digraph(rng, size, inactive_fraction, diagonal, top):
+    weights = rng.uniform(1.0, top, (size, size))
+    weights[rng.random((size, size)) < inactive_fraction] = INACTIVE
+    np.fill_diagonal(weights, diagonal)
+    return weights
+
+
+@pytest.mark.parametrize("top", [300.0, 4.0])
+@pytest.mark.parametrize("diagonal", [0.0, 1.0, np.inf])
+def test_race_reads_rows_as_out_links_and_ignores_the_diagonal(diagonal, top, rng):
+    # asymmetric weights: only the out-link reading matches the oracle; with
+    # weights near the floor, a bound past min + WEIGHT_FLOOR settles too early
+    for _ in range(40):
+        size = int(rng.integers(1, 30))
+        weights = random_digraph(rng, size, float(rng.uniform(0.0, 0.8)), diagonal, top)
+        before = weights.copy()
+        dist = race_latencies(weights, list(range(size)))
+        assert np.array_equal(weights, before)
+        for source in range(size):
+            assert np.array_equal(dist[source], dijkstra_numpy(weights, source))
 
 
 def test_simulation_leaves_scipy_sparse_unimported():

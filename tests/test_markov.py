@@ -115,10 +115,9 @@ class TestKernel:
         with pytest.raises(ValueError, match="finite"):
             KernelConfig(math.inf)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_huge_length_scale_fails_in_the_matrix(self):
-        # l * l overflows; the all-NaN result must not pass as a model
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        # l * l overflows; the NaN row mass is reported against the scale
+        with pytest.raises(ValueError, match=r"length_scale 1e\+300"):
             model2_transition_matrix(default_partition(), KernelConfig(1e300))
 
 
@@ -171,11 +170,13 @@ class TestModel2:
         expected = np.array([[p, 1.0 - p], [1.0 - p, p]])
         assert np.abs(entries - expected).max() < 1e-12
 
-    def test_quadrature_agrees_with_closed_form(self):
+    @pytest.mark.parametrize("length_scale", [0.25, 1e2, 1e4, 1e6])
+    def test_quadrature_agrees_with_closed_form(self, length_scale):
         part = default_partition()
-        closed = model2_transition_matrix(part, method="closed_form").entries
-        quad = model2_transition_matrix(part, method="quadrature").entries
-        assert np.abs(closed - quad).max() < 1e-7
+        config = KernelConfig(length_scale)
+        closed = model2_transition_matrix(part, config, method="closed_form").entries
+        quad = model2_transition_matrix(part, config, method="quadrature").entries
+        assert np.abs(closed - quad).max() < 1e-9
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
