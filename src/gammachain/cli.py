@@ -103,17 +103,26 @@ def _config_hash(obj: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _read(path, parse):
+    """``parse`` the text of an input file; a file of the wrong shape raises ValueError."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse(text)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed input file {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_partition(args: argparse.Namespace) -> StrategyPartition:
     if args.partition is None:
         return default_partition()
-    return StrategyPartition.from_file(args.partition)
+    return _read(args.partition, lambda text: StrategyPartition.from_json_obj(json.loads(text)))
 
 
 def _load_region_config(args: argparse.Namespace) -> RegionConfig:
     region = (
         default_region_config()
         if args.region_config is None
-        else RegionConfig.from_file(args.region_config)
+        else _read(args.region_config, lambda text: RegionConfig.from_json_obj(json.loads(text)))
     )
     return region.scaled_to(args.nodes)
 
@@ -136,8 +145,8 @@ def _render_weights(dist: StateDistribution) -> str:
     return "(" + ", ".join(f"{v:.2f}" for v in dist.weights) + ")"
 
 
-def _build_model(args: argparse.Namespace, partition: StrategyPartition) -> TransitionMatrix:
-    if args.kind == "midpoint":
+def _build_model(args: argparse.Namespace, partition: StrategyPartition, kind: str) -> TransitionMatrix:
+    if kind == "midpoint":
         return model1_transition_matrix(partition)
     return model2_transition_matrix(partition, KernelConfig(args.length_scale))
 
@@ -151,7 +160,7 @@ def _plot_csv(series: GammaSeries, averaged: GammaSeries) -> str:
 
 def cmd_model(args: argparse.Namespace, writer: ArtifactWriter) -> None:
     partition = _load_partition(args)
-    matrix = _build_model(args, partition)
+    matrix = _build_model(args, partition, args.kind)
     stationary = stationary_distribution(matrix)
     stem = f"model_{args.kind}"
     writer.write(stem + "_matrix.json", _dumps(matrix.to_json_obj()))
@@ -211,11 +220,9 @@ def cmd_analyze(
 ) -> AnalyzeResult:
     partition = _load_partition(args)
     if series is None and args.series is not None:
-        series = GammaSeries.from_csv(Path(args.series).read_text(encoding="utf-8"))
+        series = _read(args.series, GammaSeries.from_csv)
     elif series is None:
         series = _simulate(args, _load_region_config(args))
-    if len(series) < 2:
-        raise ValueError("series must hold at least two samples to count transitions")
     counts = count_transitions(series, partition)
     empirical = empirical_transition_matrix(counts)
     stationary = None
@@ -250,14 +257,10 @@ def cmd_compare(
     """Write the likelihood report; return it with the two model matrices."""
     partition = _load_partition(args)
     if counts is None and args.counts is not None:
-        text = Path(args.counts).read_text(encoding="utf-8")
-        counts = TransitionCounts.from_csv(text, partition)
+        counts = _read(args.counts, lambda text: TransitionCounts.from_csv(text, partition))
     elif counts is None:
         counts = load_reference_counts(partition)
-    matrices = (
-        model1_transition_matrix(partition),
-        model2_transition_matrix(partition, KernelConfig(args.length_scale)),
-    )
+    matrices = tuple(_build_model(args, partition, kind) for kind in ("midpoint", "kernel"))
     model1 = score_model("model1", matrices[0], counts)
     model2 = score_model("model2", matrices[1], counts)
     if model1.relative_likelihood < model2.relative_likelihood:
@@ -350,12 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output directory (default: $GAMMACHAIN_OUT_DIR or the working directory)",
     )
-    common.add_argument(
-        "--partition", default=None, metavar="JSON", help="strategy partition file"
-    )
-    common.add_argument(
-        "--label", default="", help="free-form run label recorded in metadata"
-    )
 
     sim = argparse.ArgumentParser(add_help=False)
     sim.add_argument("--seed", type=int, default=0, help="simulation seed")
@@ -428,6 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument(
         "--steps", type=positive_int, default=ANALYZE_DEFAULT_STEPS, help="samples to draw"
     )
+    for p in (p_model, p_analyze, p_compare, p_pipe):
+        p.add_argument("--partition", default=None, metavar="JSON", help="strategy partition file")
+    for p in (p_sim, p_pipe):
+        p.add_argument("--label", default="", help="free-form run label recorded in metadata")
     return parser
 
 

@@ -11,7 +11,6 @@ assigns probability zero to an observed transition.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -69,15 +68,6 @@ class TransitionCounts(ArrayEq):
             if line.strip()
         ]
         return cls(np.asarray(rows, dtype=np.int64), partition)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "counts": [[int(v) for v in row] for row in self.counts],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
 
 
 def _finite_or_none(value: float) -> float | None:

@@ -10,7 +10,6 @@ recovers the stationary distribution of any irreducible chain.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -64,9 +63,6 @@ class TransitionMatrix(ArrayEq):
             "entries": [[_sig12(v) for v in row] for row in self.entries],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TransitionMatrix":
         return cls(np.asarray(obj["entries"], dtype=float), tuple(obj["labels"]))
@@ -98,9 +94,6 @@ class StateDistribution(ArrayEq):
             "labels": list(self.labels),
             "weights": [_sig12(v) for v in self.weights],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
 
     def to_csv(self) -> str:
         return ",".join(f"{v:.12g}" for v in self.weights) + "\n"
@@ -229,12 +222,18 @@ def model2_transition_matrix(
             return kernel_box_integral(a, b, c, d, scale)
     elif method == "quadrature":
         # imported here: scipy.integrate costs about 0.6 s of every cold start
-        from scipy.integrate import dblquad
+        from scipy.integrate import nquad
+
+        tol = {"limit": 200, "epsabs": 1e-10, "epsrel": 1e-10}
 
         def integral(a, b, c, d):
-            value, _ = dblquad(
-                lambda x, y: sq_exp_kernel(x, y, config),
-                c, d, a, b, epsabs=1e-10, epsrel=1e-10,
+            # a break point at the kernel's ridge x = y keeps small length
+            # scales within the subdivision limit
+            def inner(y):
+                return {**tol, "points": [y]} if a < y < b else tol
+
+            value, _ = nquad(
+                lambda x, y: sq_exp_kernel(x, y, config), [(a, b), (c, d)], opts=[inner, tol]
             )
             return value
     else:

@@ -44,7 +44,6 @@ bipartite graphs where the plain adjacency would oscillate.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -154,9 +153,6 @@ class RegionConfig(ArrayEq):
             "mean_latency": [[float(v) for v in row] for row in self.mean_latency],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RegionConfig":
         return cls(
@@ -164,15 +160,6 @@ class RegionConfig(ArrayEq):
             tuple(int(c) for c in obj["node_counts"]),
             np.asarray(obj["mean_latency"], dtype=float),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RegionConfig":
-        return cls.from_json_obj(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path) -> "RegionConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
 
 
 def default_region_config() -> RegionConfig:
@@ -291,24 +278,6 @@ class GammaSeries(ArrayEq):
         if rows.shape[1] != 2:
             raise ValueError("series CSV rows must hold two fields, time and gamma")
         return cls(rows[:, 0], rows[:, 1], seed)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "times": [float(t) for t in self.times],
-            "values": [float(v) for v in self.values],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "GammaSeries":
-        return cls(
-            np.asarray(obj["times"], dtype=float),
-            np.asarray(obj["values"], dtype=float),
-            obj.get("seed"),
-        )
 
 
 def _pair_means(config: RegionConfig, region_of: np.ndarray) -> np.ndarray:

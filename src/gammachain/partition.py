@@ -10,7 +10,6 @@ equal-fork-stubborn mining (EFSM).
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -134,18 +133,6 @@ class StrategyPartition:
                 for d in obj
             )
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StrategyPartition":
-        return cls.from_json_obj(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path) -> "StrategyPartition":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
 
 
 def default_partition() -> StrategyPartition:

@@ -261,11 +261,6 @@ class TestCountsValue:
         again = TransitionCounts.from_csv(reference_counts.to_csv())
         assert again == reference_counts
 
-    def test_json_shape(self, reference_counts):
-        obj = reference_counts.to_json_obj()
-        assert obj["labels"] == ["HM", "SM", "LSM", "EFSM"]
-        assert obj["counts"][0] == [2977, 205, 0, 690]
-
     def test_immutable(self, reference_counts):
         with pytest.raises(ValueError):
             reference_counts.counts[0, 0] = 0

@@ -170,7 +170,7 @@ class TestModel2:
         expected = np.array([[p, 1.0 - p], [1.0 - p, p]])
         assert np.abs(entries - expected).max() < 1e-12
 
-    @pytest.mark.parametrize("length_scale", [0.25, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("length_scale", [0.001, 0.002, 0.25, 1e2, 1e4, 1e6])
     def test_quadrature_agrees_with_closed_form(self, length_scale):
         part = default_partition()
         config = KernelConfig(length_scale)

@@ -102,7 +102,7 @@ class TestValidation:
 class TestSerialization:
     def test_json_round_trip(self):
         part = default_partition()
-        again = StrategyPartition.from_json(part.to_json())
+        again = StrategyPartition.from_json_obj(json.loads(json.dumps(part.to_json_obj())))
         assert again == part
 
     def test_json_obj_shape(self):
@@ -118,7 +118,7 @@ class TestSerialization:
             .joinpath("data", "default_partition.json")
             .read_text()
         )
-        assert StrategyPartition.from_json(text) == default_partition()
+        assert StrategyPartition.from_json_obj(json.loads(text)) == default_partition()
 
 
 @given(
