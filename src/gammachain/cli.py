@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 from dataclasses import dataclass
 from os import environ
@@ -39,12 +40,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .inference import (
     TransitionCounts,
     count_transitions,
     empirical_transition_matrix,
     load_reference_counts,
-    occupancy_fractions,
+    occupancy_from_counts,
     score_model,
 )
 from .markov import (
@@ -103,12 +105,11 @@ def _config_hash(obj: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _read(path, parse):
-    """``parse`` the text of an input file; a file of the wrong shape raises ValueError."""
-    text = Path(path).read_text(encoding="utf-8")
+def _read(path, parse, text=True):
+    """``parse`` an input file's text (its path if not ``text``); a wrong shape raises ValueError."""
     try:
-        return parse(text)
-    except (KeyError, TypeError, OverflowError) as exc:
+        return parse(Path(path).read_text(encoding="utf-8") if text else path)
+    except (KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed input file {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -182,8 +183,10 @@ def _simulate(args: argparse.Namespace, region: RegionConfig) -> GammaSeries:
     )
 
 
-def cmd_simulate(args: argparse.Namespace, writer: ArtifactWriter) -> GammaSeries:
-    region = _load_region_config(args)
+def cmd_simulate(
+    args: argparse.Namespace, writer: ArtifactWriter, region: RegionConfig | None = None
+) -> GammaSeries:
+    region = region or _load_region_config(args)
     series = _simulate(args, region)
     averaged = moving_average(series)
     metadata = {
@@ -203,6 +206,7 @@ def cmd_simulate(args: argparse.Namespace, writer: ArtifactWriter) -> GammaSerie
                 "region_config": region.to_json_obj(),
             }
         ),
+        "versions": {"gammachain": __version__, "python": platform.python_version(), "numpy": np.__version__},
     }
     writer.write("series.csv", series.to_csv())
     writer.write("moving_average.csv", averaged.to_csv())
@@ -216,11 +220,12 @@ def cmd_simulate(args: argparse.Namespace, writer: ArtifactWriter) -> GammaSerie
 
 
 def cmd_analyze(
-    args: argparse.Namespace, writer: ArtifactWriter, series: GammaSeries | None = None
+    args: argparse.Namespace, writer: ArtifactWriter,
+    series: GammaSeries | None = None, partition: StrategyPartition | None = None,
 ) -> AnalyzeResult:
-    partition = _load_partition(args)
+    partition = partition or _load_partition(args)
     if series is None and args.series is not None:
-        series = _read(args.series, GammaSeries.from_csv)
+        series = _read(args.series, GammaSeries.from_csv, text=False)
     elif series is None:
         series = _simulate(args, _load_region_config(args))
     counts = count_transitions(series, partition)
@@ -237,9 +242,7 @@ def cmd_analyze(
     writer.write("empirical_matrix.json", _dumps(empirical.to_json_obj()))
     writer.write("empirical_matrix.csv", empirical.to_csv())
     writer.write("empirical_stationary.json", _dumps(stationary_obj))
-    writer.write(
-        "occupancy.json", _dumps(occupancy_fractions(series, partition).to_json_obj())
-    )
+    writer.write("occupancy.json", _dumps(occupancy_from_counts(counts, series).to_json_obj()))
     print(f"transition counts over {counts.total} pairs:")
     print(_render_table(counts.labels, [[str(int(v)) for v in row] for row in counts.counts]))
     print("empirical transition matrix, rounded to 2 decimals:")
@@ -252,10 +255,11 @@ def cmd_analyze(
 
 
 def cmd_compare(
-    args: argparse.Namespace, writer: ArtifactWriter, counts: TransitionCounts | None = None
+    args: argparse.Namespace, writer: ArtifactWriter,
+    counts: TransitionCounts | None = None, partition: StrategyPartition | None = None,
 ) -> tuple[dict, tuple[TransitionMatrix, TransitionMatrix]]:
     """Write the likelihood report; return it with the two model matrices."""
-    partition = _load_partition(args)
+    partition = partition or _load_partition(args)
     if counts is None and args.counts is not None:
         counts = _read(args.counts, lambda text: TransitionCounts.from_csv(text, partition))
     elif counts is None:
@@ -288,9 +292,11 @@ def cmd_compare(
 def cmd_pipeline(args: argparse.Namespace, writer: ArtifactWriter) -> None:
     if args.steps < 2:
         raise ValueError("pipeline needs at least two steps to count transitions")
-    series = cmd_simulate(args, writer)
-    analysis = cmd_analyze(args, writer, series=series)
-    report, (matrix1, matrix2) = cmd_compare(args, writer, counts=analysis.counts)
+    # every input file is read before the first write, so a bad one leaves --out empty
+    partition = _load_partition(args)
+    series = cmd_simulate(args, writer, _load_region_config(args))
+    analysis = cmd_analyze(args, writer, series, partition)
+    report, (matrix1, matrix2) = cmd_compare(args, writer, analysis.counts, partition)
     pi1 = stationary_distribution(matrix1)
     pi2 = stationary_distribution(matrix2)
     summary = {

@@ -165,6 +165,13 @@ def occupancy_fractions(series: GammaSeries, partition: StrategyPartition | None
     return StateDistribution(occ, partition.labels)
 
 
+def occupancy_from_counts(counts: TransitionCounts, series: GammaSeries) -> StateDistribution:
+    """``occupancy_fractions`` of the series ``counts`` came from: each sample but the last opens one pair."""
+    occ = counts.counts.sum(axis=1)
+    occ[bin_series(series.values[-1:], counts.partition)] += 1
+    return StateDistribution(occ / len(series), counts.labels)
+
+
 def log_likelihood(model: TransitionMatrix, counts: TransitionCounts) -> float:
     """Sum of count-weighted log transition probabilities.
 

@@ -43,7 +43,6 @@ bipartite graphs where the plain adjacency would oscillate.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -266,15 +265,18 @@ class GammaSeries(ArrayEq):
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, seed: int | None = None) -> "GammaSeries":
-        header, _, body = text.strip().partition("\n")
-        if header.strip() != "time,gamma":
-            raise ValueError("series CSV must start with the header 'time,gamma'")
-        if not body:
-            raise ValueError("series must contain at least one sample")
-        # one bulk parse: blank lines are skipped; a non-numeric token or a
-        # row with another field count than the first raises ValueError
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    def from_csv(cls, path, seed: int | None = None) -> "GammaSeries":
+        """Read a series file: the header ``time,gamma``, then one ``time,gamma`` row a line."""
+        with open(path, encoding="utf-8") as fh:
+            lines = enumerate(map(str.strip, fh), 1)
+            skip, header = next((item for item in lines if item[1]), (0, ""))
+            if header != "time,gamma":
+                raise ValueError("series CSV must start with the header 'time,gamma'")
+            if not any(text for _, text in lines):
+                raise ValueError("series must contain at least one sample")
+        # numpy reads a path in one pass of its C reader (a bare header would warn, hence the
+        # check above); it skips blank lines and raises on a bad token or a changed field count
+        rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip, encoding="utf-8")
         if rows.shape[1] != 2:
             raise ValueError("series CSV rows must hold two fields, time and gamma")
         return cls(rows[:, 0], rows[:, 1], seed)

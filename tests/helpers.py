@@ -75,6 +75,13 @@ def perturb_reference(prev, mean, omega_sum, u0, u1, delta_t, active):
     return np.where(finite & ~active, INACTIVE, value)
 
 
+def write_file(tmp_path, text, name="input.csv"):
+    """Write ``text`` verbatim (no newline translation) to ``tmp_path / name``; return the path."""
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
 def subprocess_env():
     """A copy of the caller's environment for a child interpreter.
 

@@ -1,7 +1,9 @@
 """End-to-end checks of the command line entry point, run in-process."""
 
+import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +13,39 @@ from gammachain.inference import TransitionCounts
 from gammachain.markov import TransitionMatrix, model1_transition_matrix
 from gammachain.network import GammaSeries
 from gammachain.partition import default_partition
+from helpers import write_file
 
 FIXTURE_SERIES = "time,gamma\n0.0,0.1\n1.0,0.2\n2.0,0.7\n3.0,0.9\n"
+
+# sha256 of every analyze artifact, and of its stdout without the "wrote" lines,
+# as written when the series reader parsed the file's text from memory. Reading
+# the file by path and binning the series once must not move a byte.
+ANALYZE_DIGESTS = {
+    "benchmark-shaped": {
+        "empirical_matrix.csv": "de6edf4eb1ba6dbbd4b992853ac272adb2fd690217a98b99c7d23fcb8e286de0",
+        "empirical_matrix.json": "19459c46331bf6c8012c886a45e30ad8564028e466b4a109ec78cdb3051ecb38",
+        "empirical_stationary.json": "1bc6017de57dab5348b643737729588305f6edcc8bac802cc508b2a210bc9585",
+        "occupancy.json": "88a5d603c5719a13008fc5d673bd951cf6f30e8e66e8eb28f5cae48f2afede1e",
+        "transition_counts.csv": "3b9ea796a0c505d5493b42eba5034437dee1eeee96918bb3c001f06d238ab477",
+        "stdout": "aeaa08bac40cd4bae89b084df13622bdef6328199866463eb7bacb1262a89393",
+    },
+    "simulated": {
+        "empirical_matrix.csv": "77b9582353e6b2db96087bc4acc5b1fead146ec0b0df9ab3d07399685c8a1aa1",
+        "empirical_matrix.json": "74a994af72fe374e2dd370dce66504abd8546596c882b6ecd3f33d122ee75a49",
+        "empirical_stationary.json": "48e6d7bb35b95179604e12b917d4d704b6330ba309117aec7eca399c37651cc2",
+        "occupancy.json": "4516e290f73752ba24c5c4d897ca63f48a4eb9f609284ef8e115375b758b86ab",
+        "transition_counts.csv": "a18855eb2514beec38c0dac9a692f16b5b24a377b35dd482431441aa05e9adb3",
+        "stdout": "a56fa674a3fc776e7b2271c1cc54d177b5eea17229ddc73850455984d6d79e92",
+    },
+}
+
+# config_hash of `simulate --steps 5 --seed 3` with every other flag at its default
+SIMULATE_CONFIG_HASH = "d9902f3b4ba8f403388f31b840ede7e4bec6ed8853ed14e7126b3df83d3e8265"
+
+
+def benchmark_shaped_series(rows=3000):
+    """Series text laid out like perfbench's analyze input: times "t.0", repr values, all four bins hit."""
+    return "time,gamma\n" + "".join(f"{t}.0,{(t * 0.6180339887498949) % 1.0!r}\n" for t in range(rows))
 
 
 def run(tmp_path, *args):
@@ -69,6 +102,13 @@ class TestSimulateCommand:
         assert len(metadata["config_hash"]) == 64
         assert "timestamp" not in metadata
 
+    def test_metadata_records_versions_outside_the_hash(self, tmp_path):
+        assert run(tmp_path, "simulate", "--steps", "5", "--seed", "3") == 0
+        metadata = json.loads((tmp_path / "run_metadata.json").read_text())
+        assert set(metadata["versions"]) == {"gammachain", "python", "numpy"}
+        assert metadata["versions"]["numpy"] == np.__version__
+        assert metadata["config_hash"] == SIMULATE_CONFIG_HASH
+
     def test_label_is_recorded_and_not_hashed(self, tmp_path):
         args = ["simulate", "--steps", "3", "--seed", "3"]
         run(tmp_path / "plain", *args)
@@ -82,7 +122,7 @@ class TestSimulateCommand:
 
     def test_series_round_trips_exactly(self, tmp_path):
         run(tmp_path, "simulate", "--steps", "5", "--seed", "3")
-        series = GammaSeries.from_csv((tmp_path / "series.csv").read_text())
+        series = GammaSeries.from_csv(tmp_path / "series.csv")
         assert len(series) == 5
         assert series.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert ((series.values >= 0.0) & (series.values <= 0.98)).all()
@@ -169,8 +209,12 @@ class TestAnalyzeCommand:
         assert occupancy["weights"] == [0.5, 0.25, 0.0, 0.25]
 
     def test_missing_series_file_fails(self, tmp_path, capsys):
-        assert run(tmp_path, "analyze", "--series", str(tmp_path / "nope.csv")) == 1
-        assert "error:" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run(out, "analyze", "--series", str(tmp_path / "nope.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nope.csv" in err
+        assert not out.exists()
 
     def test_empty_series_file_fails(self, tmp_path, capsys):
         series_file = tmp_path / "empty.csv"
@@ -199,6 +243,31 @@ class TestAnalyzeCommand:
         assert run(out, "analyze", "--series", str(series_file)) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_header_only_series_fails_without_warning(self, tmp_path, capsys):
+        series_file = write_file(tmp_path, "time,gamma\n\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(out, "analyze", "--series", str(series_file)) == 1
+        assert caught == []
+        assert capsys.readouterr().err == "error: series must contain at least one sample\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", sorted(ANALYZE_DIGESTS))
+    def test_artifacts_match_pinned_digests(self, tmp_path, capsys, source):
+        if source == "simulated":
+            assert run(tmp_path / "sim", "simulate", "--steps", "200", "--seed", "3") == 0
+            series_file = tmp_path / "sim" / "series.csv"
+        else:
+            series_file = write_file(tmp_path, benchmark_shaped_series())
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(out, "analyze", "--series", str(series_file)) == 0
+        stdout = "".join(line for line in capsys.readouterr().out.splitlines(True) if not line.startswith("wrote "))
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+        digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+        assert digests == ANALYZE_DIGESTS[source]
 
     def test_without_series_simulates(self, tmp_path):
         assert run(tmp_path, "analyze", "--steps", "40", "--seed", "5") == 0
@@ -288,6 +357,28 @@ class TestPipelineCommand:
             run(tmp_path / kind, "model", "--kind", kind)
             alone = json.loads((tmp_path / kind / f"model_{kind}_stationary.json").read_text())
             assert summary["stationary"][name] == alone
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--partition", '[{"lower": 0, "upper": 1}]'),
+            ("--partition", "not json"),
+            ("--region-config", "{}"),
+        ],
+    )
+    def test_bad_input_file_writes_nothing(self, tmp_path, capsys, flag, text):
+        out = tmp_path / "out"
+        assert run(out, "pipeline", "--steps", "3", flag, str(write_file(tmp_path, text))) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_reads_the_partition_file_once(self, tmp_path, monkeypatch):
+        partition_file = write_file(tmp_path, json.dumps(default_partition().to_json_obj()), "partition.json")
+        calls = []
+        load = cli._load_partition
+        monkeypatch.setattr(cli, "_load_partition", lambda args: calls.append(args) or load(args))
+        assert run(tmp_path / "out", "pipeline", "--steps", "3", "--partition", str(partition_file)) == 0
+        assert len(calls) == 1
 
     def test_rejects_single_step(self, tmp_path, capsys):
         assert run(tmp_path, "pipeline", "--steps", "1") == 1
@@ -405,6 +496,7 @@ class TestArgumentHandling:
             ("compare", "--partition", '[{"lower": 0, "upper": 1}]'),
             ("compare", "--partition", "not json"),
             ("simulate", "--region-config", "{}"),
+            ("simulate", "--region-config", "not json"),
             ("compare", "--counts", "0,0,0,0\n" * 3 + "0,0,0,100000000000000000000000\n"),
         ],
     )
@@ -417,3 +509,5 @@ class TestArgumentHandling:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+        if text == "not json":
+            assert f"malformed input file {path}: JSONDecodeError" in err

@@ -15,6 +15,7 @@ from gammachain.inference import (
     load_reference_counts,
     log_likelihood,
     occupancy_fractions,
+    occupancy_from_counts,
     relative_likelihood,
     score_model,
 )
@@ -26,7 +27,7 @@ from gammachain.markov import (
 )
 from gammachain.network import GammaSeries
 from gammachain.partition import default_partition
-from helpers import make_partition
+from helpers import grid_partitions, make_partition
 
 
 def series_of(values):
@@ -121,6 +122,18 @@ class TestOccupancy:
     def test_sums_to_one(self, partition, rng):
         occ = occupancy_fractions(series_of(rng.random(321)), partition)
         assert occ.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60)
+    @given(
+        grid_partitions(),
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.675, 0.76, 0.761, 0.999, 1.0]) | st.floats(0, 1), min_size=2, max_size=60),
+    )
+    def test_from_counts_matches_binning_bit_for_bit(self, part, values):
+        series = series_of(values)
+        from_counts = occupancy_from_counts(count_transitions(series, part), series)
+        direct = occupancy_fractions(series, part)
+        assert from_counts.weights.tobytes() == direct.weights.tobytes()
+        assert from_counts.labels == direct.labels
 
 
 class TestLogLikelihood:

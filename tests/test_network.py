@@ -26,6 +26,7 @@ from gammachain.network import (
     shortest_latencies,
     simulate_gamma_series,
 )
+from helpers import write_file
 
 
 def state_from_weights(weights):
@@ -366,17 +367,17 @@ class TestGammaOf:
 
 
 class TestGammaSeries:
-    def test_csv_round_trip_is_exact(self):
+    def test_csv_round_trip_is_exact(self, tmp_path):
         series = GammaSeries(
             np.array([0.0, 1.0, 2.0]), np.array([0.123456789012345, 0.5, 0.98]), seed=4
         )
-        again = GammaSeries.from_csv(series.to_csv())
+        again = GammaSeries.from_csv(write_file(tmp_path, series.to_csv()))
         assert np.array_equal(again.times, series.times)
         assert np.array_equal(again.values, series.values)
 
-    def test_rejects_bad_header(self):
+    def test_rejects_bad_header(self, tmp_path):
         with pytest.raises(ValueError):
-            GammaSeries.from_csv("t,g\n0.0,0.5\n")
+            GammaSeries.from_csv(write_file(tmp_path, "t,g\n0.0,0.5\n"))
 
     def test_rejects_value_outside_unit_interval(self):
         with pytest.raises(ValueError):
@@ -399,34 +400,69 @@ class TestGammaSeries:
         with pytest.raises(ValueError, match="finite"):
             GammaSeries(np.array([0.0, bad]), np.array([0.0, 0.5]))
 
-    def test_csv_with_nan_row_rejected(self):
+    def test_csv_with_nan_row_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            GammaSeries.from_csv("time,gamma\n0.0,0.5\n1.0,nan\n")
+            GammaSeries.from_csv(write_file(tmp_path, "time,gamma\n0.0,0.5\n1.0,nan\n"))
 
     @pytest.mark.parametrize("row", ["1.0,0.5,0.2", "1.0", "1.0,0.5,"])
-    def test_csv_row_with_wrong_field_count_rejected(self, row):
+    def test_csv_row_with_wrong_field_count_rejected(self, tmp_path, row):
         with pytest.raises(ValueError):
-            GammaSeries.from_csv(f"time,gamma\n0.0,0.5\n{row}\n2.0,0.5\n")
+            GammaSeries.from_csv(write_file(tmp_path, f"time,gamma\n0.0,0.5\n{row}\n2.0,0.5\n"))
 
-    def test_csv_with_three_fields_on_every_row_rejected(self):
+    def test_csv_with_three_fields_on_every_row_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="two fields"):
-            GammaSeries.from_csv("time,gamma\n0.0,0.5,1\n1.0,0.5,1\n")
+            GammaSeries.from_csv(write_file(tmp_path, "time,gamma\n0.0,0.5,1\n1.0,0.5,1\n"))
 
     @pytest.mark.parametrize("row", ["1.0,abc", "one,0.5", "1.0;0.5"])
-    def test_csv_row_with_non_numeric_token_rejected(self, row):
+    def test_csv_row_with_non_numeric_token_rejected(self, tmp_path, row):
         with pytest.raises(ValueError):
-            GammaSeries.from_csv(f"time,gamma\n0.0,0.5\n{row}\n")
+            GammaSeries.from_csv(write_file(tmp_path, f"time,gamma\n0.0,0.5\n{row}\n"))
 
-    def test_csv_tolerates_blank_lines(self):
-        series = GammaSeries.from_csv("\ntime,gamma\n\n0.0,0.25\n\n\n1.0,0.5\n\n")
+    def test_csv_tolerates_blank_lines(self, tmp_path):
+        series = GammaSeries.from_csv(write_file(tmp_path, "\ntime,gamma\n\n0.0,0.25\n\n\n1.0,0.5\n\n"))
         assert series.times.tolist() == [0.0, 1.0]
         assert series.values.tolist() == [0.25, 0.5]
 
-    def test_csv_floats_match_python_parse_bit_for_bit(self, rng):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "time,gamma\r\n0.0,0.25\r\n1.0,0.5\r\n",
+            "\r\n \r\ntime,gamma\r\n\r\n0.0,0.25\r\n\r\n1.0,0.5\r\n\r\n",
+            "\n\n  \ntime,gamma\n0.0,0.25\n\n\n1.0,0.5\n",
+            "time,gamma\n0.0,0.25\n1.0,0.5",
+            "time,gamma\r\n0.0,0.25\r\n1.0,0.5",
+        ],
+        ids=["crlf", "crlf-blank-lines", "blank-lines-before-header", "no-final-newline", "crlf-no-final-newline"],
+    )
+    def test_csv_line_layouts_parse_alike(self, tmp_path, text):
+        series = GammaSeries.from_csv(write_file(tmp_path, text))
+        assert series.times.tolist() == [0.0, 1.0]
+        assert series.values.tolist() == [0.25, 0.5]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "header"),
+            ("\n \n", "header"),
+            ("time,gamma", "at least one sample"),
+            ("time,gamma\n", "at least one sample"),
+            ("\ntime,gamma\r\n\r\n  \n", "at least one sample"),
+        ],
+    )
+    def test_csv_without_samples_rejected(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=message):
+            GammaSeries.from_csv(write_file(tmp_path, text))
+
+    @pytest.mark.parametrize("text", ["time,gamma\n0.0,0.25\n  \n1.0,0.5\n", "time,gamma\n0.0,0.25\n1.0,0.5\n \n"])
+    def test_csv_whitespace_only_line_rejected(self, tmp_path, text):
+        with pytest.raises(ValueError):
+            GammaSeries.from_csv(write_file(tmp_path, text))
+
+    def test_csv_floats_match_python_parse_bit_for_bit(self, tmp_path, rng):
         values = np.concatenate([rng.random(2000), [0.0, 5e-324, 0.1, 1.0 - 2.0**-53, 1.0]])
         times = np.cumsum(rng.uniform(1e-9, 1e3, len(values)))
         text = GammaSeries(times, values).to_csv()
-        parsed = GammaSeries.from_csv(text)
+        parsed = GammaSeries.from_csv(write_file(tmp_path, text))
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert parsed.times.tobytes() == np.array([float(t) for t, _ in rows]).tobytes()
         assert parsed.values.tobytes() == values.tobytes()
