@@ -12,8 +12,6 @@ its log-likelihood gap to the empirical maximum-likelihood matrix. The
 from .inference import (
     LikelihoodReport,
     TransitionCounts,
-    bin_gamma,
-    bin_series,
     count_transitions,
     empirical_transition_matrix,
     load_reference_counts,
@@ -28,7 +26,6 @@ from .markov import (
     TransitionMatrix,
     is_irreducible,
     kernel_box_integral,
-    midpoint_distance,
     model1_transition_matrix,
     model2_transition_matrix,
     sq_exp_kernel,
@@ -65,8 +62,6 @@ __all__ = [
     "StrategyPartition",
     "TransitionCounts",
     "TransitionMatrix",
-    "bin_gamma",
-    "bin_series",
     "count_transitions",
     "default_partition",
     "default_region_config",
@@ -79,7 +74,6 @@ __all__ = [
     "kernel_box_integral",
     "load_reference_counts",
     "log_likelihood",
-    "midpoint_distance",
     "model1_transition_matrix",
     "model2_transition_matrix",
     "moving_average",

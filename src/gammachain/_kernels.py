@@ -1,6 +1,6 @@
 """Hot numerical kernels of the simulator: the latency update and the race.
 
-Both kernels work on the flat pair vector of a network: one weight per
+The latency update works on the flat pair vector of a network: one weight per
 unordered node pair in row-major upper-triangle order (``pair_indices``),
 with the sentinel 1e7 marking an inactive link. ``entry_pairs`` maps each
 off-diagonal matrix entry, row by row, to its pair; through it a pair vector

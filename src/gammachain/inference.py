@@ -12,6 +12,7 @@ assigns probability zero to an observed transition.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -23,6 +24,7 @@ from .network import GammaSeries
 from .partition import StrategyPartition, default_partition
 
 REFERENCE_COUNTS_FILE = "reference_counts.csv"
+_INTEGER_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,13 +63,15 @@ class TransitionCounts(ArrayEq):
 
     @classmethod
     def from_csv(cls, text: str, partition: StrategyPartition | None = None) -> "TransitionCounts":
+        """Read one comma-separated row of decimal integers a line; blank lines are skipped."""
         partition = partition or default_partition()
-        rows = [
-            [int(cell) for cell in line.split(",")]
-            for line in text.strip().splitlines()
-            if line.strip()
-        ]
-        return cls(np.asarray(rows, dtype=np.int64), partition)
+        rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("counts rows must all have the same number of cells")
+        for cell in (cell for row in rows for cell in row):
+            if not _INTEGER_CELL.fullmatch(cell):
+                raise ValueError(f"count {cell.strip()!r} is not a decimal integer")
+        return cls(np.asarray([[int(cell) for cell in row] for row in rows], dtype=np.int64), partition)
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -101,27 +105,6 @@ class LikelihoodReport:
         return obj
 
 
-def bin_gamma(value: float, partition: StrategyPartition) -> int:
-    """State index of a gamma value under the partition's binning rule.
-
-    Raises
-    ------
-    ValueError
-        If the value lies outside [0, 1].
-    """
-    return partition.index_of(value)
-
-
-def bin_series(values, partition: StrategyPartition) -> np.ndarray:
-    """Vectorized binning of many gamma values; NaN or values outside [0, 1] raise."""
-    arr = np.asarray(values, dtype=float)
-    if not np.all((arr >= 0) & (arr <= 1)):
-        raise ValueError("gamma values must lie in [0, 1]")
-    uppers = np.asarray([iv.upper for iv in partition])
-    idx = np.searchsorted(uppers, arr, side="right")
-    return np.minimum(idx, len(uppers) - 1)
-
-
 def count_transitions(series: GammaSeries, partition: StrategyPartition | None = None) -> TransitionCounts:
     """Accumulate consecutive-pair transitions of a series into counts.
 
@@ -135,7 +118,7 @@ def count_transitions(series: GammaSeries, partition: StrategyPartition | None =
     partition = partition or default_partition()
     if len(series) < 2:
         raise ValueError("need at least two samples to count transitions")
-    states = bin_series(series.values, partition)
+    states = partition.index_of(series.values)
     k = len(partition)
     flat = states[:-1] * k + states[1:]
     counts = np.bincount(flat, minlength=k * k).reshape(k, k)
@@ -159,7 +142,7 @@ def empirical_transition_matrix(counts: TransitionCounts) -> TransitionMatrix:
 def occupancy_fractions(series: GammaSeries, partition: StrategyPartition | None = None) -> StateDistribution:
     """Fraction of samples falling in each partition state."""
     partition = partition or default_partition()
-    states = bin_series(series.values, partition)
+    states = partition.index_of(series.values)
     k = len(partition)
     occ = np.bincount(states, minlength=k) / len(series)
     return StateDistribution(occ, partition.labels)
@@ -168,7 +151,7 @@ def occupancy_fractions(series: GammaSeries, partition: StrategyPartition | None
 def occupancy_from_counts(counts: TransitionCounts, series: GammaSeries) -> StateDistribution:
     """``occupancy_fractions`` of the series ``counts`` came from: each sample but the last opens one pair."""
     occ = counts.counts.sum(axis=1)
-    occ[bin_series(series.values[-1:], counts.partition)] += 1
+    occ[counts.partition.index_of(series.values[-1])] += 1
     return StateDistribution(occ / len(series), counts.labels)
 
 

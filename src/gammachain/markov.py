@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._frozen import ArrayEq, readonly
-from .partition import Interval, StrategyPartition
+from .partition import StrategyPartition
 
 _ROW_SUM_TOL = 1e-9
 _STATIONARY_RESIDUAL_TOL = 1e-10
@@ -53,9 +53,6 @@ class TransitionMatrix(ArrayEq):
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-    def rounded(self, decimals: int = 2) -> np.ndarray:
-        return np.round(self.entries, decimals)
 
     def to_json_obj(self) -> dict:
         return {
@@ -113,35 +110,6 @@ class KernelConfig:
 def _sig12(value: float) -> float:
     # 12 significant digits on serialized output; full precision stays in memory
     return float(f"{float(value):.12g}")
-
-
-def midpoint_distance(a, b) -> float:
-    """Distance between the midpoints of two intervals in [0, 1].
-
-    Parameters
-    ----------
-    a, b : Interval or (lower, upper) pair
-
-    Raises
-    ------
-    ValueError
-        If an interval has lower > upper or extends outside [0, 1].
-    """
-    ax, ay = _interval_bounds(a)
-    bx, by = _interval_bounds(b)
-    return abs((ax + (ay - ax) / 2.0) - (bx + (by - bx) / 2.0))
-
-
-def _interval_bounds(iv) -> tuple[float, float]:
-    if isinstance(iv, Interval):
-        lo, hi = iv.lower, iv.upper
-    else:
-        lo, hi = float(iv[0]), float(iv[1])
-    if lo > hi:
-        raise ValueError(f"interval has lower {lo} > upper {hi}")
-    if lo < 0.0 or hi > 1.0:
-        raise ValueError(f"interval [{lo}, {hi}] extends outside [0, 1]")
-    return lo, hi
 
 
 def model1_transition_matrix(partition: StrategyPartition) -> TransitionMatrix:
@@ -221,7 +189,7 @@ def model2_transition_matrix(
         def integral(a, b, c, d):
             return kernel_box_integral(a, b, c, d, scale)
     elif method == "quadrature":
-        # imported here: scipy.integrate costs about 0.6 s of every cold start
+        # imported here: scipy.integrate adds about 0.4 s to every cold start
         from scipy.integrate import nquad
 
         tol = {"limit": 200, "epsabs": 1e-10, "epsrel": 1e-10}

@@ -88,8 +88,9 @@ class RegionConfig(ArrayEq):
     Raises
     ------
     ValueError
-        If the field lengths disagree, a node count is negative, or the
-        latency matrix is not symmetric with finite positive entries.
+        If the field lengths disagree, a node count is negative or not a
+        whole number, or the latency matrix is not symmetric with finite
+        positive entries.
     """
 
     region_names: tuple[str, ...] = REGION_NAMES
@@ -99,6 +100,8 @@ class RegionConfig(ArrayEq):
     def __post_init__(self):
         names = tuple(str(n) for n in self.region_names)
         counts = tuple(int(c) for c in self.node_counts)
+        if counts != tuple(self.node_counts):
+            raise ValueError("node counts must be whole numbers")
         matrix = readonly(self.mean_latency)
         object.__setattr__(self, "region_names", names)
         object.__setattr__(self, "node_counts", counts)
@@ -156,7 +159,7 @@ class RegionConfig(ArrayEq):
     def from_json_obj(cls, obj: dict) -> "RegionConfig":
         return cls(
             tuple(obj["region_names"]),
-            tuple(int(c) for c in obj["node_counts"]),
+            tuple(obj["node_counts"]),
             np.asarray(obj["mean_latency"], dtype=float),
         )
 

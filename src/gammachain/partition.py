@@ -10,8 +10,9 @@ equal-fork-stubborn mining (EFSM).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 DEFAULT_BOUNDARIES = (0.0, 0.675, 0.76, 0.761, 1.0)
 DEFAULT_LABELS = ("HM", "SM", "LSM", "EFSM")
@@ -93,18 +94,14 @@ class StrategyPartition:
     def labels(self) -> tuple[str, ...]:
         return tuple(iv.label for iv in self.intervals)
 
-    @property
-    def boundaries(self) -> tuple[float, ...]:
-        return tuple(iv.lower for iv in self.intervals) + (1.0,)
-
     def lengths(self) -> tuple[float, ...]:
         return tuple(iv.length for iv in self.intervals)
 
     def midpoints(self) -> tuple[float, ...]:
         return tuple(iv.midpoint for iv in self.intervals)
 
-    def index_of(self, value: float) -> int:
-        """Index of the interval containing ``value``.
+    def index_of(self, values):
+        """Index of the interval containing each value, for a scalar or an array.
 
         Interior boundaries belong to the interval that starts there and
         1.0 belongs to the final interval.
@@ -112,12 +109,13 @@ class StrategyPartition:
         Raises
         ------
         ValueError
-            If ``value`` lies outside [0, 1].
+            If a value is NaN or lies outside [0, 1].
         """
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"value {value!r} outside [0, 1]")
-        uppers = [iv.upper for iv in self.intervals]
-        return min(bisect_right(uppers, value), len(uppers) - 1)
+        arr = np.asarray(values, dtype=float)
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
+            raise ValueError("gamma values must lie in [0, 1]")
+        uppers = np.asarray([iv.upper for iv in self.intervals])
+        return np.minimum(np.searchsorted(uppers, arr, side="right"), len(uppers) - 1)
 
     def to_json_obj(self) -> list[dict]:
         return [

@@ -498,11 +498,24 @@ class TestArgumentHandling:
             ("simulate", "--region-config", "{}"),
             ("simulate", "--region-config", "not json"),
             ("compare", "--counts", "0,0,0,0\n" * 3 + "0,0,0,100000000000000000000000\n"),
+            ("compare", "--counts", "0,0,0,0\n0,0,0\n" + "0,0,0,0\n" * 2),
+            ("compare", "--counts", "1_0,0,0,0\n" + "0,0,0,0\n" * 3),
+            (
+                "simulate",
+                "--region-config",
+                '{"region_names": ["a", "b"], "node_counts": [1.9, 2.9], '
+                '"mean_latency": [[10, 50], [50, 12]]}',
+            ),
+            ("compare", "--partition", b'\xff\xfe[{"lower": 0, "upper": 1, "label": "ALL"}]'),
+            ("analyze", "--series", b"time,gamma\n0,0.5\n1,0.\xe9\n"),
         ],
     )
     def test_malformed_input_file_exits_one(self, tmp_path, capsys, command, flag, text):
         path = tmp_path / "input"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         out = tmp_path / "out"
         assert run(out, command, flag, str(path)) == 1
         err = capsys.readouterr().err
@@ -511,3 +524,5 @@ class TestArgumentHandling:
         assert not out.exists()
         if text == "not json":
             assert f"malformed input file {path}: JSONDecodeError" in err
+        if isinstance(text, bytes):
+            assert f"malformed input file {path}: UnicodeDecodeError" in err

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from gammachain.inference import (
     LikelihoodReport,
     TransitionCounts,
-    bin_gamma,
-    bin_series,
     count_transitions,
     empirical_transition_matrix,
     load_reference_counts,
@@ -38,25 +36,25 @@ def series_of(values):
 class TestBinGamma:
     @pytest.mark.parametrize("value,expected", [(0.5, 0), (0.675, 1), (1.0, 3), (0.0, 0)])
     def test_examples(self, value, expected, partition):
-        assert bin_gamma(value, partition) == expected
+        assert partition.index_of(value) == expected
 
     def test_rejects_out_of_range(self, partition):
-        with pytest.raises(ValueError):
-            bin_gamma(-0.2, partition)
+        with pytest.raises(ValueError, match=r"gamma values must lie in \[0, 1\]"):
+            partition.index_of(-0.2)
 
     def test_vectorized_binning_matches_scalar(self, partition, rng):
         values = rng.random(500)
-        vector = bin_series(values, partition)
-        scalar = [bin_gamma(v, partition) for v in values]
+        vector = partition.index_of(values)
+        scalar = [partition.index_of(v) for v in values]
         assert vector.tolist() == scalar
 
     def test_vectorized_rejects_nan(self, partition):
-        with pytest.raises(ValueError):
-            bin_series(np.array([0.2, np.nan]), partition)
+        with pytest.raises(ValueError, match=r"gamma values must lie in \[0, 1\]"):
+            partition.index_of(np.array([0.2, np.nan]))
 
     def test_vectorized_rejects_out_of_range(self, partition):
-        with pytest.raises(ValueError):
-            bin_series([0.5, 1.2], partition)
+        with pytest.raises(ValueError, match=r"gamma values must lie in \[0, 1\]"):
+            partition.index_of([0.5, 1.2])
 
 
 class TestCountTransitions:
@@ -273,6 +271,19 @@ class TestCountsValue:
     def test_csv_round_trip(self, reference_counts):
         again = TransitionCounts.from_csv(reference_counts.to_csv())
         assert again == reference_counts
+
+    def test_csv_accepts_signs_and_padding(self, partition):
+        counts = TransitionCounts.from_csv(" 1 ,+2,-0,3\n\n" + "0,0,0,0\n" * 3, partition)
+        assert counts.counts[0].tolist() == [1, 2, 0, 3]
+
+    def test_csv_rejects_ragged_rows(self, partition):
+        with pytest.raises(ValueError, match="same number of cells"):
+            TransitionCounts.from_csv("1,2,3,4\n1,2,3\n" + "0,0,0,0\n" * 2, partition)
+
+    @pytest.mark.parametrize("cell", ["1_0", "1.0", "0x1", "", "١"])
+    def test_csv_rejects_non_decimal_cell(self, partition, cell):
+        with pytest.raises(ValueError, match="is not a decimal integer"):
+            TransitionCounts.from_csv(f"{cell},0,0,0\n" + "0,0,0,0\n" * 3, partition)
 
     def test_immutable(self, reference_counts):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from gammachain.markov import (
     TransitionMatrix,
     is_irreducible,
     kernel_box_integral,
-    midpoint_distance,
     model1_transition_matrix,
     model2_transition_matrix,
     sq_exp_kernel,
@@ -23,33 +22,6 @@ from gammachain.markov import (
 from gammachain.partition import Interval, StrategyPartition, default_partition
 
 from helpers import make_partition, grid_partitions
-
-
-class TestMidpointDistance:
-    def test_identical_intervals(self):
-        assert midpoint_distance((0.0, 0.675), (0.0, 0.675)) == 0.0
-
-    def test_first_two_default_intervals(self):
-        assert midpoint_distance((0.675, 0.76), (0.0, 0.675)) == pytest.approx(0.38)
-
-    def test_adjacent_narrow_intervals(self):
-        assert midpoint_distance((0.76, 0.761), (0.675, 0.76)) == pytest.approx(0.043)
-
-    def test_symmetry(self):
-        a, b = (0.1, 0.3), (0.6, 0.95)
-        assert midpoint_distance(a, b) == midpoint_distance(b, a)
-
-    def test_accepts_interval_objects(self):
-        part = default_partition()
-        assert midpoint_distance(part.intervals[0], part.intervals[1]) == pytest.approx(0.38)
-
-    def test_rejects_reversed_bounds(self):
-        with pytest.raises(ValueError):
-            midpoint_distance((0.5, 0.2), (0.0, 1.0))
-
-    def test_rejects_out_of_unit_interval(self):
-        with pytest.raises(ValueError):
-            midpoint_distance((0.0, 1.5), (0.0, 1.0))
 
 
 class TestModel1:
@@ -308,10 +280,6 @@ class TestSerialization:
         again = TransitionMatrix.from_json_obj(obj)
         assert again.to_json_obj() == obj
         assert np.abs(again.entries - matrix.entries).max() < 1e-11
-
-    def test_rounded_matches_two_decimal_print(self):
-        matrix = model1_transition_matrix(default_partition())
-        assert matrix.rounded()[0, 0] == pytest.approx(0.81)
 
     def test_csv_has_one_row_per_state(self):
         csv = model1_transition_matrix(default_partition()).to_csv()

@@ -73,6 +73,15 @@ class TestRegionConfig:
         config = default_region_config()
         assert config.scaled_to(100) is config
 
+    def test_rejects_fractional_node_counts(self):
+        obj = {**default_region_config().to_json_obj(), "node_counts": [33.5, 50, 1, 12, 2, 1.5]}
+        with pytest.raises(ValueError, match="whole numbers"):
+            RegionConfig.from_json_obj(obj)
+
+    def test_accepts_integral_floats(self):
+        obj = {**default_region_config().to_json_obj(), "node_counts": [33.0, 50, 1, 12, 2, 2]}
+        assert RegionConfig.from_json_obj(obj) == default_region_config()
+
     def test_rejects_asymmetric_latency(self):
         matrix = np.asarray(DEFAULT_MEAN_LATENCY, dtype=float).copy()
         matrix[0, 1] = 999.0
@@ -93,14 +102,6 @@ class TestRegionConfig:
     def test_json_round_trip(self):
         config = default_region_config()
         assert RegionConfig.from_json_obj(json.loads(json.dumps(config.to_json_obj()))) == config
-
-    def test_packaged_fixture_matches_default(self):
-        from importlib import resources
-
-        text = (
-            resources.files("gammachain").joinpath("data", "region_config.json").read_text()
-        )
-        assert RegionConfig.from_json_obj(json.loads(text)) == default_region_config()
 
 
 class TestInitNetwork:
