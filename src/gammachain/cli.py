@@ -34,7 +34,6 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import dataclass
 from os import environ
 from pathlib import Path
 
@@ -84,15 +83,6 @@ class ArtifactWriter:
         path.write_text(text, encoding="utf-8")
         self.written.append(path)
         return path
-
-
-@dataclass(frozen=True)
-class AnalyzeResult:
-    counts: TransitionCounts
-    empirical: TransitionMatrix
-    stationary: StateDistribution | None
-    # the empirical_stationary.json object; holds a note when stationary is None
-    stationary_obj: dict
 
 
 def _dumps(obj) -> str:
@@ -222,7 +212,8 @@ def cmd_simulate(
 def cmd_analyze(
     args: argparse.Namespace, writer: ArtifactWriter,
     series: GammaSeries | None = None, partition: StrategyPartition | None = None,
-) -> AnalyzeResult:
+) -> tuple[TransitionCounts, StateDistribution | None, dict]:
+    """Write the analysis; return the counts, the stationary distribution (None if the solve fails) and its JSON."""
     partition = partition or _load_partition(args)
     if series is None and args.series is not None:
         series = _read(args.series, GammaSeries.from_csv, text=False)
@@ -251,7 +242,7 @@ def cmd_analyze(
         print(f"empirical stationary distribution: {_render_weights(stationary)}")
     else:
         print(f"empirical stationary distribution unavailable: {note}")
-    return AnalyzeResult(counts, empirical, stationary, stationary_obj)
+    return counts, stationary, stationary_obj
 
 
 def cmd_compare(
@@ -295,15 +286,15 @@ def cmd_pipeline(args: argparse.Namespace, writer: ArtifactWriter) -> None:
     # every input file is read before the first write, so a bad one leaves --out empty
     partition = _load_partition(args)
     series = cmd_simulate(args, writer, _load_region_config(args))
-    analysis = cmd_analyze(args, writer, series, partition)
-    report, (matrix1, matrix2) = cmd_compare(args, writer, analysis.counts, partition)
+    counts, stationary, stationary_obj = cmd_analyze(args, writer, series, partition)
+    report, (matrix1, matrix2) = cmd_compare(args, writer, counts, partition)
     pi1 = stationary_distribution(matrix1)
     pi2 = stationary_distribution(matrix2)
     summary = {
         "stationary": {
             "model1": pi1.to_json_obj(),
             "model2": pi2.to_json_obj(),
-            "empirical": analysis.stationary_obj,
+            "empirical": stationary_obj,
         },
         "relative_likelihood": {
             entry["model_name"]: entry["relative_likelihood"]
@@ -315,10 +306,10 @@ def cmd_pipeline(args: argparse.Namespace, writer: ArtifactWriter) -> None:
     print("stationary distributions (model1, model2, empirical):")
     print(f"  model1    {_render_weights(pi1)}")
     print(f"  model2    {_render_weights(pi2)}")
-    if analysis.stationary is not None:
-        print(f"  empirical {_render_weights(analysis.stationary)}")
+    if stationary is not None:
+        print(f"  empirical {_render_weights(stationary)}")
     else:
-        print(f"  empirical unavailable: {analysis.stationary_obj['note']}")
+        print(f"  empirical unavailable: {stationary_obj['note']}")
 
 
 _DISPATCH = {

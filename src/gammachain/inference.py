@@ -52,7 +52,8 @@ class TransitionCounts(ArrayEq):
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        # python ints: valid int64 cells can sum past 2**63
+        return int(self.counts.sum(dtype=object))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -87,7 +88,7 @@ class LikelihoodReport:
     log_likelihood: float
 
     def __post_init__(self):
-        if not (self.relative_likelihood >= 0 or math.isnan(self.relative_likelihood)):
+        if not self.relative_likelihood >= 0:
             raise ValueError("relative likelihood must be non-negative")
 
     def to_json_obj(self) -> dict:
@@ -159,7 +160,8 @@ def log_likelihood(model: TransitionMatrix, counts: TransitionCounts) -> float:
     """Sum of count-weighted log transition probabilities.
 
     Cells with zero counts contribute nothing regardless of the model
-    probability; an observed cell with model probability zero makes the
+    probability; an observed cell with model probability zero (or the
+    rounding residue below it that ``TransitionMatrix`` admits) makes the
     whole value -inf.
 
     Raises
@@ -171,7 +173,7 @@ def log_likelihood(model: TransitionMatrix, counts: TransitionCounts) -> float:
         raise ValueError("model and counts dimensions disagree")
     observed = counts.counts > 0
     theta = model.entries[observed]
-    if np.any(theta == 0.0):
+    if np.any(theta <= 0.0):
         return float("-inf")
     weights = counts.counts[observed].astype(float)
     return float((weights * np.log(theta)).sum())
@@ -184,7 +186,7 @@ def relative_likelihood(model: TransitionMatrix, counts: TransitionCounts) -> fl
     on every observed cell, +inf when the model zeroes an observed cell.
     """
     best = log_likelihood(empirical_transition_matrix(counts), counts)
-    return best - log_likelihood(model, counts)
+    return max(best - log_likelihood(model, counts), 0.0)
 
 
 def score_model(name: str, model: TransitionMatrix, counts: TransitionCounts) -> LikelihoodReport:

@@ -60,10 +60,6 @@ class TransitionMatrix(ArrayEq):
             "entries": [[_sig12(v) for v in row] for row in self.entries],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "TransitionMatrix":
-        return cls(np.asarray(obj["entries"], dtype=float), tuple(obj["labels"]))
-
     def to_csv(self) -> str:
         return "\n".join(",".join(f"{v:.12g}" for v in row) for row in self.entries) + "\n"
 
@@ -147,16 +143,14 @@ def kernel_box_integral(a: float, b: float, c: float, d: float, length_scale: fl
     difference of error functions in y; integrating again uses the erf
     antiderivative E(s) = s*erf(s) + (exp(-s**2) - 1)/sqrt(pi), yielding
     l**2 * sqrt(pi) * (E((b-c)/h) - E((b-d)/h) - E((a-c)/h) + E((a-d)/h))
-    with h = l*sqrt(2).
+    with h = l*sqrt(2). The four terms cancel where the integral is near zero,
+    so a result that rounds below zero is returned as zero: the integrand is
+    positive.
     """
     h = length_scale * math.sqrt(2.0)
     ee = _erf_antiderivative
-    return (
-        length_scale
-        * length_scale
-        * math.sqrt(math.pi)
-        * (ee((b - c) / h) - ee((b - d) / h) - ee((a - c) / h) + ee((a - d) / h))
-    )
+    terms = ee((b - c) / h) - ee((b - d) / h) - ee((a - c) / h) + ee((a - d) / h)
+    return max(0.0, length_scale * length_scale * math.sqrt(math.pi) * terms)
 
 
 def model2_transition_matrix(
@@ -176,8 +170,9 @@ def model2_transition_matrix(
         Kernel length scale, default 0.25.
     method : {"closed_form", "quadrature"}
         "closed_form" evaluates the error-function formula and is
-        authoritative; "quadrature" integrates adaptively and is retained
-        as an independent cross-check (absolute tolerance 1e-10).
+        authoritative; "quadrature" integrates adaptively with scipy, which
+        it needs, and is retained as an independent cross-check (absolute
+        tolerance 1e-10).
     """
     k = len(partition)
     # python floats: an overflowed scale yields inf or nan without a warning
@@ -189,7 +184,8 @@ def model2_transition_matrix(
         def integral(a, b, c, d):
             return kernel_box_integral(a, b, c, d, scale)
     elif method == "quadrature":
-        # imported here: scipy.integrate adds about 0.4 s to every cold start
+        # imported here: scipy is only a dev dependency, and scipy.integrate
+        # adds about 0.4 s to a cold start
         from scipy.integrate import nquad
 
         tol = {"limit": 200, "epsabs": 1e-10, "epsrel": 1e-10}
@@ -233,25 +229,21 @@ def stationary_distribution(matrix: TransitionMatrix) -> StateDistribution:
     """Solve pi = pi P with sum(pi) = 1 for an irreducible chain.
 
     The singular balance system is closed by replacing one equation with the
-    normalization constraint. The transition system has rank k - 1 for an
-    irreducible chain; a larger deficiency is reported as an error rather
-    than silently solved.
+    normalization constraint; eigenvalue 1 of an irreducible chain is simple
+    (Perron-Frobenius), so the closed system is nonsingular.
 
     Raises
     ------
     ValueError
-        If the chain is not irreducible, the rank deficiency exceeds one,
-        or the solution fails the residual bound 1e-10.
+        If the chain is not irreducible or the solution fails the residual
+        bound 1e-10.
     """
     if not is_irreducible(matrix):
         raise ValueError(
             "chain is not irreducible: stationary distribution is not unique"
         )
     k = matrix.size
-    balance = matrix.entries.T - np.eye(k)
-    if np.linalg.matrix_rank(balance) < k - 1:
-        raise ValueError("balance system rank deficiency exceeds one")
-    system = balance.copy()
+    system = matrix.entries.T - np.eye(k)
     system[-1, :] = 1.0
     rhs = np.zeros(k)
     rhs[-1] = 1.0

@@ -238,7 +238,6 @@ class GammaSeries(ArrayEq):
 
     times: np.ndarray
     values: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         times = readonly(self.times)
@@ -268,7 +267,7 @@ class GammaSeries(ArrayEq):
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, path, seed: int | None = None) -> "GammaSeries":
+    def from_csv(cls, path) -> "GammaSeries":
         """Read a series file: the header ``time,gamma``, then one ``time,gamma`` row a line."""
         with open(path, encoding="utf-8") as fh:
             lines = enumerate(map(str.strip, fh), 1)
@@ -282,7 +281,7 @@ class GammaSeries(ArrayEq):
         rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip, encoding="utf-8")
         if rows.shape[1] != 2:
             raise ValueError("series CSV rows must hold two fields, time and gamma")
-        return cls(rows[:, 0], rows[:, 1], seed)
+        return cls(rows[:, 0], rows[:, 1])
 
 
 def _pair_means(config: RegionConfig, region_of: np.ndarray) -> np.ndarray:
@@ -546,11 +545,10 @@ def simulate_gamma_series(
             flat = _evolve_flat(flat, means, gaps[step - 1], activation, rng, matrix)
         attacker, honest = _draw_node_pair(rng, n)
         values[step] = _gamma(fill_off_diagonal(matrix, flat), attacker, honest)
-    stored_seed = int(seed) if isinstance(seed, (int, np.integer)) else None
-    return GammaSeries(times, values, stored_seed)
+    return GammaSeries(times, values)
 
 
 def moving_average(series: GammaSeries) -> GammaSeries:
     """Cumulative mean of the series, times preserved."""
     counts = np.arange(1, len(series) + 1, dtype=float)
-    return GammaSeries(series.times, np.cumsum(series.values) / counts, series.seed)
+    return GammaSeries(series.times, np.cumsum(series.values) / counts)

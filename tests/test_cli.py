@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import platform
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+import gammachain
 from gammachain import cli
 from gammachain.inference import TransitionCounts
 from gammachain.markov import TransitionMatrix, model1_transition_matrix
@@ -17,11 +19,13 @@ from helpers import write_file
 
 FIXTURE_SERIES = "time,gamma\n0.0,0.1\n1.0,0.2\n2.0,0.7\n3.0,0.9\n"
 
-# sha256 of every analyze artifact, and of its stdout without the "wrote" lines,
-# as written when the series reader parsed the file's text from memory. Reading
-# the file by path and binning the series once must not move a byte.
-ANALYZE_DIGESTS = {
-    "benchmark-shaped": {
+# sha256 of every artifact of each pinned run, and of its stdout without the
+# "wrote" lines. run_metadata.json is hashed with "versions" removed, so that a
+# Python patch release does not move it; its three keys are asserted apart. The
+# seeded runs depend on numpy's Generator stream, as the seed-3 digests do. A pin
+# changes only on purpose, with a CHANGES.md line.
+CLI_DIGESTS = {
+    "analyze benchmark-shaped": {
         "empirical_matrix.csv": "de6edf4eb1ba6dbbd4b992853ac272adb2fd690217a98b99c7d23fcb8e286de0",
         "empirical_matrix.json": "19459c46331bf6c8012c886a45e30ad8564028e466b4a109ec78cdb3051ecb38",
         "empirical_stationary.json": "1bc6017de57dab5348b643737729588305f6edcc8bac802cc508b2a210bc9585",
@@ -29,7 +33,7 @@ ANALYZE_DIGESTS = {
         "transition_counts.csv": "3b9ea796a0c505d5493b42eba5034437dee1eeee96918bb3c001f06d238ab477",
         "stdout": "aeaa08bac40cd4bae89b084df13622bdef6328199866463eb7bacb1262a89393",
     },
-    "simulated": {
+    "analyze simulated": {
         "empirical_matrix.csv": "77b9582353e6b2db96087bc4acc5b1fead146ec0b0df9ab3d07399685c8a1aa1",
         "empirical_matrix.json": "74a994af72fe374e2dd370dce66504abd8546596c882b6ecd3f33d122ee75a49",
         "empirical_stationary.json": "48e6d7bb35b95179604e12b917d4d704b6330ba309117aec7eca399c37651cc2",
@@ -37,7 +41,67 @@ ANALYZE_DIGESTS = {
         "transition_counts.csv": "a18855eb2514beec38c0dac9a692f16b5b24a377b35dd482431441aa05e9adb3",
         "stdout": "a56fa674a3fc776e7b2271c1cc54d177b5eea17229ddc73850455984d6d79e92",
     },
+    "model --kind midpoint": {
+        "model_midpoint_matrix.csv": "10539f2df651c1d04f375339b97aab99936f430ccb8b10e78293ed023d87e4bd",
+        "model_midpoint_matrix.json": "5ba4c7cf74d6055370d72423d49bf3d70d6d262775bc26c52d347d4a0c22e576",
+        "model_midpoint_stationary.csv": "316ce706bdc531d2ad4341c3f6cd25dc8b9daceaea90e3b8d5cfd7fcf0346738",
+        "model_midpoint_stationary.json": "8c8a6ebfde18a62d5c1bc346395be49ec31d01e5d3c3b0b30914eabc50f6d78e",
+        "stdout": "6cd4d224ef1f7d0d52bc1b847f7dd558c0a33bc63ec708b33c9bef3bb5742550",
+    },
+    "model --kind kernel": {
+        "model_kernel_matrix.csv": "28e2514f125ec2d80791de907ccdd24e8f19e31b7ab342cbae71c0ede0456ebb",
+        "model_kernel_matrix.json": "37eba067683cefb17fb1b37f08cb8179a74ed1abc88e1a82dafeece3d1b87d85",
+        "model_kernel_stationary.csv": "0a3b3acd46973c259875aa5cebe465c4fff9b0567b3e881c97292d149e111f6e",
+        "model_kernel_stationary.json": "4c92324d53f2ec4697748afc494b3e20ff1443bf87dcb9f51e3a07a0e3ce98c5",
+        "stdout": "beb304c75046acc8f86095370595f900d590d3cb7eb5f2c48357f0ebb7c52f46",
+    },
+    "simulate --steps 300 --seed 7 --label pinned": {
+        "moving_average.csv": "a3a1df2c9d1f00e5611d8c4c2c4919d2236fd8d9138ac647ce215d322cb5b76e",
+        "plot_data.csv": "b2f19d20d8e9f047ba9128e481b3cb7e0e174a5e48e895f5c89b140b395010a4",
+        "run_metadata.json": "9a32bc130f3d429be6ce8c37d949765f4037927931b132466243c21bd2a1a249",
+        "series.csv": "0ea63f00d2cfe72f5d451de5d3a5e916ea2140f9926a210d48db3ed66edc30d2",
+        "stdout": "d9100cdc09cdeb5e5b142a026ad0e8f1f6efaafb551a468ad3680c0854588c58",
+    },
+    "compare": {
+        "comparison.json": "7e6cf10f06d9870d252d38eff19e2df77c9c47fd282bea01e2028e6d676b4d23",
+        "stdout": "dbc2440d665e246817d19708fbe00bbc42cad41812b36634ab9f8da7511cefaf",
+    },
+    "compare --counts {counts}": {
+        "comparison.json": "9027a41c3523ca97d4fb0ddf5397dd6ccd6184a6594cbbcf1a6c21eadbd0c066",
+        "stdout": "26b3a4d038ac0adc42a3e5c6d117b3f4c6dd851e0a5f0cc8af9919772b30a409",
+    },
+    "pipeline --steps 300 --seed 7": {
+        "comparison.json": "ca98958fbf05dfd67615b26d721d2ec442a82468405dac16837cc33a668fa650",
+        "empirical_matrix.csv": "ebe615476d909e4512b22cf80ccabcc3b5deca07c92518f3444009fd55d34750",
+        "empirical_matrix.json": "6e9c7e81110d8a73f0b62b497047aabe7e4382ed71ba9ff6d7e225493156aa7c",
+        "empirical_stationary.json": "48e6d7bb35b95179604e12b917d4d704b6330ba309117aec7eca399c37651cc2",
+        "moving_average.csv": "a3a1df2c9d1f00e5611d8c4c2c4919d2236fd8d9138ac647ce215d322cb5b76e",
+        "occupancy.json": "d4ea68ec21e5e2ea1e90087f08ce2de9714ce9bcabcedb7638f9494f03e86d40",
+        "plot_data.csv": "b2f19d20d8e9f047ba9128e481b3cb7e0e174a5e48e895f5c89b140b395010a4",
+        "run_metadata.json": "809fa45a859249720a24ae473e0fcb83a45240faf930588b76db6ac7087c1159",
+        "series.csv": "0ea63f00d2cfe72f5d451de5d3a5e916ea2140f9926a210d48db3ed66edc30d2",
+        "summary.json": "353383bd067312fa90e0f964416d68faf5274ca225bc5c971f57042331427774",
+        "transition_counts.csv": "c74c2d58e4c0ad9e6dd4c175d95cfb59ee79d29bd36139ee10ffbaa550b47e1b",
+        "stdout": "0870b23f0f428a6a6ad4cf2dfe3fb47b45be9589d746f449d5ce28e57e7785e5",
+    },
+    "pipeline --nodes 400 --steps 30 --seed 7": {
+        "comparison.json": "c8634e3f505ce9038f3c4b021d7cfa5e6138ee750f85dfe5e692f12d00afed1a",
+        "empirical_matrix.csv": "77b9582353e6b2db96087bc4acc5b1fead146ec0b0df9ab3d07399685c8a1aa1",
+        "empirical_matrix.json": "74a994af72fe374e2dd370dce66504abd8546596c882b6ecd3f33d122ee75a49",
+        "empirical_stationary.json": "48e6d7bb35b95179604e12b917d4d704b6330ba309117aec7eca399c37651cc2",
+        "moving_average.csv": "38c31e1df2bf47b048785e5892955f62815301a26383d32c0e534929291f9d52",
+        "occupancy.json": "4516e290f73752ba24c5c4d897ca63f48a4eb9f609284ef8e115375b758b86ab",
+        "plot_data.csv": "7fc0bd2d8c0a8fd2b8e9832dc11f33d67e8e11e5a41af3a695b4030400bf9397",
+        "run_metadata.json": "d9a0e2c2fa5270fec9399febecdee7ac6db86ddfc6367eee045d8a495f9669d3",
+        "series.csv": "193fa006d91e99e106076a991acdd187cb1b21d93d732edb4e9f97adefec0521",
+        "summary.json": "bb79d1f677d32180e62693a5c07476b03c41f16791024ef4014b9ba627d04b71",
+        "transition_counts.csv": "e50d462aee13a3db73b3725c723b49fff77fd3b1d02de20be05c2fe15d157ca0",
+        "stdout": "b6b45511dae1bda74a7645cd085d9d017da6a7ee2095c9de15bb2b95e04933fc",
+    },
 }
+
+# the counts file of the pinned `compare --counts` run
+PINNED_COUNTS = "120,30,5,1\n40,60,20,2\n3,15,25,9\n0,2,8,14\n"
 
 # config_hash of `simulate --steps 5 --seed 3` with every other flag at its default
 SIMULATE_CONFIG_HASH = "d9902f3b4ba8f403388f31b840ede7e4bec6ed8853ed14e7126b3df83d3e8265"
@@ -50,6 +114,27 @@ def benchmark_shaped_series(rows=3000):
 
 def run(tmp_path, *args):
     return cli.main([*args, "--out", str(tmp_path)])
+
+
+def assert_pinned(name, out, stdout):
+    """Every artifact in ``out``, and ``stdout`` less its "wrote" lines, match ``CLI_DIGESTS[name]``."""
+    digests = {}
+    for path in out.iterdir():
+        data = path.read_bytes()
+        if path.name == "run_metadata.json":
+            metadata = json.loads(data)
+            versions = metadata.pop("versions")
+            assert versions["gammachain"] == gammachain.__version__
+            assert versions["python"] == platform.python_version()
+            assert versions["numpy"] == np.__version__
+            assert len(versions) == 3
+            data = json.dumps(metadata, indent=2).encode()
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    kept = "".join(line for line in stdout.splitlines(True) if not line.startswith("wrote "))
+    digests["stdout"] = hashlib.sha256(kept.encode()).hexdigest()
+    expected = CLI_DIGESTS[name]
+    moved = sorted(key for key in digests.keys() | expected.keys() if digests.get(key) != expected.get(key))
+    assert not moved, f"`{name}` moved from its pin: {', '.join(moved)} (numpy {np.__version__})"
 
 
 class TestModelCommand:
@@ -66,7 +151,8 @@ class TestModelCommand:
     def test_matrix_json_round_trips(self, tmp_path):
         run(tmp_path, "model", "--kind", "midpoint")
         text = (tmp_path / "model_midpoint_matrix.json").read_text()
-        again = TransitionMatrix.from_json_obj(json.loads(text))
+        obj = json.loads(text)
+        again = TransitionMatrix(obj["entries"], obj["labels"])
         exact = model1_transition_matrix(default_partition())
         assert np.abs(again.entries - exact.entries).max() < 1e-11
 
@@ -254,7 +340,7 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err == "error: series must contain at least one sample\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", sorted(ANALYZE_DIGESTS))
+    @pytest.mark.parametrize("source", ["benchmark-shaped", "simulated"])
     def test_artifacts_match_pinned_digests(self, tmp_path, capsys, source):
         if source == "simulated":
             assert run(tmp_path / "sim", "simulate", "--steps", "200", "--seed", "3") == 0
@@ -264,10 +350,7 @@ class TestAnalyzeCommand:
         capsys.readouterr()
         out = tmp_path / "out"
         assert run(out, "analyze", "--series", str(series_file)) == 0
-        stdout = "".join(line for line in capsys.readouterr().out.splitlines(True) if not line.startswith("wrote "))
-        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
-        digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
-        assert digests == ANALYZE_DIGESTS[source]
+        assert_pinned(f"analyze {source}", out, capsys.readouterr().out)
 
     def test_without_series_simulates(self, tmp_path):
         assert run(tmp_path, "analyze", "--steps", "40", "--seed", "5") == 0
@@ -331,6 +414,37 @@ class TestCompareCommand:
         assert "note" not in report["models"][0]
         assert report["verdict"] == "model1 preferred"
 
+    def test_kernel_entry_rounding_below_zero_is_probability_zero(self, tmp_path):
+        # at this scale the closed form once gave a slightly negative model2 entry
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(tmp_path, "compare", "--length-scale", "0.005125") == 0
+        assert caught == []
+        report = json.loads((tmp_path / "comparison.json").read_text())
+        model1, model2 = report["models"]
+        assert model1["relative_likelihood"] == pytest.approx(231.182865, abs=1e-4)
+        assert model2["relative_likelihood"] is None
+        assert report["verdict"] == "model1 preferred"
+
+    def test_counts_proportional_to_a_model_score_zero(self, tmp_path):
+        # the log-likelihood gap of these counts to model1 rounds to about -2.4e-7
+        entries = model1_transition_matrix(default_partition()).entries
+        rows = np.rint(entries * 483293023.85717523).astype(np.int64)
+        counts_file = write_file(tmp_path, "".join(",".join(map(str, row)) + "\n" for row in rows))
+        out = tmp_path / "out"
+        assert run(out, "compare", "--counts", str(counts_file)) == 0
+        report = json.loads((out / "comparison.json").read_text())
+        assert report["models"][0]["relative_likelihood"] == 0.0
+        assert report["verdict"] == "model1 preferred"
+
+    def test_counts_total_is_exact_past_int64(self, tmp_path):
+        big = 4_000_000_000_000_000_000
+        text = f"{big},{big},{big},1\n" + "1,1,1,1\n" * 3
+        out = tmp_path / "out"
+        assert run(out, "compare", "--counts", str(write_file(tmp_path, text))) == 0
+        report = json.loads((out / "comparison.json").read_text())
+        assert report["counts_total"] == 3 * big + 13
+
 
 class TestPipelineCommand:
     def test_minimal_run_completes(self, tmp_path):
@@ -383,6 +497,15 @@ class TestPipelineCommand:
     def test_rejects_single_step(self, tmp_path, capsys):
         assert run(tmp_path, "pipeline", "--steps", "1") == 1
         assert "two steps" in capsys.readouterr().err
+
+
+class TestPinnedArtifacts:
+    @pytest.mark.parametrize("command", [name for name in CLI_DIGESTS if not name.startswith("analyze ")])
+    def test_artifacts_match_pinned_digests(self, tmp_path, capsys, command):
+        counts_file = write_file(tmp_path, PINNED_COUNTS, "counts.csv")
+        out = tmp_path / "out"
+        assert run(out, *command.format(counts=counts_file).split()) == 0
+        assert_pinned(command, out, capsys.readouterr().out)
 
 
 class TestArgumentHandling:

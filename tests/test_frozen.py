@@ -28,8 +28,8 @@ CASES = [
     (CentralityVector, dict(scores=[0.6, 0.8]), dict(scores=[0.8, 0.6])),
     (
         GammaSeries,
-        dict(times=[0.0, 1.0], values=[0.1, 0.2], seed=3),
-        dict(times=[0.0, 2.0], values=[0.1, 0.3], seed=None),
+        dict(times=[0.0, 1.0], values=[0.1, 0.2]),
+        dict(times=[0.0, 2.0], values=[0.1, 0.3]),
     ),
     (
         TransitionMatrix,

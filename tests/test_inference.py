@@ -174,6 +174,16 @@ class TestRelativeLikelihood:
         model = TransitionMatrix(np.eye(4), partition.labels)
         assert relative_likelihood(model, counts) == float("inf")
 
+    def test_rounding_residue_below_zero_scores_inf(self, partition):
+        # TransitionMatrix admits entries down to -1e-12; such an entry is probability zero
+        raw = np.zeros((4, 4), dtype=np.int64)
+        raw[0, 1] = 1
+        counts = TransitionCounts(raw, partition)
+        entries = np.eye(4)
+        entries[0, :2] = [1.0 + 1e-13, -1e-13]
+        model = TransitionMatrix(entries, partition.labels)
+        assert relative_likelihood(model, counts) == float("inf")
+
     def test_worse_log_likelihood_means_larger_relative_likelihood(self, reference_counts):
         part = default_partition()
         m1, m2 = model1_transition_matrix(part), model2_transition_matrix(part)

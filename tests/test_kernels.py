@@ -207,23 +207,25 @@ def test_race_reads_rows_as_out_links_and_ignores_the_diagonal(diagonal, top, rn
             assert np.array_equal(dist[source], dijkstra_numpy(weights, source))
 
 
-def test_simulation_leaves_scipy_sparse_unimported():
+def test_simulation_leaves_scipy_sparse_unimported(tmp_path):
+    # numpy is the only runtime dependency: no command may load any scipy module
+    commands = ["model --kind kernel", "simulate --steps 5", "analyze --steps 5", "compare", "pipeline --steps 5"]
     code = (
         "import sys\n"
-        "import numpy as np\n"
-        "from gammachain.network import simulate_gamma_series\n"
-        "simulate_gamma_series(np.arange(5.0), seed=3)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+        "from gammachain import cli\n"
+        "for command in sys.argv[2:]:\n"
+        "    assert cli.main([*command.split(), '--out', sys.argv[1]]) == 0, command\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
     child = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(tmp_path), *commands],
         env=subprocess_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "[]"
+    assert child.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7])

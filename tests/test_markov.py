@@ -1,6 +1,7 @@
 """Analytical transition models, kernel integrals, and the stationary solver."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -150,6 +151,21 @@ class TestModel2:
         quad = model2_transition_matrix(part, config, method="quadrature").entries
         assert np.abs(closed - quad).max() < 1e-9
 
+    def test_no_entry_negative_at_small_length_scales(self):
+        # the four-term erf sum cancels where a box integral is near zero
+        part = default_partition()
+        for length_scale in np.geomspace(1e-5, 1.0, 400):
+            entries = model2_transition_matrix(part, KernelConfig(float(length_scale))).entries
+            assert (entries >= 0.0).all(), length_scale
+
+    def test_quadrature_alone_needs_scipy(self, monkeypatch):
+        part = default_partition()
+        closed = model2_transition_matrix(part)
+        monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+        assert model2_transition_matrix(part) == closed
+        with pytest.raises(ImportError):
+            model2_transition_matrix(part, method="quadrature")
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             model2_transition_matrix(default_partition(), method="simpson")
@@ -277,7 +293,7 @@ class TestSerialization:
     def test_matrix_json_round_trip_is_idempotent(self):
         matrix = model1_transition_matrix(default_partition())
         obj = matrix.to_json_obj()
-        again = TransitionMatrix.from_json_obj(obj)
+        again = TransitionMatrix(obj["entries"], obj["labels"])
         assert again.to_json_obj() == obj
         assert np.abs(again.entries - matrix.entries).max() < 1e-11
 

@@ -370,7 +370,7 @@ class TestGammaOf:
 class TestGammaSeries:
     def test_csv_round_trip_is_exact(self, tmp_path):
         series = GammaSeries(
-            np.array([0.0, 1.0, 2.0]), np.array([0.123456789012345, 0.5, 0.98]), seed=4
+            np.array([0.0, 1.0, 2.0]), np.array([0.123456789012345, 0.5, 0.98])
         )
         again = GammaSeries.from_csv(write_file(tmp_path, series.to_csv()))
         assert np.array_equal(again.times, series.times)
@@ -487,11 +487,10 @@ class TestSimulateGammaSeries:
             schedule, seed=2
         )
 
-    def test_times_and_seed_recorded(self):
+    def test_times_recorded(self):
         schedule = np.array([0.0, 0.5, 2.5])
         series = simulate_gamma_series(schedule, seed=11)
         assert np.array_equal(series.times, schedule)
-        assert series.seed == 11
 
     def test_values_within_reachable_range(self):
         series = simulate_gamma_series(np.arange(60, dtype=float), seed=23)
@@ -566,8 +565,7 @@ class TestMovingAverage:
         series = GammaSeries(np.arange(3, dtype=float), np.array([0.2, 0.4, 0.6]))
         assert moving_average(series).values == pytest.approx([0.2, 0.3, 0.4])
 
-    def test_times_and_seed_preserved(self):
-        series = GammaSeries(np.array([0.0, 2.0]), np.array([0.1, 0.3]), seed=8)
+    def test_times_preserved(self):
+        series = GammaSeries(np.array([0.0, 2.0]), np.array([0.1, 0.3]))
         averaged = moving_average(series)
         assert np.array_equal(averaged.times, series.times)
-        assert averaged.seed == 8
