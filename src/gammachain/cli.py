@@ -23,8 +23,11 @@ Artifacts land in ``--out`` (default: the GAMMACHAIN_OUT_DIR environment
 variable when set, else the working directory). Matrices print to stdout
 rounded to two decimals; files persist full precision. Every command is
 deterministic given its flags, so re-runs rewrite byte-identical files.
-Exit status is 2 when a flag is rejected, 1 when the run fails, and 0
-exactly when all requested artifacts were written.
+``main`` reads every input file the command is given before it runs, and
+writes the artifacts only after the command has computed all of them, so
+a run that exits 1 or 2 leaves ``--out`` as it found it, unless writing is
+what failed. Exit status is 2 when a flag is rejected, 1 when the run
+fails, and 0 exactly when all requested artifacts were written.
 """
 
 from __future__ import annotations
@@ -66,23 +69,6 @@ from .network import (
 from .partition import StrategyPartition, default_partition
 
 OUT_DIR_ENV = "GAMMACHAIN_OUT_DIR"
-SIMULATE_DEFAULT_STEPS = 1000
-ANALYZE_DEFAULT_STEPS = 5000
-
-
-class ArtifactWriter:
-    """Collects output files under one directory."""
-
-    def __init__(self, out_dir):
-        self.out_dir = Path(out_dir)
-        self.written: list[Path] = []
-
-    def write(self, name: str, text: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / name
-        path.write_text(text, encoding="utf-8")
-        self.written.append(path)
-        return path
 
 
 def _dumps(obj) -> str:
@@ -103,19 +89,30 @@ def _read(path, parse, text=True):
         raise ValueError(f"malformed input file {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _load_partition(args: argparse.Namespace) -> StrategyPartition:
-    if args.partition is None:
-        return default_partition()
-    return _read(args.partition, lambda text: StrategyPartition.from_json_obj(json.loads(text)))
-
-
-def _load_region_config(args: argparse.Namespace) -> RegionConfig:
-    region = (
-        default_region_config()
-        if args.region_config is None
-        else _read(args.region_config, lambda text: RegionConfig.from_json_obj(json.loads(text)))
-    )
-    return region.scaled_to(args.nodes)
+def _load_inputs(args: argparse.Namespace) -> None:
+    """Replace each input-file flag the command takes with the parsed file, or its default."""
+    given = vars(args)
+    if "partition" in given:
+        args.partition = (
+            default_partition()
+            if args.partition is None
+            else _read(args.partition, lambda text: StrategyPartition.from_json_obj(json.loads(text)))
+        )
+    if "region_config" in given:
+        region = (
+            default_region_config()
+            if args.region_config is None
+            else _read(args.region_config, lambda text: RegionConfig.from_json_obj(json.loads(text)))
+        )
+        args.region_config = region.scaled_to(args.nodes)
+    if given.get("series") is not None:
+        args.series = _read(args.series, GammaSeries.from_csv, text=False)
+    if "counts" in given:
+        args.counts = (
+            load_reference_counts(args.partition)
+            if args.counts is None
+            else _read(args.counts, lambda text: TransitionCounts.from_csv(text, args.partition))
+        )
 
 
 def _render_table(labels, rows) -> str:
@@ -136,10 +133,10 @@ def _render_weights(dist: StateDistribution) -> str:
     return "(" + ", ".join(f"{v:.2f}" for v in dist.weights) + ")"
 
 
-def _build_model(args: argparse.Namespace, partition: StrategyPartition, kind: str) -> TransitionMatrix:
+def _build_model(args: argparse.Namespace, kind: str) -> TransitionMatrix:
     if kind == "midpoint":
-        return model1_transition_matrix(partition)
-    return model2_transition_matrix(partition, KernelConfig(args.length_scale))
+        return model1_transition_matrix(args.partition)
+    return model2_transition_matrix(args.partition, KernelConfig(args.length_scale))
 
 
 def _plot_csv(series: GammaSeries, averaged: GammaSeries) -> str:
@@ -149,35 +146,32 @@ def _plot_csv(series: GammaSeries, averaged: GammaSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_model(args: argparse.Namespace, writer: ArtifactWriter) -> None:
-    partition = _load_partition(args)
-    matrix = _build_model(args, partition, args.kind)
+def cmd_model(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
+    matrix = _build_model(args, args.kind)
     stationary = stationary_distribution(matrix)
     stem = f"model_{args.kind}"
-    writer.write(stem + "_matrix.json", _dumps(matrix.to_json_obj()))
-    writer.write(stem + "_matrix.csv", matrix.to_csv())
-    writer.write(stem + "_stationary.json", _dumps(stationary.to_json_obj()))
-    writer.write(stem + "_stationary.csv", stationary.to_csv())
+    artifacts[stem + "_matrix.json"] = _dumps(matrix.to_json_obj())
+    artifacts[stem + "_matrix.csv"] = matrix.to_csv()
+    artifacts[stem + "_stationary.json"] = _dumps(stationary.to_json_obj())
+    artifacts[stem + "_stationary.csv"] = stationary.to_csv()
     print(f"{args.kind} transition matrix, rounded to 2 decimals:")
     print(_render_matrix(matrix))
     print(f"stationary distribution: {_render_weights(stationary)}")
 
 
-def _simulate(args: argparse.Namespace, region: RegionConfig) -> GammaSeries:
+def _simulate(args: argparse.Namespace) -> GammaSeries:
     return simulate_gamma_series(
         np.arange(args.steps, dtype=float),
         seed=args.seed,
-        config=region,
+        config=args.region_config,
         dropout=args.dropout,
         activation=args.activation,
     )
 
 
-def cmd_simulate(
-    args: argparse.Namespace, writer: ArtifactWriter, region: RegionConfig | None = None
-) -> GammaSeries:
-    region = region or _load_region_config(args)
-    series = _simulate(args, region)
+def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> GammaSeries:
+    region = args.region_config
+    series = _simulate(args)
     averaged = moving_average(series)
     metadata = {
         "command": args.command,
@@ -198,10 +192,10 @@ def cmd_simulate(
         ),
         "versions": {"gammachain": __version__, "python": platform.python_version(), "numpy": np.__version__},
     }
-    writer.write("series.csv", series.to_csv())
-    writer.write("moving_average.csv", averaged.to_csv())
-    writer.write("plot_data.csv", _plot_csv(series, averaged))
-    writer.write("run_metadata.json", _dumps(metadata))
+    artifacts["series.csv"] = series.to_csv()
+    artifacts["moving_average.csv"] = averaged.to_csv()
+    artifacts["plot_data.csv"] = _plot_csv(series, averaged)
+    artifacts["run_metadata.json"] = _dumps(metadata)
     print(
         f"simulated {len(series)} samples on {region.node_count} nodes "
         f"(seed {args.seed}); final moving average {averaged.values[-1]:.2f}"
@@ -210,16 +204,12 @@ def cmd_simulate(
 
 
 def cmd_analyze(
-    args: argparse.Namespace, writer: ArtifactWriter,
-    series: GammaSeries | None = None, partition: StrategyPartition | None = None,
+    args: argparse.Namespace, artifacts: dict[str, str], series: GammaSeries | None = None
 ) -> tuple[TransitionCounts, StateDistribution | None, dict]:
-    """Write the analysis; return the counts, the stationary distribution (None if the solve fails) and its JSON."""
-    partition = partition or _load_partition(args)
-    if series is None and args.series is not None:
-        series = _read(args.series, GammaSeries.from_csv, text=False)
-    elif series is None:
-        series = _simulate(args, _load_region_config(args))
-    counts = count_transitions(series, partition)
+    """Add the analysis; return the counts, the stationary distribution (None if the solve fails) and its JSON."""
+    if series is None:
+        series = _simulate(args) if args.series is None else args.series
+    counts = count_transitions(series, args.partition)
     empirical = empirical_transition_matrix(counts)
     stationary = None
     note = None
@@ -228,12 +218,12 @@ def cmd_analyze(
         stationary_obj = stationary.to_json_obj()
     except ValueError as exc:
         note = str(exc)
-        stationary_obj = {"labels": list(partition.labels), "weights": None, "note": note}
-    writer.write("transition_counts.csv", counts.to_csv())
-    writer.write("empirical_matrix.json", _dumps(empirical.to_json_obj()))
-    writer.write("empirical_matrix.csv", empirical.to_csv())
-    writer.write("empirical_stationary.json", _dumps(stationary_obj))
-    writer.write("occupancy.json", _dumps(occupancy_from_counts(counts, series).to_json_obj()))
+        stationary_obj = {"labels": list(args.partition.labels), "weights": None, "note": note}
+    artifacts["transition_counts.csv"] = counts.to_csv()
+    artifacts["empirical_matrix.json"] = _dumps(empirical.to_json_obj())
+    artifacts["empirical_matrix.csv"] = empirical.to_csv()
+    artifacts["empirical_stationary.json"] = _dumps(stationary_obj)
+    artifacts["occupancy.json"] = _dumps(occupancy_from_counts(counts, series).to_json_obj())
     print(f"transition counts over {counts.total} pairs:")
     print(_render_table(counts.labels, [[str(int(v)) for v in row] for row in counts.counts]))
     print("empirical transition matrix, rounded to 2 decimals:")
@@ -246,16 +236,11 @@ def cmd_analyze(
 
 
 def cmd_compare(
-    args: argparse.Namespace, writer: ArtifactWriter,
-    counts: TransitionCounts | None = None, partition: StrategyPartition | None = None,
+    args: argparse.Namespace, artifacts: dict[str, str], counts: TransitionCounts | None = None
 ) -> tuple[dict, tuple[TransitionMatrix, TransitionMatrix]]:
-    """Write the likelihood report; return it with the two model matrices."""
-    partition = partition or _load_partition(args)
-    if counts is None and args.counts is not None:
-        counts = _read(args.counts, lambda text: TransitionCounts.from_csv(text, partition))
-    elif counts is None:
-        counts = load_reference_counts(partition)
-    matrices = tuple(_build_model(args, partition, kind) for kind in ("midpoint", "kernel"))
+    """Add the likelihood report; return it with the two model matrices."""
+    counts = args.counts if counts is None else counts
+    matrices = tuple(_build_model(args, kind) for kind in ("midpoint", "kernel"))
     model1 = score_model("model1", matrices[0], counts)
     model2 = score_model("model2", matrices[1], counts)
     if model1.relative_likelihood < model2.relative_likelihood:
@@ -270,7 +255,7 @@ def cmd_compare(
         "models": [model1.to_json_obj(), model2.to_json_obj()],
         "verdict": verdict,
     }
-    writer.write("comparison.json", _dumps(report))
+    artifacts["comparison.json"] = _dumps(report)
     print(
         "relative likelihood: "
         f"model1 {model1.relative_likelihood:.2f}, "
@@ -280,14 +265,12 @@ def cmd_compare(
     return report, matrices
 
 
-def cmd_pipeline(args: argparse.Namespace, writer: ArtifactWriter) -> None:
+def cmd_pipeline(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     if args.steps < 2:
         raise ValueError("pipeline needs at least two steps to count transitions")
-    # every input file is read before the first write, so a bad one leaves --out empty
-    partition = _load_partition(args)
-    series = cmd_simulate(args, writer, _load_region_config(args))
-    counts, stationary, stationary_obj = cmd_analyze(args, writer, series, partition)
-    report, (matrix1, matrix2) = cmd_compare(args, writer, counts, partition)
+    series = cmd_simulate(args, artifacts)
+    counts, stationary, stationary_obj = cmd_analyze(args, artifacts, series)
+    report, (matrix1, matrix2) = cmd_compare(args, artifacts, counts)
     pi1 = stationary_distribution(matrix1)
     pi2 = stationary_distribution(matrix2)
     summary = {
@@ -302,7 +285,7 @@ def cmd_pipeline(args: argparse.Namespace, writer: ArtifactWriter) -> None:
         },
         "verdict": report["verdict"],
     }
-    writer.write("summary.json", _dumps(summary))
+    artifacts["summary.json"] = _dumps(summary)
     print("stationary distributions (model1, model2, empirical):")
     print(f"  model1    {_render_weights(pi1)}")
     print(f"  model2    {_render_weights(pi2)}")
@@ -340,6 +323,7 @@ def _checked(convert, accept, message: str):
 
 def build_parser() -> argparse.ArgumentParser:
     positive_int = _checked(int, lambda v: v >= 1, "must be a positive integer")
+    non_negative_int = _checked(int, lambda v: v >= 0, "must be a non-negative integer")
     parser = argparse.ArgumentParser(
         prog="gammachain",
         description="Markov models and latency-network simulation of the fork-following fraction.",
@@ -352,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sim = argparse.ArgumentParser(add_help=False)
-    sim.add_argument("--seed", type=int, default=0, help="simulation seed")
+    sim.add_argument("--seed", type=non_negative_int, default=0, help="simulation seed")
     sim.add_argument(
         "--nodes",
         type=_checked(int, lambda v: v >= 2, "must be at least 2"),
@@ -395,15 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser(
         "simulate", parents=[common, sim], help="run the network simulation"
     )
-    p_sim.add_argument(
-        "--steps", type=positive_int, default=SIMULATE_DEFAULT_STEPS, help="samples to draw"
-    )
 
     p_analyze = sub.add_parser(
         "analyze", parents=[common, sim], help="bin a gamma series into transition counts"
-    )
-    p_analyze.add_argument(
-        "--steps", type=positive_int, default=ANALYZE_DEFAULT_STEPS, help="samples to draw"
     )
     p_analyze.add_argument(
         "--series", default=None, metavar="CSV", help="existing series file (otherwise simulate)"
@@ -419,9 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe = sub.add_parser(
         "pipeline", parents=[common, sim, kernel], help="simulate, analyze, and compare"
     )
-    p_pipe.add_argument(
-        "--steps", type=positive_int, default=ANALYZE_DEFAULT_STEPS, help="samples to draw"
-    )
+    for p, steps in ((p_sim, 1000), (p_analyze, 5000), (p_pipe, 5000)):
+        p.add_argument("--steps", type=positive_int, default=steps, help="samples to draw")
     for p in (p_model, p_analyze, p_compare, p_pipe):
         p.add_argument("--partition", default=None, metavar="JSON", help="strategy partition file")
     for p in (p_sim, p_pipe):
@@ -431,14 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    writer = ArtifactWriter(args.out if args.out is not None else environ.get(OUT_DIR_ENV, "."))
+    out = Path(args.out if args.out is not None else environ.get(OUT_DIR_ENV, "."))
+    artifacts: dict[str, str] = {}
     try:
-        _DISPATCH[args.command](args, writer)
+        _load_inputs(args)
+        _DISPATCH[args.command](args, artifacts)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in artifacts.items():
+            (out / name).write_text(text, encoding="utf-8")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for path in writer.written:
-        print(f"wrote {path}")
+    for name in artifacts:
+        print(f"wrote {out / name}")
     return 0
 
 

@@ -338,19 +338,17 @@ def _power_iteration(adjacency: np.ndarray) -> np.ndarray:
     """Dominant-eigenvector estimate with the fixed iteration budget.
 
     Starts uniform, runs at most 50 matrix-vector products, L2-normalizes
-    each iterate, and stops when the L1 change drops below V * 1e-5. An
-    all-zero iterate short-circuits to the uniform unit vector. If the
-    budget runs out the last iterate is returned unchanged.
+    each iterate, and stops when the L1 change drops below V * 1e-5. If the
+    budget runs out the last iterate is returned unchanged. ``adjacency``
+    must have a unit diagonal and non-negative entries, as both callers'
+    matrices do: then (I + A) x >= x > 0, so no iterate has norm zero.
     """
     n = adjacency.shape[0]
     x = np.full(n, 1.0 / n)
     for _ in range(_POWER_ITERATIONS):
         previous = x
         x = adjacency @ x
-        norm = math.sqrt(np.add.reduce(x * x))
-        if norm == 0.0:
-            return np.full(n, 1.0) / np.sqrt(n)
-        x = x / norm
+        x = x / math.sqrt(np.add.reduce(x * x))
         if np.add.reduce(np.abs(x - previous)) < n * _POWER_TOL:
             return x
     return x

@@ -14,7 +14,7 @@ from gammachain import cli
 from gammachain.inference import TransitionCounts
 from gammachain.markov import TransitionMatrix, model1_transition_matrix
 from gammachain.network import GammaSeries
-from gammachain.partition import default_partition
+from gammachain.partition import StrategyPartition, default_partition
 from helpers import write_file
 
 FIXTURE_SERIES = "time,gamma\n0.0,0.1\n1.0,0.2\n2.0,0.7\n3.0,0.9\n"
@@ -352,6 +352,14 @@ class TestAnalyzeCommand:
         assert run(out, "analyze", "--series", str(series_file)) == 0
         assert_pinned(f"analyze {source}", out, capsys.readouterr().out)
 
+    def test_bad_region_config_fails_beside_a_series_file(self, tmp_path, capsys):
+        series_file = write_file(tmp_path, FIXTURE_SERIES, "series.csv")
+        region_file = write_file(tmp_path, "{}", "region.json")
+        out = tmp_path / "out"
+        assert run(out, "analyze", "--series", str(series_file), "--region-config", str(region_file)) == 1
+        assert f"malformed input file {region_file}: KeyError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_without_series_simulates(self, tmp_path):
         assert run(tmp_path, "analyze", "--steps", "40", "--seed", "5") == 0
         counts = TransitionCounts.from_csv(
@@ -489,10 +497,24 @@ class TestPipelineCommand:
     def test_reads_the_partition_file_once(self, tmp_path, monkeypatch):
         partition_file = write_file(tmp_path, json.dumps(default_partition().to_json_obj()), "partition.json")
         calls = []
-        load = cli._load_partition
-        monkeypatch.setattr(cli, "_load_partition", lambda args: calls.append(args) or load(args))
+        parse = StrategyPartition.from_json_obj
+        monkeypatch.setattr(StrategyPartition, "from_json_obj", staticmethod(lambda obj: calls.append(obj) or parse(obj)))
         assert run(tmp_path / "out", "pipeline", "--steps", "3", "--partition", str(partition_file)) == 0
         assert len(calls) == 1
+
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        # the model fails in the compare stage, after simulate and analyze have computed their artifacts
+        out = tmp_path / "out"
+        assert run(out, "pipeline", "--steps", "3", "--length-scale", "1e300") == 1
+        assert "length_scale 1e+300" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_run_leaves_earlier_artifacts_as_they_were(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(out, "pipeline", "--steps", "3", "--seed", "1") == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run(out, "pipeline", "--steps", "4", "--seed", "2", "--length-scale", "1e300") == 1
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_rejects_single_step(self, tmp_path, capsys):
         assert run(tmp_path, "pipeline", "--steps", "1") == 1
@@ -555,6 +577,10 @@ class TestArgumentHandling:
         assert "length_scale 1e+300" in err
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("command, steps", [("simulate", 1000), ("analyze", 5000), ("pipeline", 5000)])
+    def test_steps_default(self, command, steps):
+        assert cli.build_parser().parse_args([command]).steps == steps
+
     def test_negative_steps_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["simulate", "--steps", "-3", "--out", str(tmp_path)])
@@ -571,6 +597,7 @@ class TestArgumentHandling:
             ("--activation", "-0.1"),
             ("--activation", "nan"),
             ("--nodes", "1"),
+            ("--seed", "-1"),
         ],
     )
     def test_link_probability_out_of_range_exits_two(self, tmp_path, capsys, command, flag, value):
