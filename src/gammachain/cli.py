@@ -139,6 +139,10 @@ def _build_model(args: argparse.Namespace, kind: str) -> TransitionMatrix:
     return model2_transition_matrix(args.partition, KernelConfig(args.length_scale))
 
 
+def _build_models(args: argparse.Namespace) -> tuple[TransitionMatrix, TransitionMatrix]:
+    return _build_model(args, "midpoint"), _build_model(args, "kernel")
+
+
 def _plot_csv(series: GammaSeries, averaged: GammaSeries) -> str:
     lines = ["time,gamma,moving_average"]
     for t, v, m in zip(series.times, series.values, averaged.values):
@@ -236,19 +240,18 @@ def cmd_analyze(
 
 
 def cmd_compare(
-    args: argparse.Namespace, artifacts: dict[str, str], counts: TransitionCounts | None = None
-) -> tuple[dict, tuple[TransitionMatrix, TransitionMatrix]]:
-    """Add the likelihood report; return it with the two model matrices."""
+    args: argparse.Namespace,
+    artifacts: dict[str, str],
+    counts: TransitionCounts | None = None,
+    matrices: tuple[TransitionMatrix, TransitionMatrix] | None = None,
+) -> dict:
+    """Add the likelihood report of the two models (``_build_models`` if not given); return it."""
     counts = args.counts if counts is None else counts
-    matrices = tuple(_build_model(args, kind) for kind in ("midpoint", "kernel"))
-    model1 = score_model("model1", matrices[0], counts)
-    model2 = score_model("model2", matrices[1], counts)
-    if model1.relative_likelihood < model2.relative_likelihood:
-        verdict = "model1 preferred"
-    elif model2.relative_likelihood < model1.relative_likelihood:
-        verdict = "model2 preferred"
-    else:
-        verdict = "tie"
+    matrix1, matrix2 = matrices or _build_models(args)
+    model1 = score_model("model1", matrix1, counts)
+    model2 = score_model("model2", matrix2, counts)
+    rl1, rl2 = model1.relative_likelihood, model2.relative_likelihood
+    verdict = "tie" if rl1 == rl2 else "model1 preferred" if rl1 < rl2 else "model2 preferred"
     report = {
         "counts_total": counts.total,
         "length_scale": args.length_scale,
@@ -256,23 +259,20 @@ def cmd_compare(
         "verdict": verdict,
     }
     artifacts["comparison.json"] = _dumps(report)
-    print(
-        "relative likelihood: "
-        f"model1 {model1.relative_likelihood:.2f}, "
-        f"model2 {model2.relative_likelihood:.2f}"
-    )
+    print(f"relative likelihood: model1 {rl1:.2f}, model2 {rl2:.2f}")
     print(f"verdict: {verdict}")
-    return report, matrices
+    return report
 
 
 def cmd_pipeline(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     if args.steps < 2:
         raise ValueError("pipeline needs at least two steps to count transitions")
+    # the models first, so that a length scale they reject fails the run before it simulates
+    matrices = _build_models(args)
+    pi1, pi2 = map(stationary_distribution, matrices)
     series = cmd_simulate(args, artifacts)
     counts, stationary, stationary_obj = cmd_analyze(args, artifacts, series)
-    report, (matrix1, matrix2) = cmd_compare(args, artifacts, counts)
-    pi1 = stationary_distribution(matrix1)
-    pi2 = stationary_distribution(matrix2)
+    report = cmd_compare(args, artifacts, counts, matrices)
     summary = {
         "stationary": {
             "model1": pi1.to_json_obj(),

@@ -10,15 +10,9 @@ attacker node and an honest node yields the fork-following fraction gamma,
 and repeating this over a sampling schedule yields a gamma time series.
 
 Determinism contract: a run consumes a single seeded generator in a fixed
-draw order. Initialization draws one dropout uniform per node pair in
-row-major upper-triangle order, then one Pareto uniform per pair, then the
-first attacker/honest pair. Every later step draws one adjacency uniform per
-pair, then two blocks of standard normals (all pairs each, consumed by the
-perturbation whether or not a given pair uses one), then its attacker/honest
-pair. The second node of a pair is redrawn until it differs from the first.
-Both normal blocks come from one call of twice the length: the generator
-fills an array in order, so the first half and the second half are the two
-blocks that two separate calls would return.
+draw order, and only three functions draw from it: ``_initial_flat`` once,
+then, per step, ``_link_draws`` (skipped before the first race) and
+``_draw_node_pair``. The state update takes their arrays and draws nothing.
 
 The simulation loop keeps the network as its flat pair vector, in the same
 upper-triangle order, and never builds a ``NetworkState``; the public
@@ -382,20 +376,26 @@ def _check_activation(activation: float) -> None:
         raise ValueError("activation must lie in [0, 1]")
 
 
-def _evolve_flat(flat, means, delta_t, activation, rng, adjacency) -> np.ndarray:
-    """One evolution step on the flat pair vector; returns the new vector.
+def _link_draws(rng: np.random.Generator, pair_count: int, activation: float):
+    """One evolution step's draws in draw order, ``(active, u0, u1)``, each with one entry per pair."""
+    active = rng.random(pair_count) < activation
+    # one call fills in order, so its halves are the blocks two calls would return
+    u0, u1 = rng.standard_normal(2 * pair_count).reshape(2, -1)
+    return active, u0, u1
+
+
+def _evolve_flat(flat, means, delta_t, draws, adjacency) -> np.ndarray:
+    """One evolution step on the flat pair vector with ``_link_draws`` output; returns the new vector.
 
     ``adjacency`` is a node-by-node buffer with a unit diagonal; every
-    off-diagonal entry is overwritten with the links sampled in this step.
+    off-diagonal entry is overwritten with the sampled links.
     """
+    active, u0, u1 = draws
     n = len(adjacency)
-    _, cols = pair_indices(n)
-    active = rng.random(len(cols)) < activation
     fill_off_diagonal(adjacency, active)
     omega = _power_iteration(adjacency)
-    u0, u1 = rng.standard_normal(2 * len(cols)).reshape(2, -1)
     # in pair order the row index is n - 1 zeros, then n - 2 ones, and so on
-    omega_sum = np.repeat(omega[:-1], np.arange(n - 1, 0, -1)) + omega[cols]
+    omega_sum = np.repeat(omega[:-1], np.arange(n - 1, 0, -1)) + omega[pair_indices(n)[1]]
     return perturb_weights(flat, means, omega_sum, u0, u1, float(delta_t), active)
 
 
@@ -429,10 +429,9 @@ def evolve_network(
     if not np.array_equal(config.region_assignment(), prev.region_of):
         raise ValueError("config region layout does not match the network state")
     n = prev.node_count
-    rows, cols = pair_indices(n)
     means = _pair_means(config, prev.region_of)
-    rng = np.random.default_rng(seed)
-    flat = _evolve_flat(prev.weights[rows, cols], means, delta_t, activation, rng, np.eye(n))
+    draws = _link_draws(np.random.default_rng(seed), len(means), activation)
+    flat = _evolve_flat(prev.weights[pair_indices(n)], means, delta_t, draws, np.eye(n))
     return NetworkState(fill_off_diagonal(np.zeros((n, n)), flat), prev.region_of)
 
 
@@ -540,7 +539,8 @@ def simulate_gamma_series(
     values = np.empty(len(times))
     for step in range(len(times)):
         if step:
-            flat = _evolve_flat(flat, means, gaps[step - 1], activation, rng, matrix)
+            draws = _link_draws(rng, len(means), activation)
+            flat = _evolve_flat(flat, means, gaps[step - 1], draws, matrix)
         attacker, honest = _draw_node_pair(rng, n)
         values[step] = _gamma(fill_off_diagonal(matrix, flat), attacker, honest)
     return GammaSeries(times, values)

@@ -503,11 +503,22 @@ class TestPipelineCommand:
         assert len(calls) == 1
 
     def test_failed_run_writes_nothing(self, tmp_path, capsys):
-        # the model fails in the compare stage, after simulate and analyze have computed their artifacts
         out = tmp_path / "out"
         assert run(out, "pipeline", "--steps", "3", "--length-scale", "1e300") == 1
         assert "length_scale 1e+300" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rejected_length_scale_fails_before_simulating(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        simulate = cli.simulate_gamma_series
+        monkeypatch.setattr(cli, "simulate_gamma_series", lambda *a, **kw: calls.append(a) or simulate(*a, **kw))
+        out = tmp_path / "out"
+        assert run(out, "pipeline", "--steps", "2000", "--length-scale", "1e300") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: length_scale 1e+300 gives a row kernel mass of 0.0\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert calls == []
 
     def test_failed_run_leaves_earlier_artifacts_as_they_were(self, tmp_path):
         out = tmp_path / "out"

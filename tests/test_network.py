@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gammachain import network
 from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR
 from gammachain.network import (
     DEFAULT_MEAN_LATENCY,
@@ -16,6 +17,7 @@ from gammachain.network import (
     NetworkState,
     RegionConfig,
     _draw_node_pair,
+    _evolve_flat,
     default_region_config,
     eigenvector_centrality,
     evolve_network,
@@ -322,6 +324,48 @@ class TestEvolveNetwork:
         assert draws.mean() == pytest.approx(expected, abs=0.25)
 
 
+class TestEvolveFlat:
+    """The state update on hand-built draws, with no generator involved."""
+
+    # pairs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3); the active ones form the cycle 0-1-2-3,
+    # whose unit-diagonal adjacency gives every node centrality 0.5, so every shock has
+    # shape 3 * (0.5 + 0.5) = 3 and the factor is 1 + delta_t * (delta * |u0| + sqrt(1 - delta**2) * u1)
+    FLAT = np.array([10.0, 20.0, INACTIVE, 30.0, INACTIVE, 40.0])
+    MEANS = np.array([100.0, 110.0, 120.0, 130.0, 140.0, 150.0])
+    ACTIVE = np.array([True, False, True, True, False, True])
+    U0 = np.array([0.0, 0.7, 0.8, 0.0, -0.4, 1.2])
+    U1 = np.array([0.0, 0.0, 0.0, -1e6, 0.0, 0.0])
+
+    def evolve(self):
+        adjacency = np.eye(4)
+        return _evolve_flat(self.FLAT, self.MEANS, 0.5, (self.ACTIVE, self.U0, self.U1), adjacency), adjacency
+
+    def test_hand_computed_update(self):
+        delta = 3.0 / np.sqrt(10.0)
+        evolved, adjacency = self.evolve()
+        # an active link with no shock keeps its weight
+        assert evolved[0] == 10.0
+        # a finite link sampled inactive becomes the sentinel
+        assert evolved[1] == INACTIVE
+        # an inactive link restarts from its mean times the factor, sampled active or not
+        assert evolved[2] == pytest.approx(120.0 * (1.0 + 0.5 * delta * 0.8), rel=1e-14)
+        assert evolved[4] == pytest.approx(140.0 * (1.0 + 0.5 * delta * 0.4), rel=1e-14)
+        # a large negative shock clamps to the floor
+        assert evolved[3] == WEIGHT_FLOOR
+        assert evolved[5] == pytest.approx(40.0 * (1.0 + 0.5 * delta * 1.2), rel=1e-14)
+        cycle = np.array([[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]], dtype=float)
+        assert np.array_equal(adjacency, cycle)
+
+    def test_repeatable_and_leaves_inputs_as_passed(self):
+        inputs = (self.FLAT, self.MEANS, self.ACTIVE, self.U0, self.U1)
+        copies = [array.copy() for array in inputs]
+        first, _ = self.evolve()
+        second, _ = self.evolve()
+        assert first.tobytes() == second.tobytes()
+        for array, copy in zip(inputs, copies):
+            assert array.tobytes() == copy.tobytes()
+
+
 class TestShortestLatencies:
     def test_indirect_route_beats_direct_edge(self):
         state = adjacency_state(3, [(0, 1)], weight=1.0)
@@ -540,16 +584,38 @@ class TestSimulateGammaSeries:
     def test_flat_loop_matches_public_api_replay(self, seed, nodes, dropout, activation):
         config = default_region_config().scaled_to(nodes)
         schedule = np.cumsum(np.random.default_rng(seed).uniform(0.1, 2.0, 40))
-        series = simulate_gamma_series(schedule, seed, config, dropout, activation)
+        rng_a = np.random.default_rng(seed)
+        series = simulate_gamma_series(schedule, rng_a, config, dropout, activation)
 
-        rng = np.random.default_rng(seed)
-        state = init_network(config, dropout, rng)
+        rng_b = np.random.default_rng(seed)
+        state = init_network(config, dropout, rng_b)
         replay = []
         for step, at in enumerate(schedule):
             if step:
-                state = evolve_network(state, at - schedule[step - 1], config, activation, rng)
-            replay.append(gamma_of(state, *_draw_node_pair(rng, nodes)))
+                state = evolve_network(state, at - schedule[step - 1], config, activation, rng_b)
+            replay.append(gamma_of(state, *_draw_node_pair(rng_b, nodes)))
         assert series.values.tobytes() == np.array(replay).tobytes()
+        # nothing is drawn past the last step
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_each_step_draws_links_then_a_node_pair(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(network, name)
+
+            def wrapper(rng, count, *rest):
+                calls.append((name, count))
+                return real(rng, count, *rest)
+
+            return wrapper
+
+        for name in ("_link_draws", "_draw_node_pair"):
+            monkeypatch.setattr(network, name, counting(name))
+        nodes, steps = 12, 5
+        simulate_gamma_series(np.arange(steps, dtype=float), 7, default_region_config().scaled_to(nodes))
+        step = [("_link_draws", nodes * (nodes - 1) // 2), ("_draw_node_pair", nodes)]
+        assert calls == [("_draw_node_pair", nodes)] + step * (steps - 1)
 
 
 class TestMovingAverage:
