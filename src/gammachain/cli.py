@@ -23,20 +23,24 @@ Artifacts land in ``--out`` (default: the GAMMACHAIN_OUT_DIR environment
 variable when set, else the working directory). Matrices print to stdout
 rounded to two decimals; files persist full precision. Every command is
 deterministic given its flags, so re-runs rewrite byte-identical files.
-``main`` reads every input file the command is given before it runs, and
-writes the artifacts only after the command has computed all of them, so
-a run that exits 1 or 2 leaves ``--out`` as it found it, unless writing is
-what failed. Exit status is 2 when a flag is rejected, 1 when the run
-fails, and 0 exactly when all requested artifacts were written.
+``main`` resolves every input before the command runs: the input files,
+then the model matrices, then the series (read or simulated). It writes
+the artifacts, then prints stdout, only when the whole run succeeds, so a
+run that exits 1 or 2 prints just its error and leaves ``--out`` as it
+found it, unless writing is what failed. Exit status is 2 when a flag is
+rejected, 1 when the run fails, and 0 exactly when all requested
+artifacts were written.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import platform
 import sys
+from contextlib import redirect_stdout
 from os import environ
 from pathlib import Path
 
@@ -85,12 +89,18 @@ def _read(path, parse, text=True):
     """``parse`` an input file's text (its path if not ``text``); a wrong shape raises ValueError."""
     try:
         return parse(Path(path).read_text(encoding="utf-8") if text else path)
-    except (KeyError, TypeError, OverflowError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (KeyError, TypeError, OverflowError, ValueError) as exc:
         raise ValueError(f"malformed input file {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _build_model(args: argparse.Namespace, kind: str) -> TransitionMatrix:
+    if kind == "midpoint":
+        return model1_transition_matrix(args.partition)
+    return model2_transition_matrix(args.partition, KernelConfig(args.length_scale))
+
+
 def _load_inputs(args: argparse.Namespace) -> None:
-    """Replace each input-file flag the command takes with the parsed file, or its default."""
+    """Resolve each input the command takes, in this order: the files, the models, the series."""
     given = vars(args)
     if "partition" in given:
         args.partition = (
@@ -107,11 +117,22 @@ def _load_inputs(args: argparse.Namespace) -> None:
         args.region_config = region.scaled_to(args.nodes)
     if given.get("series") is not None:
         args.series = _read(args.series, GammaSeries.from_csv, text=False)
-    if "counts" in given:
-        args.counts = (
-            load_reference_counts(args.partition)
-            if args.counts is None
-            else _read(args.counts, lambda text: TransitionCounts.from_csv(text, args.partition))
+    if given.get("counts") is not None:
+        args.counts = _read(args.counts, lambda text: TransitionCounts.from_csv(text, args.partition))
+    elif "counts" in given:
+        if len(args.partition) != len(default_partition()):
+            raise ValueError(
+                f"the bundled reference counts cover the four default states, not the {len(args.partition)} "
+                "states of --partition; give counts over those with --counts"
+            )
+        args.counts = load_reference_counts(args.partition)
+    if "length_scale" in given:
+        kinds = [args.kind] if "kind" in given else ["midpoint", "kernel"]
+        args.models = {kind: _build_model(args, kind) for kind in kinds}
+    if "steps" in given and given.get("series") is None:
+        args.series = simulate_gamma_series(
+            np.arange(args.steps, dtype=float), seed=args.seed, config=args.region_config,
+            dropout=args.dropout, activation=args.activation,
         )
 
 
@@ -133,16 +154,6 @@ def _render_weights(dist: StateDistribution) -> str:
     return "(" + ", ".join(f"{v:.2f}" for v in dist.weights) + ")"
 
 
-def _build_model(args: argparse.Namespace, kind: str) -> TransitionMatrix:
-    if kind == "midpoint":
-        return model1_transition_matrix(args.partition)
-    return model2_transition_matrix(args.partition, KernelConfig(args.length_scale))
-
-
-def _build_models(args: argparse.Namespace) -> tuple[TransitionMatrix, TransitionMatrix]:
-    return _build_model(args, "midpoint"), _build_model(args, "kernel")
-
-
 def _plot_csv(series: GammaSeries, averaged: GammaSeries) -> str:
     lines = ["time,gamma,moving_average"]
     for t, v, m in zip(series.times, series.values, averaged.values):
@@ -151,7 +162,7 @@ def _plot_csv(series: GammaSeries, averaged: GammaSeries) -> str:
 
 
 def cmd_model(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
-    matrix = _build_model(args, args.kind)
+    matrix = args.models[args.kind]
     stationary = stationary_distribution(matrix)
     stem = f"model_{args.kind}"
     artifacts[stem + "_matrix.json"] = _dumps(matrix.to_json_obj())
@@ -163,19 +174,8 @@ def cmd_model(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     print(f"stationary distribution: {_render_weights(stationary)}")
 
 
-def _simulate(args: argparse.Namespace) -> GammaSeries:
-    return simulate_gamma_series(
-        np.arange(args.steps, dtype=float),
-        seed=args.seed,
-        config=args.region_config,
-        dropout=args.dropout,
-        activation=args.activation,
-    )
-
-
-def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> GammaSeries:
-    region = args.region_config
-    series = _simulate(args)
+def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
+    region, series = args.region_config, args.series
     averaged = moving_average(series)
     metadata = {
         "command": args.command,
@@ -204,16 +204,11 @@ def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> GammaSe
         f"simulated {len(series)} samples on {region.node_count} nodes "
         f"(seed {args.seed}); final moving average {averaged.values[-1]:.2f}"
     )
-    return series
 
 
-def cmd_analyze(
-    args: argparse.Namespace, artifacts: dict[str, str], series: GammaSeries | None = None
-) -> tuple[TransitionCounts, StateDistribution | None, dict]:
+def cmd_analyze(args: argparse.Namespace, artifacts: dict[str, str]) -> tuple[TransitionCounts, StateDistribution | None, dict]:
     """Add the analysis; return the counts, the stationary distribution (None if the solve fails) and its JSON."""
-    if series is None:
-        series = _simulate(args) if args.series is None else args.series
-    counts = count_transitions(series, args.partition)
+    counts = count_transitions(args.series, args.partition)
     empirical = empirical_transition_matrix(counts)
     stationary = None
     note = None
@@ -227,7 +222,7 @@ def cmd_analyze(
     artifacts["empirical_matrix.json"] = _dumps(empirical.to_json_obj())
     artifacts["empirical_matrix.csv"] = empirical.to_csv()
     artifacts["empirical_stationary.json"] = _dumps(stationary_obj)
-    artifacts["occupancy.json"] = _dumps(occupancy_from_counts(counts, series).to_json_obj())
+    artifacts["occupancy.json"] = _dumps(occupancy_from_counts(counts, args.series).to_json_obj())
     print(f"transition counts over {counts.total} pairs:")
     print(_render_table(counts.labels, [[str(int(v)) for v in row] for row in counts.counts]))
     print("empirical transition matrix, rounded to 2 decimals:")
@@ -239,17 +234,11 @@ def cmd_analyze(
     return counts, stationary, stationary_obj
 
 
-def cmd_compare(
-    args: argparse.Namespace,
-    artifacts: dict[str, str],
-    counts: TransitionCounts | None = None,
-    matrices: tuple[TransitionMatrix, TransitionMatrix] | None = None,
-) -> dict:
-    """Add the likelihood report of the two models (``_build_models`` if not given); return it."""
-    counts = args.counts if counts is None else counts
-    matrix1, matrix2 = matrices or _build_models(args)
-    model1 = score_model("model1", matrix1, counts)
-    model2 = score_model("model2", matrix2, counts)
+def cmd_compare(args: argparse.Namespace, artifacts: dict[str, str]) -> dict:
+    """Add the likelihood report of the two models against ``args.counts``; return it."""
+    counts = args.counts
+    model1 = score_model("model1", args.models["midpoint"], counts)
+    model2 = score_model("model2", args.models["kernel"], counts)
     rl1, rl2 = model1.relative_likelihood, model2.relative_likelihood
     verdict = "tie" if rl1 == rl2 else "model1 preferred" if rl1 < rl2 else "model2 preferred"
     report = {
@@ -267,12 +256,10 @@ def cmd_compare(
 def cmd_pipeline(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     if args.steps < 2:
         raise ValueError("pipeline needs at least two steps to count transitions")
-    # the models first, so that a length scale they reject fails the run before it simulates
-    matrices = _build_models(args)
-    pi1, pi2 = map(stationary_distribution, matrices)
-    series = cmd_simulate(args, artifacts)
-    counts, stationary, stationary_obj = cmd_analyze(args, artifacts, series)
-    report = cmd_compare(args, artifacts, counts, matrices)
+    cmd_simulate(args, artifacts)
+    args.counts, stationary, stationary_obj = cmd_analyze(args, artifacts)
+    report = cmd_compare(args, artifacts)
+    pi1, pi2 = (stationary_distribution(args.models[kind]) for kind in ("midpoint", "kernel"))
     summary = {
         "stationary": {
             "model1": pi1.to_json_obj(),
@@ -410,15 +397,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out if args.out is not None else environ.get(OUT_DIR_ENV, "."))
     artifacts: dict[str, str] = {}
+    stdout = io.StringIO()
     try:
         _load_inputs(args)
-        _DISPATCH[args.command](args, artifacts)
+        with redirect_stdout(stdout):
+            _DISPATCH[args.command](args, artifacts)
         out.mkdir(parents=True, exist_ok=True)
         for name, text in artifacts.items():
             (out / name).write_text(text, encoding="utf-8")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(stdout.getvalue())
     for name in artifacts:
         print(f"wrote {out / name}")
     return 0

@@ -337,7 +337,8 @@ class TestAnalyzeCommand:
             warnings.simplefilter("always")
             assert run(out, "analyze", "--series", str(series_file)) == 1
         assert caught == []
-        assert capsys.readouterr().err == "error: series must contain at least one sample\n"
+        expected = f"error: malformed input file {series_file}: ValueError: series must contain at least one sample\n"
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["benchmark-shaped", "simulated"])
@@ -532,6 +533,42 @@ class TestPipelineCommand:
         assert "two steps" in capsys.readouterr().err
 
 
+class TestInputResolution:
+    """``main`` resolves the files, then the models, then the series, and prints only after writing."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["model", "simulate --steps 3", "analyze --steps 3", "compare", "pipeline --steps 3"],
+    )
+    def test_failed_run_prints_nothing(self, tmp_path, capsys, command):
+        out = write_file(tmp_path, "", "taken")
+        assert run(out, *command.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_model_builds_only_the_requested_kind(self, tmp_path):
+        assert run(tmp_path, "model", "--kind", "midpoint", "--length-scale", "1e300") == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            f"model_midpoint_{name}" for name in ("matrix.csv", "matrix.json", "stationary.csv", "stationary.json")
+        ]
+
+    def test_series_file_is_not_simulated(self, tmp_path, monkeypatch):
+        calls = []
+        simulate = cli.simulate_gamma_series
+        monkeypatch.setattr(cli, "simulate_gamma_series", lambda *a, **kw: calls.append(a) or simulate(*a, **kw))
+        series_file = write_file(tmp_path, FIXTURE_SERIES)
+        assert run(tmp_path / "out", "analyze", "--series", str(series_file)) == 0
+        assert calls == []
+
+    def test_files_resolve_before_models(self, tmp_path, capsys):
+        counts_file = write_file(tmp_path, "1,2\n3,4\n", "bad.csv")
+        out = tmp_path / "out"
+        assert run(out, "compare", "--counts", str(counts_file), "--length-scale", "1e300") == 1
+        assert capsys.readouterr().err.startswith(f"error: malformed input file {counts_file}: ")
+        assert not out.exists()
+
+
 class TestPinnedArtifacts:
     @pytest.mark.parametrize("command", [name for name in CLI_DIGESTS if not name.startswith("analyze ")])
     def test_artifacts_match_pinned_digests(self, tmp_path, capsys, command):
@@ -642,6 +679,17 @@ class TestArgumentHandling:
         out = capsys.readouterr().out
         assert out.count("wrote ") == 4
 
+    def test_partition_off_the_bundled_counts_points_to_counts(self, tmp_path, capsys):
+        partition_file = write_file(
+            tmp_path, '[{"lower": 0, "upper": 0.5, "label": "L"}, {"lower": 0.5, "upper": 1, "label": "H"}]'
+        )
+        out = tmp_path / "out"
+        assert run(out, "compare", "--partition", str(partition_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the bundled reference counts cover the four default states")
+        assert "--counts" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_custom_partition_file(self, tmp_path):
         partition_file = tmp_path / "partition.json"
         partition_file.write_text(json.dumps(default_partition().to_json_obj()) + "\n")
@@ -669,6 +717,17 @@ class TestArgumentHandling:
             ),
             ("compare", "--partition", b'\xff\xfe[{"lower": 0, "upper": 1, "label": "ALL"}]'),
             ("analyze", "--series", b"time,gamma\n0,0.5\n1,0.\xe9\n"),
+            (
+                "simulate",
+                "--region-config",
+                '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[10, 50], [50]]}',
+            ),
+            ("compare", "--partition", '[{"lower": "x", "upper": 1, "label": "ALL"}]'),
+            (
+                "compare",
+                "--partition",
+                '[{"lower": 0, "upper": 0.5, "label": "A"}, {"lower": 0.5, "upper": 1, "label": "A"}]',
+            ),
         ],
     )
     def test_malformed_input_file_exits_one(self, tmp_path, capsys, command, flag, text):
@@ -682,6 +741,7 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert f"error: malformed input file {path}: " in err
         assert not out.exists()
         if text == "not json":
             assert f"malformed input file {path}: JSONDecodeError" in err
