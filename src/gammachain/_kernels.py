@@ -16,9 +16,12 @@ least the bound: a settled node is final. The result satisfies
 ``d(v) = min_u fl(d(u) + w_uv)``; as fl(d + w) > d, that equation has one
 solution, the one a plain dense Dijkstra computes, bit for bit. The sentinel is an ordinary
 weight, so a path over an inactive link costs at least 1e7. The race stops
-once the bound reaches 1e7, when every pending node below 1e7 already holds
-its exact distance. Distances are clamped to the sentinel, so unreachable
-nodes and nodes whose cheapest path costs at least 1e7 report exactly 1e7.
+at the first of two points. When a round settles the last pending nodes, it
+stops before relaxing their rows: every node is then final, so those rows
+can change no distance. When the bound reaches 1e7, every pending node
+below 1e7 already holds its exact distance. Distances are clamped to the
+sentinel, so unreachable nodes and nodes whose cheapest path costs at least
+1e7 report exactly 1e7.
 
 All random draws happen outside these kernels; callers pass the drawn arrays
 in, which keeps the consumed random stream fixed.
@@ -69,7 +72,10 @@ def race_latencies(weights: np.ndarray, sources) -> np.ndarray:
 
     Row ``u`` of ``weights`` holds the out-links of node ``u``; every
     off-diagonal entry, the sentinel included, is at least WEIGHT_FLOOR,
-    and the diagonal may hold any non-negative value.
+    and the diagonal may hold any non-negative value. A race reads the
+    source's row, then the rows of each settle round but the last: the
+    round that settles the last pending nodes leaves their rows unread, and
+    a bound of 1e7 ends the race with unreachable nodes still pending.
     """
     dist = weights[sources]
     for d, source in zip(dist, sources):
@@ -77,12 +83,16 @@ def race_latencies(weights: np.ndarray, sources) -> np.ndarray:
         # zero for a pending node, inf once it has settled
         settled = np.zeros(len(d))
         settled[source] = np.inf
+        left = len(d) - 1
         while True:
             pending = d + settled
             bound = np.minimum.reduce(pending) + WEIGHT_FLOOR
             if bound >= INACTIVE:
                 break
             batch = (pending <= bound).nonzero()[0]
+            left -= len(batch)
+            if not left:
+                break
             settled[batch] = np.inf
             rows = weights[batch]
             rows += d[batch, None]

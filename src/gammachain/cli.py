@@ -120,12 +120,10 @@ def _load_inputs(args: argparse.Namespace) -> None:
     if given.get("counts") is not None:
         args.counts = _read(args.counts, lambda text: TransitionCounts.from_csv(text, args.partition))
     elif "counts" in given:
-        if len(args.partition) != len(default_partition()):
-            raise ValueError(
-                f"the bundled reference counts cover the four default states, not the {len(args.partition)} "
-                "states of --partition; give counts over those with --counts"
-            )
-        args.counts = load_reference_counts(args.partition)
+        try:
+            args.counts = load_reference_counts(args.partition)
+        except ValueError as exc:
+            raise ValueError(f"{exc}; give counts binned under --partition with --counts") from None
     if "length_scale" in given:
         kinds = [args.kind] if "kind" in given else ["midpoint", "kernel"]
         args.models = {kind: _build_model(args, kind) for kind in kinds}

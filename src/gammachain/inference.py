@@ -21,7 +21,7 @@ import numpy as np
 from ._frozen import ArrayEq, readonly
 from .markov import StateDistribution, TransitionMatrix
 from .network import GammaSeries
-from .partition import StrategyPartition, default_partition
+from .partition import DEFAULT_BOUNDARIES, StrategyPartition, default_partition
 
 REFERENCE_COUNTS_FILE = "reference_counts.csv"
 _INTEGER_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -199,10 +199,20 @@ def score_model(name: str, model: TransitionMatrix, counts: TransitionCounts) ->
 
 
 def load_reference_counts(partition: StrategyPartition | None = None) -> TransitionCounts:
-    """The packaged reference transition counts over the default partition."""
+    """The packaged reference transition counts, binned under the default partition's bounds.
+
+    ``partition`` may relabel the four default states; other bounds raise ``ValueError``.
+    """
+    partition = partition or default_partition()
+    bounds = (0.0, *(iv.upper for iv in partition))
+    if bounds != DEFAULT_BOUNDARIES:
+        raise ValueError(
+            "the bundled reference counts cover the four default states, binned at 0, 0.675, 0.76, 0.761, 1, "
+            f"not at {', '.join(f'{bound:g}' for bound in bounds)}"
+        )
     text = (
         resources.files("gammachain")
         .joinpath("data", REFERENCE_COUNTS_FILE)
         .read_text(encoding="utf-8")
     )
-    return TransitionCounts.from_csv(text, partition or default_partition())
+    return TransitionCounts.from_csv(text, partition)

@@ -22,10 +22,12 @@ step writes the sampled adjacency into its off-diagonal entries, and each
 race overwrites them with the weights. The diagonal gives the adjacency its
 self-loops and does not affect the race; the public functions race a
 state's own weight matrix. The race is a radius-batched Dijkstra in numpy
-from both nodes; unreachable nodes, and nodes whose cheapest path costs at
-least the sentinel, report exactly 1e7 and tie. Every weight is at least
-1.0, so fl(d + w) > d and the float distances match a plain dense-matrix
-Dijkstra bit for bit (see ``_kernels``).
+from both nodes. It ends when its last pending nodes settle, without
+relaxing their rows, or when the settle bound reaches the sentinel;
+unreachable nodes, and nodes whose cheapest path costs at least the
+sentinel, report exactly 1e7 and tie. Every weight is at least 1.0, so
+fl(d + w) > d and the float distances match a plain dense-matrix Dijkstra
+bit for bit (see ``_kernels``).
 
 Centrality note: the adjacency derived from a weight matrix marks every
 finite entry as an edge, and the zero diagonal is finite, so nodes carry

@@ -690,6 +690,18 @@ class TestArgumentHandling:
         assert "--counts" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_four_quarters_without_counts_points_to_counts(self, tmp_path, capsys):
+        quarters = [{"lower": k / 4, "upper": (k + 1) / 4, "label": f"Q{k}"} for k in range(4)]
+        partition_file = write_file(tmp_path, json.dumps(quarters))
+        out = tmp_path / "out"
+        assert run(out, "compare", "--partition", str(partition_file)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the bundled reference counts cover the four default states")
+        assert "not at 0, 0.25, 0.5, 0.75, 1" in captured.err
+        assert "--counts" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_custom_partition_file(self, tmp_path):
         partition_file = tmp_path / "partition.json"
         partition_file.write_text(json.dumps(default_partition().to_json_obj()) + "\n")

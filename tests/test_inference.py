@@ -307,3 +307,15 @@ class TestReferenceFixture:
 
     def test_dominant_self_loop(self, reference_counts):
         assert reference_counts.counts[0, 0] == 2977
+
+    def test_relabelled_default_bounds_are_accepted(self, reference_counts):
+        counts = load_reference_counts(make_partition((0.0, 0.675, 0.76, 0.761, 1.0)))
+        assert counts.labels == ("S0", "S1", "S2", "S3")
+        assert np.array_equal(counts.counts, reference_counts.counts)
+
+    @pytest.mark.parametrize(
+        "boundaries", [(0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.675, 0.76, 1.0), (0.0, 0.5, 1.0)]
+    )
+    def test_other_bounds_are_rejected(self, boundaries):
+        with pytest.raises(ValueError, match="binned at 0, 0.675, 0.76, 0.761, 1, not at 0, "):
+            load_reference_counts(make_partition(boundaries))

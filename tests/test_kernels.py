@@ -185,6 +185,61 @@ class TestRaceMatchesOracle:
             assert np.array_equal(shortest_latencies(state, source), dijkstra_numpy(weights, source))
 
 
+class RowCounter:
+    """Weights that record how many rows each index into them reads."""
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.reads = []
+
+    def __getitem__(self, index):
+        rows = self.weights[index]
+        self.reads.append(len(rows))
+        return rows
+
+
+def relaxed_rows(weights, source):
+    """Distances from ``source`` and the rows the race relaxes after its initial source row."""
+    counter = RowCounter(weights)
+    dist = race_latencies(counter, [source])[0]
+    assert counter.reads[0] == 1
+    return dist, sum(counter.reads[1:])
+
+
+def floor_graph(size, links):
+    weights = np.full((size, size), INACTIVE)
+    np.fill_diagonal(weights, 0.0)
+    for u, v in links:
+        weights[u, v] = weights[v, u] = WEIGHT_FLOOR
+    return weights
+
+
+class TestRaceStopRule:
+    @pytest.mark.parametrize("size", [2, 3, 9])
+    def test_path_skips_the_last_row(self, size):
+        weights = floor_graph(size, [(u, u + 1) for u in range(size - 1)])
+        dist, rows = relaxed_rows(weights, 0)
+        assert dist.tolist() == [float(u) for u in range(size)]
+        assert rows == size - 2
+
+    @pytest.mark.parametrize("size", [2, 5, 12])
+    def test_complete_graph_relaxes_no_row(self, size):
+        weights = floor_graph(size, [(u, v) for u in range(size) for v in range(u)])
+        dist, rows = relaxed_rows(weights, 0)
+        assert dist.tolist() == [0.0] + [WEIGHT_FLOOR] * (size - 1)
+        assert rows == 0
+
+    def test_isolated_node_stops_on_the_sentinel_bound(self):
+        size = 6
+        weights = floor_graph(size, [(u, v) for u in range(size - 1) for v in range(u)])
+        dist, rows = relaxed_rows(weights, 0)
+        # the first round settles every node but the isolated one, so it
+        # relaxes their rows, and the race ends when the bound reaches 1e7
+        assert rows == size - 2
+        assert dist.tolist() == [0.0] + [WEIGHT_FLOOR] * (size - 2) + [INACTIVE]
+        assert np.array_equal(dist, dijkstra_numpy(weights, 0))
+
+
 def random_digraph(rng, size, inactive_fraction, diagonal, top):
     weights = rng.uniform(1.0, top, (size, size))
     weights[rng.random((size, size)) < inactive_fraction] = INACTIVE
