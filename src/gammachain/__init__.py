@@ -7,83 +7,68 @@ network whose shortest-path races produce a gamma time series. ``inference``
 bins such a series into transition counts and scores any candidate model by
 its log-likelihood gap to the empirical maximum-likelihood matrix. The
 ``cli`` module ties the layers into file-producing commands.
+
+Importing the package loads none of its layers: each public name is
+imported from its module on first access (PEP 562).
 """
 
-from .inference import (
-    LikelihoodReport,
-    TransitionCounts,
-    count_transitions,
-    empirical_transition_matrix,
-    load_reference_counts,
-    log_likelihood,
-    occupancy_fractions,
-    relative_likelihood,
-    score_model,
-)
-from .markov import (
-    KernelConfig,
-    StateDistribution,
-    TransitionMatrix,
-    is_irreducible,
-    kernel_box_integral,
-    model1_transition_matrix,
-    model2_transition_matrix,
-    sq_exp_kernel,
-    stationary_distribution,
-)
-from .network import (
-    CentralityVector,
-    GammaSeries,
-    NetworkState,
-    RegionConfig,
-    default_region_config,
-    eigenvector_centrality,
-    evolve_network,
-    gamma_of,
-    init_network,
-    moving_average,
-    sample_skew_normal,
-    shortest_latencies,
-    simulate_gamma_series,
-)
-from .partition import Interval, StrategyPartition, default_partition
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CentralityVector",
-    "GammaSeries",
-    "Interval",
-    "KernelConfig",
-    "LikelihoodReport",
-    "NetworkState",
-    "RegionConfig",
-    "StateDistribution",
-    "StrategyPartition",
-    "TransitionCounts",
-    "TransitionMatrix",
-    "count_transitions",
-    "default_partition",
-    "default_region_config",
-    "eigenvector_centrality",
-    "empirical_transition_matrix",
-    "evolve_network",
-    "gamma_of",
-    "init_network",
-    "is_irreducible",
-    "kernel_box_integral",
-    "load_reference_counts",
-    "log_likelihood",
-    "model1_transition_matrix",
-    "model2_transition_matrix",
-    "moving_average",
-    "occupancy_fractions",
-    "relative_likelihood",
-    "sample_skew_normal",
-    "score_model",
-    "shortest_latencies",
-    "simulate_gamma_series",
-    "sq_exp_kernel",
-    "stationary_distribution",
-    "__version__",
-]
+_LAYERS = {
+    "inference": (
+        "LikelihoodReport",
+        "TransitionCounts",
+        "count_transitions",
+        "empirical_transition_matrix",
+        "load_reference_counts",
+        "log_likelihood",
+        "occupancy_fractions",
+        "relative_likelihood",
+        "score_model",
+    ),
+    "markov": (
+        "KernelConfig",
+        "StateDistribution",
+        "TransitionMatrix",
+        "is_irreducible",
+        "kernel_box_integral",
+        "model1_transition_matrix",
+        "model2_transition_matrix",
+        "sq_exp_kernel",
+        "stationary_distribution",
+    ),
+    "network": (
+        "CentralityVector",
+        "GammaSeries",
+        "NetworkState",
+        "RegionConfig",
+        "default_region_config",
+        "eigenvector_centrality",
+        "evolve_network",
+        "gamma_of",
+        "init_network",
+        "moving_average",
+        "sample_skew_normal",
+        "shortest_latencies",
+        "simulate_gamma_series",
+    ),
+    "partition": ("Interval", "StrategyPartition", "default_partition"),
+}
+_MODULE_OF = {name: module for module, names in _LAYERS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -30,12 +30,15 @@ run that exits 1 or 2 prints just its error and leaves ``--out`` as it
 found it, unless writing is what failed. Exit status is 2 when a flag is
 rejected, 1 when the run fails, and 0 exactly when all requested
 artifacts were written.
+
+Only the commands that simulate or read a series import the simulator
+(``network``), and only ``simulate`` and ``pipeline`` import ``hashlib``,
+so ``model`` and ``compare`` start without either.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import platform
@@ -43,6 +46,7 @@ import sys
 from contextlib import redirect_stdout
 from os import environ
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,14 +67,10 @@ from .markov import (
     model2_transition_matrix,
     stationary_distribution,
 )
-from .network import (
-    GammaSeries,
-    RegionConfig,
-    default_region_config,
-    moving_average,
-    simulate_gamma_series,
-)
 from .partition import StrategyPartition, default_partition
+
+if TYPE_CHECKING:
+    from .network import GammaSeries
 
 OUT_DIR_ENV = "GAMMACHAIN_OUT_DIR"
 
@@ -81,8 +81,17 @@ def _dumps(obj) -> str:
 
 
 def _config_hash(obj: dict) -> str:
+    import hashlib
+
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def simulate_gamma_series(*args, **kwargs) -> GammaSeries:
+    """``network.simulate_gamma_series``, imported on the first call."""
+    from .network import simulate_gamma_series
+
+    return simulate_gamma_series(*args, **kwargs)
 
 
 def _read(path, parse, text=True):
@@ -109,6 +118,8 @@ def _load_inputs(args: argparse.Namespace) -> None:
             else _read(args.partition, lambda text: StrategyPartition.from_json_obj(json.loads(text)))
         )
     if "region_config" in given:
+        from .network import RegionConfig, default_region_config
+
         region = (
             default_region_config()
             if args.region_config is None
@@ -116,6 +127,8 @@ def _load_inputs(args: argparse.Namespace) -> None:
         )
         args.region_config = region.scaled_to(args.nodes)
     if given.get("series") is not None:
+        from .network import GammaSeries
+
         args.series = _read(args.series, GammaSeries.from_csv, text=False)
     if given.get("counts") is not None:
         args.counts = _read(args.counts, lambda text: TransitionCounts.from_csv(text, args.partition))
@@ -173,6 +186,8 @@ def cmd_model(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
+    from .network import moving_average
+
     region, series = args.region_config, args.series
     averaged = moving_average(series)
     metadata = {

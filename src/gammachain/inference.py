@@ -15,13 +15,16 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._frozen import ArrayEq, readonly
 from .markov import StateDistribution, TransitionMatrix
-from .network import GammaSeries
 from .partition import DEFAULT_BOUNDARIES, StrategyPartition, default_partition
+
+if TYPE_CHECKING:
+    from .network import GammaSeries
 
 REFERENCE_COUNTS_FILE = "reference_counts.csv"
 _INTEGER_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")

@@ -618,6 +618,39 @@ class TestSimulateGammaSeries:
         assert calls == [("_draw_node_pair", nodes)] + step * (steps - 1)
 
 
+# nodes -> (evolution steps, sha256 of the last weights, sha256 of their centrality)
+STATE_DIGESTS = {
+    100: (
+        200,
+        "8a4aa8c47c5c67af83413ba0fc1c4cb31dbabcabb3a350b1416fd9e9b39cfcef",
+        "e29bec95df30cb407d01546a6db769de103fc6e520c4ab55b9f76e02a692c53e",
+    ),
+    400: (
+        20,
+        "799e532948f6984db355e24b0c86d932bc4e520fea0d9b2b0b231bf9f3d41fbf",
+        "5150116cf66090b689cf036e4ece328ef3d1c5720c5b52461c45428e378676e8",
+    ),
+}
+
+
+@pytest.mark.parametrize("nodes", sorted(STATE_DIGESTS))
+def test_replayed_state_pinned(nodes):
+    # gamma is decided by floor links and ties, so the gamma digests miss most
+    # changes to the weights above the floor or to centrality; this pins both
+    steps, weights_digest, centrality_digest = STATE_DIGESTS[nodes]
+    config = default_region_config().scaled_to(nodes)
+    rng = np.random.default_rng(3)
+    state = init_network(config, seed=rng)
+    for _ in range(steps):
+        state = evolve_network(state, 1.0, config, seed=rng)
+    arrays = {
+        "weights": (state.weights, weights_digest),
+        "centrality": (eigenvector_centrality(state).scores, centrality_digest),
+    }
+    moved = [name for name, (array, pin) in arrays.items() if hashlib.sha256(array.tobytes()).hexdigest() != pin]
+    assert not moved, f"{nodes}-node replay moved from its pin: {', '.join(moved)} (numpy {np.__version__})"
+
+
 class TestMovingAverage:
     def test_constant_series(self):
         series = GammaSeries(np.arange(4, dtype=float), np.full(4, 0.3))
