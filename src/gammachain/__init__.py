@@ -4,9 +4,9 @@ The package has three layers. ``markov`` builds two analytical transition
 models over a partition of [0, 1] into mining-strategy intervals and solves
 their stationary distributions. ``network`` simulates a regional latency
 network whose shortest-path races produce a gamma time series. ``inference``
-bins such a series into transition counts and scores any candidate model by
-its log-likelihood gap to the empirical maximum-likelihood matrix. The
-``cli`` module ties the layers into file-producing commands.
+holds the series type, bins a series into transition counts and scores any
+candidate model by its log-likelihood gap to the empirical maximum-likelihood
+matrix. The ``cli`` module ties the layers into file-producing commands.
 
 Importing the package loads none of its layers: each public name is
 imported from its module on first access (PEP 562).
@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 
 _LAYERS = {
     "inference": (
+        "GammaSeries",
         "LikelihoodReport",
         "TransitionCounts",
         "count_transitions",
@@ -41,7 +42,6 @@ _LAYERS = {
     ),
     "network": (
         "CentralityVector",
-        "GammaSeries",
         "NetworkState",
         "RegionConfig",
         "default_region_config",

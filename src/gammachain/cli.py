@@ -31,9 +31,9 @@ found it, unless writing is what failed. Exit status is 2 when a flag is
 rejected, 1 when the run fails, and 0 exactly when all requested
 artifacts were written.
 
-Only the commands that simulate or read a series import the simulator
-(``network``), and only ``simulate`` and ``pipeline`` import ``hashlib``,
-so ``model`` and ``compare`` start without either.
+Only the commands that simulate, or that take ``--region-config``, import
+the simulator (``network``), and only ``simulate`` and ``pipeline`` import
+``hashlib``.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ import sys
 from contextlib import redirect_stdout
 from os import environ
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .inference import (
+    GammaSeries,
     TransitionCounts,
     count_transitions,
     empirical_transition_matrix,
@@ -68,9 +68,6 @@ from .markov import (
     stationary_distribution,
 )
 from .partition import StrategyPartition, default_partition
-
-if TYPE_CHECKING:
-    from .network import GammaSeries
 
 OUT_DIR_ENV = "GAMMACHAIN_OUT_DIR"
 
@@ -117,7 +114,8 @@ def _load_inputs(args: argparse.Namespace) -> None:
             if args.partition is None
             else _read(args.partition, lambda text: StrategyPartition.from_json_obj(json.loads(text)))
         )
-    if "region_config" in given:
+    simulates = "steps" in given and given.get("series") is None
+    if simulates or given.get("region_config") is not None:
         from .network import RegionConfig, default_region_config
 
         region = (
@@ -127,8 +125,6 @@ def _load_inputs(args: argparse.Namespace) -> None:
         )
         args.region_config = region.scaled_to(args.nodes)
     if given.get("series") is not None:
-        from .network import GammaSeries
-
         args.series = _read(args.series, GammaSeries.from_csv, text=False)
     if given.get("counts") is not None:
         args.counts = _read(args.counts, lambda text: TransitionCounts.from_csv(text, args.partition))
@@ -140,7 +136,7 @@ def _load_inputs(args: argparse.Namespace) -> None:
     if "length_scale" in given:
         kinds = [args.kind] if "kind" in given else ["midpoint", "kernel"]
         args.models = {kind: _build_model(args, kind) for kind in kinds}
-    if "steps" in given and given.get("series") is None:
+    if simulates:
         args.series = simulate_gamma_series(
             np.arange(args.steps, dtype=float), seed=args.seed, config=args.region_config,
             dropout=args.dropout, activation=args.activation,

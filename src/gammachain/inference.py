@@ -1,4 +1,4 @@
-"""Binning, transition counting, and likelihood scoring of candidate models.
+"""The gamma series, its binning into transition counts, and likelihood scoring.
 
 A gamma series is mapped to a state sequence through a strategy partition;
 consecutive states accumulate into a transition-count matrix. The empirical
@@ -15,7 +15,6 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,11 +22,68 @@ from ._frozen import ArrayEq, readonly
 from .markov import StateDistribution, TransitionMatrix
 from .partition import DEFAULT_BOUNDARIES, StrategyPartition, default_partition
 
-if TYPE_CHECKING:
-    from .network import GammaSeries
-
 REFERENCE_COUNTS_FILE = "reference_counts.csv"
 _INTEGER_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+@dataclass(frozen=True, eq=False)
+class GammaSeries(ArrayEq):
+    """Gamma samples over a strictly increasing time schedule.
+
+    Raises
+    ------
+    ValueError
+        If the series is empty, lengths differ, a time is not finite, times
+        are not strictly increasing, or a value is not in [0, 1] (NaN
+        included).
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        times = readonly(self.times)
+        values = readonly(self.values)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+        if times.ndim != 1 or values.ndim != 1:
+            raise ValueError("times and values must be one-dimensional")
+        if len(times) != len(values):
+            raise ValueError("times and values must have equal length")
+        if len(times) == 0:
+            raise ValueError("series must contain at least one sample")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("times must be strictly increasing")
+        if not np.all((values >= 0) & (values <= 1)):
+            raise ValueError("gamma values must lie in [0, 1]")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def to_csv(self) -> str:
+        # repr of a python float is the shortest exact round-trip form
+        lines = ["time,gamma"]
+        lines += [f"{float(t)!r},{float(v)!r}" for t, v in zip(self.times, self.values)]
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_csv(cls, path) -> "GammaSeries":
+        """Read a series file: the header ``time,gamma``, then one ``time,gamma`` row a line."""
+        with open(path, encoding="utf-8") as fh:
+            lines = enumerate(map(str.strip, fh), 1)
+            skip, header = next((item for item in lines if item[1]), (0, ""))
+            if header != "time,gamma":
+                raise ValueError("series CSV must start with the header 'time,gamma'")
+            if not any(text for _, text in lines):
+                raise ValueError("series must contain at least one sample")
+        # numpy reads a path in one pass of its C reader (a bare header would warn, hence the
+        # check above); it skips blank lines and raises on a bad token or a changed field count
+        rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip, encoding="utf-8")
+        if rows.shape[1] != 2:
+            raise ValueError("series CSV rows must hold two fields, time and gamma")
+        return cls(rows[:, 0], rows[:, 1])
 
 
 @dataclass(frozen=True, eq=False)

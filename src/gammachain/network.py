@@ -54,6 +54,7 @@ from ._kernels import (
     perturb_weights,
     race_latencies,
 )
+from .inference import GammaSeries
 
 _POWER_ITERATIONS = 50
 _POWER_TOL = 1e-5
@@ -95,8 +96,13 @@ class RegionConfig(ArrayEq):
 
     def __post_init__(self):
         names = tuple(str(n) for n in self.region_names)
-        counts = tuple(int(c) for c in self.node_counts)
-        if counts != tuple(self.node_counts):
+        given = tuple(self.node_counts)
+        try:
+            counts = tuple(int(c) for c in given)
+        except (OverflowError, ValueError):  # an infinite or NaN count
+            counts = None
+        # JSON true would otherwise pass as 1
+        if counts != given or any(isinstance(c, (bool, np.bool_)) for c in given):
             raise ValueError("node counts must be whole numbers")
         matrix = readonly(self.mean_latency)
         object.__setattr__(self, "region_names", names)
@@ -218,66 +224,6 @@ class CentralityVector(ArrayEq):
         object.__setattr__(self, "scores", scores)
         if np.any(scores < 0):
             raise ValueError("centrality scores must be non-negative")
-
-
-@dataclass(frozen=True, eq=False)
-class GammaSeries(ArrayEq):
-    """Gamma samples over a strictly increasing time schedule.
-
-    Raises
-    ------
-    ValueError
-        If the series is empty, lengths differ, a time is not finite, times
-        are not strictly increasing, or a value is not in [0, 1] (NaN
-        included).
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = readonly(self.times)
-        values = readonly(self.values)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.ndim != 1 or values.ndim != 1:
-            raise ValueError("times and values must be one-dimensional")
-        if len(times) != len(values):
-            raise ValueError("times and values must have equal length")
-        if len(times) == 0:
-            raise ValueError("series must contain at least one sample")
-        if not np.all(np.isfinite(times)):
-            raise ValueError("times must be finite")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if not np.all((values >= 0) & (values <= 1)):
-            raise ValueError("gamma values must lie in [0, 1]")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def to_csv(self) -> str:
-        # repr of a python float is the shortest exact round-trip form
-        lines = ["time,gamma"]
-        lines += [f"{float(t)!r},{float(v)!r}" for t, v in zip(self.times, self.values)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, path) -> "GammaSeries":
-        """Read a series file: the header ``time,gamma``, then one ``time,gamma`` row a line."""
-        with open(path, encoding="utf-8") as fh:
-            lines = enumerate(map(str.strip, fh), 1)
-            skip, header = next((item for item in lines if item[1]), (0, ""))
-            if header != "time,gamma":
-                raise ValueError("series CSV must start with the header 'time,gamma'")
-            if not any(text for _, text in lines):
-                raise ValueError("series must contain at least one sample")
-        # numpy reads a path in one pass of its C reader (a bare header would warn, hence the
-        # check above); it skips blank lines and raises on a bad token or a changed field count
-        rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip, encoding="utf-8")
-        if rows.shape[1] != 2:
-            raise ValueError("series CSV rows must hold two fields, time and gamma")
-        return cls(rows[:, 0], rows[:, 1])
 
 
 def _pair_means(config: RegionConfig, region_of: np.ndarray) -> np.ndarray:

@@ -11,9 +11,8 @@ import pytest
 
 import gammachain
 from gammachain import cli
-from gammachain.inference import TransitionCounts
+from gammachain.inference import GammaSeries, TransitionCounts
 from gammachain.markov import TransitionMatrix, model1_transition_matrix
-from gammachain.network import GammaSeries
 from gammachain.partition import StrategyPartition, default_partition
 from helpers import write_file
 

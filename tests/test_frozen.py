@@ -6,9 +6,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from gammachain.inference import TransitionCounts
+from gammachain.inference import GammaSeries, TransitionCounts
 from gammachain.markov import StateDistribution, TransitionMatrix
-from gammachain.network import CentralityVector, GammaSeries, NetworkState, RegionConfig
+from gammachain.network import CentralityVector, NetworkState, RegionConfig
 from gammachain.partition import default_partition
 
 from helpers import make_partition

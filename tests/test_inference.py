@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammachain.inference import (
+    GammaSeries,
     LikelihoodReport,
     TransitionCounts,
     count_transitions,
@@ -23,7 +24,6 @@ from gammachain.markov import (
     model2_transition_matrix,
     stationary_distribution,
 )
-from gammachain.network import GammaSeries
 from gammachain.partition import default_partition
 from helpers import grid_partitions, make_partition
 

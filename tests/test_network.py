@@ -76,9 +76,11 @@ class TestRegionConfig:
         assert config.scaled_to(100) is config
 
     def test_rejects_fractional_node_counts(self):
-        obj = {**default_region_config().to_json_obj(), "node_counts": [33.5, 50, 1, 12, 2, 1.5]}
-        with pytest.raises(ValueError, match="whole numbers"):
-            RegionConfig.from_json_obj(obj)
+        # JSON true and the non-finite floats are no whole numbers either
+        for first, last in ((33.5, 1.5), (float("inf"), 2), (float("nan"), 2), (True, 2)):
+            obj = {**default_region_config().to_json_obj(), "node_counts": [first, 50, 1, 12, 2, last]}
+            with pytest.raises(ValueError, match="whole numbers"):
+                RegionConfig.from_json_obj(obj)
 
     def test_accepts_integral_floats(self):
         obj = {**default_region_config().to_json_obj(), "node_counts": [33.0, 50, 1, 12, 2, 2]}
