@@ -25,6 +25,7 @@ _LAYERS = {
         "empirical_transition_matrix",
         "load_reference_counts",
         "log_likelihood",
+        "moving_average",
         "occupancy_fractions",
         "relative_likelihood",
         "score_model",
@@ -49,7 +50,6 @@ _LAYERS = {
         "evolve_network",
         "gamma_of",
         "init_network",
-        "moving_average",
         "sample_skew_normal",
         "shortest_latencies",
         "simulate_gamma_series",

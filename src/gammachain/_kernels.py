@@ -24,7 +24,8 @@ sentinel, so unreachable nodes and nodes whose cheapest path costs at least
 1e7 report exactly 1e7.
 
 All random draws happen outside these kernels; callers pass the drawn arrays
-in, which keeps the consumed random stream fixed.
+in, which keeps the consumed random stream fixed. ``skew_normal`` builds the
+latency update's shock, and ``network.sample_skew_normal`` draws through it.
 """
 
 from __future__ import annotations
@@ -100,6 +101,27 @@ def race_latencies(weights: np.ndarray, sources) -> np.ndarray:
     return np.minimum(dist, INACTIVE, out=dist)
 
 
+def skew_normal(alpha: np.ndarray, u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
+    """Skew-normal draws of shape ``alpha`` from standard normals; ``alpha`` is overwritten.
+
+    With delta = alpha / sqrt(1 + alpha**2), a draw is
+    delta * |u0| + sqrt(1 - delta**2) * u1.
+    """
+    # the operations and their order are fixed by the seeded output bytes
+    scratch = np.multiply(alpha, alpha)
+    scratch += 1.0
+    np.sqrt(scratch, out=scratch)
+    delta = np.divide(alpha, scratch, out=alpha)
+    draw = np.abs(u0)
+    draw *= delta
+    np.multiply(delta, delta, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch *= u1
+    draw += scratch
+    return draw
+
+
 def perturb_weights(
     prev: np.ndarray,
     mean: np.ndarray,
@@ -114,24 +136,12 @@ def perturb_weights(
     A finite link that stays active scales by (1 + delta_t * S); a finite
     link sampled inactive becomes the sentinel; an inactive link restarts
     from its regional mean scaled the same way, regardless of the sampled
-    adjacency. S is a skew-normal draw built from the two standard normals
+    adjacency. S is the ``skew_normal`` draw of the two standard normals
     with shape 3 * omega_sum. Finite results are clamped into
     [WEIGHT_FLOOR, WEIGHT_CEIL].
     """
-    # the operations and their order are fixed by the seeded output bytes;
-    # intermediates go to scratch arrays so the caller's arrays stay as passed
-    alpha = np.multiply(omega_sum, 3.0)
-    scratch = np.multiply(alpha, alpha)
-    scratch += 1.0
-    np.sqrt(scratch, out=scratch)
-    delta = np.divide(alpha, scratch, out=alpha)
-    factor = np.abs(u0)
-    factor *= delta
-    np.multiply(delta, delta, out=scratch)
-    np.subtract(1.0, scratch, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch *= u1
-    factor += scratch
+    # skew_normal overwrites its shape array, so it gets a fresh one: the caller's arrays stay as passed
+    factor = skew_normal(np.multiply(omega_sum, 3.0), u0, u1)
     factor *= delta_t
     factor += 1.0
     prev_finite = prev < INACTIVE

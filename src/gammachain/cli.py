@@ -56,6 +56,7 @@ from .inference import (
     count_transitions,
     empirical_transition_matrix,
     load_reference_counts,
+    moving_average,
     occupancy_from_counts,
     score_model,
 )
@@ -182,8 +183,6 @@ def cmd_model(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
-    from .network import moving_average
-
     region, series = args.region_config, args.series
     averaged = moving_average(series)
     metadata = {
@@ -263,8 +262,6 @@ def cmd_compare(args: argparse.Namespace, artifacts: dict[str, str]) -> dict:
 
 
 def cmd_pipeline(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
-    if args.steps < 2:
-        raise ValueError("pipeline needs at least two steps to count transitions")
     cmd_simulate(args, artifacts)
     args.counts, stationary, stationary_obj = cmd_analyze(args, artifacts)
     report = cmd_compare(args, artifacts)

@@ -86,6 +86,12 @@ class GammaSeries(ArrayEq):
         return cls(rows[:, 0], rows[:, 1])
 
 
+def moving_average(series: GammaSeries) -> GammaSeries:
+    """Cumulative mean of the series, times preserved."""
+    counts = np.arange(1, len(series) + 1, dtype=float)
+    return GammaSeries(series.times, np.cumsum(series.values) / counts)
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionCounts(ArrayEq):
     """Non-negative transition counts over the states of a partition.

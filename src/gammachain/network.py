@@ -53,6 +53,7 @@ from ._kernels import (
     pair_indices,
     perturb_weights,
     race_latencies,
+    skew_normal,
 )
 from .inference import GammaSeries
 
@@ -85,9 +86,10 @@ class RegionConfig(ArrayEq):
     Raises
     ------
     ValueError
-        If the field lengths disagree, a node count is negative or not a
-        whole number, or the latency matrix is not symmetric with finite
-        positive entries.
+        If the names are a string or repeat, the field lengths disagree, a
+        node count is negative or not a whole number, or the latency matrix
+        is not symmetric with finite entries above 5 (the Pareto scale of
+        ``init_network`` is mean - 5).
     """
 
     region_names: tuple[str, ...] = REGION_NAMES
@@ -95,6 +97,8 @@ class RegionConfig(ArrayEq):
     mean_latency: np.ndarray = DEFAULT_MEAN_LATENCY
 
     def __post_init__(self):
+        if isinstance(self.region_names, str):
+            raise ValueError("region names must be a list, not a string")
         names = tuple(str(n) for n in self.region_names)
         given = tuple(self.node_counts)
         try:
@@ -109,6 +113,8 @@ class RegionConfig(ArrayEq):
         object.__setattr__(self, "node_counts", counts)
         object.__setattr__(self, "mean_latency", matrix)
         k = len(names)
+        if len(set(names)) != k:
+            raise ValueError("region names must be distinct")
         if len(counts) != k:
             raise ValueError("node_counts length must match region_names")
         if matrix.shape != (k, k):
@@ -121,8 +127,8 @@ class RegionConfig(ArrayEq):
             raise ValueError("mean latencies must be finite")
         if not np.array_equal(matrix, matrix.T):
             raise ValueError("mean_latency must be symmetric")
-        if np.any(matrix <= 0):
-            raise ValueError("mean latencies must be positive")
+        if np.any(matrix <= 5.0):
+            raise ValueError("mean latencies must exceed 5")
 
     @property
     def node_count(self) -> int:
@@ -159,11 +165,7 @@ class RegionConfig(ArrayEq):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RegionConfig":
-        return cls(
-            tuple(obj["region_names"]),
-            tuple(obj["node_counts"]),
-            np.asarray(obj["mean_latency"], dtype=float),
-        )
+        return cls(obj["region_names"], obj["node_counts"], obj["mean_latency"])
 
 
 def default_region_config() -> RegionConfig:
@@ -235,8 +237,6 @@ def _initial_flat(config: RegionConfig, dropout: float, rng: np.random.Generator
     """Validated initial draw: node regions, pair means and flat weights."""
     if not 0.0 <= dropout < 1.0:
         raise ValueError("dropout must lie in [0, 1)")
-    if np.any(config.mean_latency <= 5.0):
-        raise ValueError("regional means must exceed 5")
     region_of = config.region_assignment()
     means = _pair_means(config, region_of)
     drop_uniforms = rng.random(len(means))
@@ -267,8 +267,7 @@ def init_network(config: RegionConfig | None = None, dropout: float = 0.1, seed=
     Raises
     ------
     ValueError
-        If dropout is outside [0, 1) or any regional mean is 5 or less
-        (the Pareto scale would not be positive).
+        If dropout is outside [0, 1).
     """
     config = config or default_region_config()
     region_of, _, flat = _initial_flat(config, dropout, np.random.default_rng(seed))
@@ -307,16 +306,9 @@ def eigenvector_centrality(state: NetworkState) -> CentralityVector:
 
 
 def sample_skew_normal(shape: float, seed=None) -> float:
-    """One standard skew-normal draw via the two-normal construction.
-
-    With delta = shape / sqrt(1 + shape**2) and independent standard
-    normals u0, u1, the draw is delta * |u0| + sqrt(1 - delta**2) * u1.
-    """
-    rng = np.random.default_rng(seed)
-    delta = shape / np.sqrt(1.0 + shape * shape)
-    u0 = rng.standard_normal()
-    u1 = rng.standard_normal()
-    return float(delta * abs(u0) + np.sqrt(1.0 - delta * delta) * u1)
+    """One skew-normal draw of ``shape``: ``_kernels.skew_normal`` on two standard normals."""
+    u0, u1 = np.random.default_rng(seed).standard_normal((2, 1))
+    return float(skew_normal(np.full(1, shape, dtype=float), u0, u1)[0])
 
 
 def _check_activation(activation: float) -> None:
@@ -492,9 +484,3 @@ def simulate_gamma_series(
         attacker, honest = _draw_node_pair(rng, n)
         values[step] = _gamma(fill_off_diagonal(matrix, flat), attacker, honest)
     return GammaSeries(times, values)
-
-
-def moving_average(series: GammaSeries) -> GammaSeries:
-    """Cumulative mean of the series, times preserved."""
-    counts = np.arange(1, len(series) + 1, dtype=float)
-    return GammaSeries(series.times, np.cumsum(series.values) / counts)

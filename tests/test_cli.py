@@ -17,6 +17,8 @@ from gammachain.partition import StrategyPartition, default_partition
 from helpers import write_file
 
 FIXTURE_SERIES = "time,gamma\n0.0,0.1\n1.0,0.2\n2.0,0.7\n3.0,0.9\n"
+# the Pareto scale of the initial draw is mean - 5, so a mean of 3 is malformed
+LOW_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[3, 50], [50, 12]]}'
 
 # sha256 of every artifact of each pinned run, and of its stdout without the
 # "wrote" lines. run_metadata.json is hashed with "versions" removed, so that a
@@ -528,8 +530,12 @@ class TestPipelineCommand:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_rejects_single_step(self, tmp_path, capsys):
-        assert run(tmp_path, "pipeline", "--steps", "1") == 1
-        assert "two steps" in capsys.readouterr().err
+        # count_transitions is the one place the two-sample rule lives
+        for command in ("pipeline", "analyze"):
+            out = tmp_path / command
+            assert run(out, command, "--steps", "1") == 1
+            assert capsys.readouterr().err == "error: need at least two samples to count transitions\n"
+            assert not out.exists()
 
 
 class TestInputResolution:
@@ -561,11 +567,15 @@ class TestInputResolution:
         assert calls == []
 
     def test_files_resolve_before_models(self, tmp_path, capsys):
-        counts_file = write_file(tmp_path, "1,2\n3,4\n", "bad.csv")
-        out = tmp_path / "out"
-        assert run(out, "compare", "--counts", str(counts_file), "--length-scale", "1e300") == 1
-        assert capsys.readouterr().err.startswith(f"error: malformed input file {counts_file}: ")
-        assert not out.exists()
+        for command, flag, text in (
+            ("compare", "--counts", "1,2\n3,4\n"),
+            ("pipeline", "--region-config", LOW_MEAN_REGION),
+        ):
+            path = write_file(tmp_path, text, f"bad-{command}")
+            out = tmp_path / command
+            assert run(out, command, flag, str(path), "--length-scale", "1e300") == 1
+            assert capsys.readouterr().err.startswith(f"error: malformed input file {path}: ")
+            assert not out.exists()
 
 
 class TestPinnedArtifacts:
@@ -734,6 +744,17 @@ class TestArgumentHandling:
                 '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[10, 50], [50]]}',
             ),
             ("compare", "--partition", '[{"lower": "x", "upper": 1, "label": "ALL"}]'),
+            ("simulate", "--region-config", LOW_MEAN_REGION),
+            (
+                "simulate",
+                "--region-config",
+                '{"region_names": "ab", "node_counts": [1, 1], "mean_latency": [[10, 50], [50, 12]]}',
+            ),
+            (
+                "simulate",
+                "--region-config",
+                '{"region_names": ["a", "a"], "node_counts": [1, 1], "mean_latency": [[10, 50], [50, 12]]}',
+            ),
             (
                 "compare",
                 "--partition",

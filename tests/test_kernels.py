@@ -19,6 +19,7 @@ from gammachain.network import (
     evolve_network,
     gamma_of,
     init_network,
+    sample_skew_normal,
     shortest_latencies,
 )
 
@@ -332,6 +333,15 @@ class TestPerturbSemantics:
         )
         assert out[0] == WEIGHT_CEIL
         assert out[0] < INACTIVE
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.01, 0.1, 0.33, 1.0, 5.0])
+def test_perturb_shock_is_sample_skew_normal(omega):
+    # ties the skew-normal checks of sample_skew_normal to the shock the simulator applies
+    for seed in range(200):
+        u0, u1 = np.random.default_rng(seed).standard_normal((2, 1))
+        out = perturb_weights(np.array([100.0]), np.array([11.0]), np.array([omega]), u0, u1, 0.001, np.array([True]))
+        assert out[0] == 100.0 * (1.0 + 0.001 * sample_skew_normal(3.0 * omega, seed))
 
 
 def perturb_inputs(rng, size, prev_kind, active_kind):

@@ -8,6 +8,7 @@ import pytest
 
 from gammachain import network
 from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR
+from gammachain.inference import moving_average
 from gammachain.network import (
     DEFAULT_MEAN_LATENCY,
     DEFAULT_NODE_COUNTS,
@@ -23,7 +24,6 @@ from gammachain.network import (
     evolve_network,
     gamma_of,
     init_network,
-    moving_average,
     sample_skew_normal,
     shortest_latencies,
     simulate_gamma_series,
@@ -103,6 +103,26 @@ class TestRegionConfig:
         with pytest.raises(ValueError, match="finite"):
             RegionConfig(REGION_NAMES, DEFAULT_NODE_COUNTS, matrix)
 
+    @pytest.mark.parametrize("mean", [3.0, 5.0])
+    def test_rejects_mean_at_or_below_five(self, mean):
+        # the Pareto scale of the initial draw is mean - 5
+        matrix = np.asarray(DEFAULT_MEAN_LATENCY, dtype=float).copy()
+        matrix[2, 2] = mean
+        with pytest.raises(ValueError, match="exceed 5"):
+            RegionConfig(REGION_NAMES, DEFAULT_NODE_COUNTS, matrix)
+        matrix[2, 2] = np.nextafter(5.0, np.inf)
+        RegionConfig(REGION_NAMES, DEFAULT_NODE_COUNTS, matrix)
+
+    def test_rejects_string_region_names(self):
+        # a string is a sequence of one-letter names; JSON must give a list
+        obj = {"region_names": "ab", "node_counts": [1, 1], "mean_latency": [[10.0, 50.0], [50.0, 12.0]]}
+        with pytest.raises(ValueError, match="not a string"):
+            RegionConfig.from_json_obj(obj)
+
+    def test_rejects_duplicate_region_names(self):
+        with pytest.raises(ValueError, match="distinct"):
+            RegionConfig(("A", "B", "A"), (1, 1, 1), np.full((3, 3), 10.0))
+
     def test_json_round_trip(self):
         config = default_region_config()
         assert RegionConfig.from_json_obj(json.loads(json.dumps(config.to_json_obj()))) == config
@@ -144,9 +164,9 @@ class TestInitNetwork:
         base = default_region_config()
         matrix = np.asarray(base.mean_latency).copy()
         matrix[2, 2] = 5.0
-        config = RegionConfig(base.region_names, base.node_counts, tuple(map(tuple, matrix)))
-        with pytest.raises(ValueError):
-            init_network(config, seed=0)
+        # the config itself refuses the mean, before any draw
+        with pytest.raises(ValueError, match="exceed 5"):
+            init_network(RegionConfig(base.region_names, base.node_counts, tuple(map(tuple, matrix))), seed=0)
 
     def test_finite_weights_at_least_pareto_scale(self):
         # every EU-EU draw is scale / U**(1/shape) >= scale = 11 - 5 = 6
