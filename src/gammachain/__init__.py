@@ -54,7 +54,7 @@ _LAYERS = {
         "shortest_latencies",
         "simulate_gamma_series",
     ),
-    "partition": ("Interval", "StrategyPartition", "default_partition"),
+    "partition": ("StrategyPartition", "default_partition"),
 }
 _MODULE_OF = {name: module for module, names in _LAYERS.items() for name in names}
 

@@ -26,6 +26,20 @@ REFERENCE_COUNTS_FILE = "reference_counts.csv"
 _INTEGER_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
+def checked_times(times) -> np.ndarray:
+    """A read-only float copy of sample times; ValueError unless 1-D, non-empty, finite and increasing."""
+    times = readonly(times)
+    if times.ndim != 1:
+        raise ValueError("times must be one-dimensional")
+    if len(times) == 0:
+        raise ValueError("series must contain at least one sample")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    return times
+
+
 @dataclass(frozen=True, eq=False)
 class GammaSeries(ArrayEq):
     """Gamma samples over a strictly increasing time schedule.
@@ -33,29 +47,20 @@ class GammaSeries(ArrayEq):
     Raises
     ------
     ValueError
-        If the series is empty, lengths differ, a time is not finite, times
-        are not strictly increasing, or a value is not in [0, 1] (NaN
-        included).
+        If the times break ``checked_times``, the values are not one per
+        time, or a value is not in [0, 1] (NaN included).
     """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        times = readonly(self.times)
+        times = checked_times(self.times)
         values = readonly(self.values)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        if times.ndim != 1 or values.ndim != 1:
-            raise ValueError("times and values must be one-dimensional")
-        if len(times) != len(values):
-            raise ValueError("times and values must have equal length")
-        if len(times) == 0:
-            raise ValueError("series must contain at least one sample")
-        if not np.all(np.isfinite(times)):
-            raise ValueError("times must be finite")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if values.shape != times.shape:
+            raise ValueError("values must be one-dimensional, one per time")
         if not np.all((values >= 0) & (values <= 1)):
             raise ValueError("gamma values must lie in [0, 1]")
 
@@ -269,11 +274,11 @@ def load_reference_counts(partition: StrategyPartition | None = None) -> Transit
     ``partition`` may relabel the four default states; other bounds raise ``ValueError``.
     """
     partition = partition or default_partition()
-    bounds = (0.0, *(iv.upper for iv in partition))
-    if bounds != DEFAULT_BOUNDARIES:
+    if partition.bounds != DEFAULT_BOUNDARIES:
+        default, given = (", ".join(f"{b:g}" for b in bounds) for bounds in (DEFAULT_BOUNDARIES, partition.bounds))
         raise ValueError(
-            "the bundled reference counts cover the four default states, binned at 0, 0.675, 0.76, 0.761, 1, "
-            f"not at {', '.join(f'{bound:g}' for bound in bounds)}"
+            "the bundled reference counts cover the four default states, "
+            f"binned at {default}, not at {given}"
         )
     text = (
         resources.files("gammachain")

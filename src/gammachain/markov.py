@@ -176,8 +176,7 @@ def model2_transition_matrix(
     """
     k = len(partition)
     # python floats: an overflowed scale yields inf or nan without a warning
-    lo = [float(iv.lower) for iv in partition]
-    hi = [float(iv.upper) for iv in partition]
+    lo, hi = partition.bounds[:-1], partition.bounds[1:]
     scale = config.length_scale
 
     if method == "closed_form":

@@ -55,7 +55,7 @@ from ._kernels import (
     race_latencies,
     skew_normal,
 )
-from .inference import GammaSeries
+from .inference import GammaSeries, checked_times
 
 _POWER_ITERATIONS = 50
 _POWER_TOL = 1e-5
@@ -86,10 +86,10 @@ class RegionConfig(ArrayEq):
     Raises
     ------
     ValueError
-        If the names are a string or repeat, the field lengths disagree, a
-        node count is negative or not a whole number, or the latency matrix
-        is not symmetric with finite entries above 5 (the Pareto scale of
-        ``init_network`` is mean - 5).
+        If the names are not a list of strings or repeat, the field
+        lengths disagree, a node count is negative or not a whole number,
+        or the latency matrix is not symmetric with finite entries above 5
+        (the Pareto scale of ``init_network`` is mean - 5).
     """
 
     region_names: tuple[str, ...] = REGION_NAMES
@@ -97,9 +97,12 @@ class RegionConfig(ArrayEq):
     mean_latency: np.ndarray = DEFAULT_MEAN_LATENCY
 
     def __post_init__(self):
-        if isinstance(self.region_names, str):
+        names = self.region_names
+        if isinstance(names, str):
             raise ValueError("region names must be a list, not a string")
-        names = tuple(str(n) for n in self.region_names)
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise ValueError("region names must be a list of strings")
+        names = tuple(names)
         given = tuple(self.node_counts)
         try:
             counts = tuple(int(c) for c in given)
@@ -462,11 +465,7 @@ def simulate_gamma_series(
         If the schedule is empty, not finite or not strictly increasing,
         or a link probability is out of range.
     """
-    times = np.asarray(schedule, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("schedule must be a non-empty one-dimensional sequence")
-    if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
-        raise ValueError("schedule must be finite and strictly increasing")
+    times = checked_times(schedule)
     _check_activation(activation)
     config = config or default_region_config()
     rng = np.random.default_rng(seed)

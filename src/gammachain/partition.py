@@ -1,6 +1,7 @@
 """Strategy partitions of the unit interval.
 
-A partition splits [0, 1] into ordered labeled intervals. Every interval is
+A partition is its boundary points, strictly increasing from 0 to 1, and
+one label for each interval between neighbouring points. Every interval is
 half-open on the right except the last one, which is closed at 1, so each
 value in [0, 1] belongs to exactly one interval. The default partition maps
 the fork-following fraction to the mining strategy that is optimal there:
@@ -11,6 +12,7 @@ equal-fork-stubborn mining (EFSM).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -19,86 +21,49 @@ DEFAULT_LABELS = ("HM", "SM", "LSM", "EFSM")
 
 
 @dataclass(frozen=True)
-class Interval:
-    """One labeled interval of a strategy partition.
-
-    Raises
-    ------
-    ValueError
-        If the bounds are reversed.
-    """
-
-    lower: float
-    upper: float
-    label: str
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError("interval lower bound exceeds its upper bound")
-
-    @property
-    def length(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return self.lower + (self.upper - self.lower) / 2.0
-
-
-@dataclass(frozen=True)
 class StrategyPartition:
-    """Ordered disjoint intervals covering [0, 1] exactly.
+    """Labeled intervals covering [0, 1]: interval i is [bounds[i], bounds[i + 1]), named labels[i].
 
-    Parameters
-    ----------
-    intervals : sequence of Interval
-        Must start at 0, end at 1, be contiguous, have strictly positive
-        lengths and unique labels.
+    The bounds are real numbers, kept as floats, that rise strictly from 0
+    to 1; the labels are unique strings, one per interval.
 
     Raises
     ------
     ValueError
-        If any structural invariant is violated.
+        If a bound is not a number (a bool included), a label is not a
+        string, or the bounds and labels break the rules above.
     """
 
-    intervals: tuple[Interval, ...]
+    bounds: tuple[float, ...]
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        ivs = tuple(self.intervals)
-        object.__setattr__(self, "intervals", ivs)
-        if not ivs:
-            raise ValueError("partition needs at least one interval")
-        if ivs[0].lower != 0.0:
-            raise ValueError("first interval must start at 0")
-        if ivs[-1].upper != 1.0:
-            raise ValueError("last interval must end at 1")
-        for left, right in zip(ivs, ivs[1:]):
-            if left.upper != right.lower:
-                raise ValueError(
-                    f"intervals {left.label!r} and {right.label!r} must be contiguous"
-                )
-        for iv in ivs:
-            if not iv.upper > iv.lower:
-                raise ValueError(f"interval {iv.label!r} must have positive length")
-        labels = [iv.label for iv in ivs]
+        bounds, labels = tuple(self.bounds), tuple(self.labels)
+        if any(isinstance(b, bool) or not isinstance(b, Real) for b in bounds):
+            raise ValueError("partition bounds must be numbers")
+        if not all(isinstance(label, str) for label in labels):
+            raise ValueError("interval labels must be strings")
+        bounds = tuple(map(float, bounds))
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "labels", labels)
+        if not labels or len(bounds) != len(labels) + 1:
+            raise ValueError("partition needs at least one interval and one label per interval")
+        if (bounds[0], bounds[-1]) != (0.0, 1.0):
+            raise ValueError("partition bounds must run from 0 to 1")
+        for lo, hi, label in zip(bounds, bounds[1:], labels):
+            if not hi > lo:
+                raise ValueError(f"interval {label!r} must have positive length")
         if len(set(labels)) != len(labels):
             raise ValueError("interval labels must be unique")
 
     def __len__(self) -> int:
-        return len(self.intervals)
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(iv.label for iv in self.intervals)
+        return len(self.labels)
 
     def lengths(self) -> tuple[float, ...]:
-        return tuple(iv.length for iv in self.intervals)
+        return tuple(hi - lo for lo, hi in zip(self.bounds, self.bounds[1:]))
 
     def midpoints(self) -> tuple[float, ...]:
-        return tuple(iv.midpoint for iv in self.intervals)
+        return tuple(lo + (hi - lo) / 2.0 for lo, hi in zip(self.bounds, self.bounds[1:]))
 
     def index_of(self, values):
         """Index of the interval containing each value, for a scalar or an array.
@@ -114,31 +79,26 @@ class StrategyPartition:
         arr = np.asarray(values, dtype=float)
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ValueError("gamma values must lie in [0, 1]")
-        uppers = np.asarray([iv.upper for iv in self.intervals])
-        return np.minimum(np.searchsorted(uppers, arr, side="right"), len(uppers) - 1)
+        return np.searchsorted(self.bounds[1:-1], arr, side="right")
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {"lower": iv.lower, "upper": iv.upper, "label": iv.label}
-            for iv in self.intervals
+            {"lower": lo, "upper": hi, "label": label}
+            for lo, hi, label in zip(self.bounds, self.bounds[1:], self.labels)
         ]
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "StrategyPartition":
-        return cls(
-            tuple(
-                Interval(float(d["lower"]), float(d["upper"]), str(d["label"]))
-                for d in obj
-            )
-        )
+        """Read the interval-list form: ``[{"lower", "upper", "label"}, ...]``, contiguous."""
+        bounds = (obj[0]["lower"], *(d["upper"] for d in obj)) if obj else ()
+        partition = cls(bounds, tuple(d["label"] for d in obj))
+        # after the types are checked, so a quoted number is not reported as a gap
+        for left, right in zip(obj, obj[1:]):
+            if left["upper"] != right["lower"]:
+                raise ValueError(f"intervals {left['label']!r} and {right['label']!r} must be contiguous")
+        return partition
 
 
 def default_partition() -> StrategyPartition:
-    """The four-interval strategy partition with boundaries 0, 0.675, 0.76, 0.761, 1."""
-    bounds = DEFAULT_BOUNDARIES
-    return StrategyPartition(
-        tuple(
-            Interval(bounds[i], bounds[i + 1], DEFAULT_LABELS[i])
-            for i in range(len(DEFAULT_LABELS))
-        )
-    )
+    """The four-interval strategy partition at ``DEFAULT_BOUNDARIES``."""
+    return StrategyPartition(DEFAULT_BOUNDARIES, DEFAULT_LABELS)

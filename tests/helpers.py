@@ -9,16 +9,11 @@ from hypothesis import strategies as st
 
 import gammachain
 from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR
-from gammachain.partition import Interval, StrategyPartition
+from gammachain.partition import StrategyPartition
 
 
 def make_partition(boundaries):
-    return StrategyPartition(
-        tuple(
-            Interval(boundaries[i], boundaries[i + 1], f"S{i}")
-            for i in range(len(boundaries) - 1)
-        )
-    )
+    return StrategyPartition(boundaries, tuple(f"S{i}" for i in range(len(boundaries) - 1)))
 
 
 def grid_partitions(max_cuts=5):

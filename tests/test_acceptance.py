@@ -212,7 +212,7 @@ def test_criterion_08_monotonicity_suite():
         bounds[pair + 1] = (bounds[pair] + bounds[pair + 2]) / 2
         partition = make_partition(bounds.tolist())
         entries = model1_transition_matrix(partition).entries
-        mids = np.array([iv.midpoint for iv in partition])
+        mids = np.array(partition.midpoints())
         for row in range(k):
             d_left = abs(mids[pair] - mids[row])
             d_right = abs(mids[pair + 1] - mids[row])

@@ -760,6 +760,20 @@ class TestArgumentHandling:
                 "--partition",
                 '[{"lower": 0, "upper": 0.5, "label": "A"}, {"lower": 0.5, "upper": 1, "label": "A"}]',
             ),
+            ("compare", "--partition", '[{"lower": false, "upper": true, "label": "ALL"}]'),
+            ("compare", "--partition", '[{"lower": "0", "upper": 1, "label": "ALL"}]'),
+            ("compare", "--partition", '[{"lower": 0, "upper": 1, "label": 5}]'),
+            ("compare", "--partition", '[{"lower": 0, "upper": 1, "label": ["x"]}]'),
+            (
+                "simulate",
+                "--region-config",
+                '{"region_names": {"a": 0, "b": 1}, "node_counts": [1, 1], "mean_latency": [[10, 50], [50, 12]]}',
+            ),
+            (
+                "simulate",
+                "--region-config",
+                '{"region_names": [["x"], 2], "node_counts": [1, 1], "mean_latency": [[10, 50], [50, 12]]}',
+            ),
         ],
     )
     def test_malformed_input_file_exits_one(self, tmp_path, capsys, command, flag, text):

@@ -248,7 +248,7 @@ class TestChainRecovery:
         true = np.array(
             [[0.7, 0.2, 0.1], [0.3, 0.5, 0.2], [0.25, 0.25, 0.5]]
         )
-        mids = np.array([iv.midpoint for iv in part])
+        mids = np.array(part.midpoints())
         gen = np.random.default_rng(99)
         states = np.empty(100000, dtype=np.int64)
         states[0] = 0

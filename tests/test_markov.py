@@ -20,7 +20,7 @@ from gammachain.markov import (
     sq_exp_kernel,
     stationary_distribution,
 )
-from gammachain.partition import Interval, StrategyPartition, default_partition
+from gammachain.partition import StrategyPartition, default_partition
 
 from helpers import make_partition, grid_partitions
 
@@ -37,7 +37,7 @@ class TestModel1:
         assert matrix.entries[0] == pytest.approx([0.806, 0.063, 0.0007, 0.130], abs=5e-4)
 
     def test_single_interval(self):
-        part = StrategyPartition((Interval(0.0, 1.0, "ALL"),))
+        part = StrategyPartition((0.0, 1.0), ("ALL",))
         matrix = model1_transition_matrix(part)
         assert matrix.entries.shape == (1, 1)
         assert matrix.entries[0, 0] == pytest.approx(1.0)
@@ -130,13 +130,13 @@ class TestKernelBoxIntegral:
 
 class TestModel2:
     def test_single_interval(self):
-        part = StrategyPartition((Interval(0.0, 1.0, "ALL"),))
+        part = StrategyPartition((0.0, 1.0), ("ALL",))
         entries = model2_transition_matrix(part).entries
         assert entries.shape == (1, 1)
         assert entries[0, 0] == pytest.approx(1.0)
 
     def test_symmetric_halves(self):
-        part = StrategyPartition((Interval(0.0, 0.5, "LO"), Interval(0.5, 1.0, "HI")))
+        part = StrategyPartition((0.0, 0.5, 1.0), ("LO", "HI"))
         entries = model2_transition_matrix(part).entries
         p = entries[0, 0]
         assert p > 0.5

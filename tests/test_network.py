@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,12 @@ class TestRegionConfig:
         # a string is a sequence of one-letter names; JSON must give a list
         obj = {"region_names": "ab", "node_counts": [1, 1], "mean_latency": [[10.0, 50.0], [50.0, 12.0]]}
         with pytest.raises(ValueError, match="not a string"):
+            RegionConfig.from_json_obj(obj)
+
+    @pytest.mark.parametrize("names", [{"a": 0, "b": 1}, [["x"], 2], ["a", None]])
+    def test_rejects_region_names_other_than_a_list_of_strings(self, names):
+        obj = {"region_names": names, "node_counts": [1, 1], "mean_latency": [[10.0, 50.0], [50.0, 12.0]]}
+        with pytest.raises(ValueError, match="region names must be a list of strings"):
             RegionConfig.from_json_obj(obj)
 
     def test_rejects_duplicate_region_names(self):
@@ -570,6 +577,16 @@ class TestSimulateGammaSeries:
     def test_rejects_empty_schedule(self):
         with pytest.raises(ValueError):
             simulate_gamma_series(np.array([]), seed=0)
+
+    @pytest.mark.parametrize("bad", [[], [0.0, 2.0, 1.0], [0.0, np.nan], [[0.0, 1.0]]])
+    def test_rejects_a_bad_schedule_as_a_series_does_before_drawing(self, bad):
+        with pytest.raises(ValueError) as series_error:
+            GammaSeries(bad, np.zeros(np.shape(bad)))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{re.escape(str(series_error.value))}$"):
+            simulate_gamma_series(bad, seed=rng)
+        assert rng.bit_generator.state == before
 
     def test_small_network_runs(self):
         series = simulate_gamma_series(

@@ -2,13 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gammachain.partition import (
     DEFAULT_BOUNDARIES,
-    Interval,
     StrategyPartition,
     default_partition,
 )
@@ -18,7 +18,7 @@ from helpers import make_partition
 class TestDefaultPartition:
     def test_boundaries_and_labels(self):
         part = default_partition()
-        assert tuple(iv.lower for iv in part) + (part.intervals[-1].upper,) == DEFAULT_BOUNDARIES
+        assert part.bounds == DEFAULT_BOUNDARIES
         assert part.labels == ("HM", "SM", "LSM", "EFSM")
         assert len(part) == 4
 
@@ -58,11 +58,11 @@ class TestIndexOf:
     def test_every_value_binned_to_exactly_one_interval(self, value):
         part = default_partition()
         idx = part.index_of(value)
-        iv = part.intervals[idx]
+        lower, upper = part.bounds[idx], part.bounds[idx + 1]
         if idx == len(part) - 1:
-            assert iv.lower <= value <= iv.upper
+            assert lower <= value <= upper
         else:
-            assert iv.lower <= value < iv.upper
+            assert lower <= value < upper
 
 
 class TestValidation:
@@ -75,10 +75,9 @@ class TestValidation:
             make_partition([0.0, 0.5, 0.9])
 
     def test_rejects_gap(self):
-        with pytest.raises(ValueError):
-            StrategyPartition(
-                (Interval(0.0, 0.4, "A"), Interval(0.5, 1.0, "B"))
-            )
+        obj = [{"lower": 0.0, "upper": 0.4, "label": "A"}, {"lower": 0.5, "upper": 1.0, "label": "B"}]
+        with pytest.raises(ValueError, match="^intervals 'A' and 'B' must be contiguous$"):
+            StrategyPartition.from_json_obj(obj)
 
     def test_rejects_zero_length_interval(self):
         with pytest.raises(ValueError):
@@ -86,17 +85,41 @@ class TestValidation:
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
-            StrategyPartition(
-                (Interval(0.0, 0.5, "A"), Interval(0.5, 1.0, "A"))
-            )
+            StrategyPartition((0.0, 0.5, 1.0), ("A", "A"))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            StrategyPartition(())
+            StrategyPartition((), ())
 
     def test_rejects_decreasing_interval(self):
-        with pytest.raises(ValueError):
-            Interval(0.6, 0.4, "A")
+        with pytest.raises(ValueError, match="interval 'B' must have positive length"):
+            StrategyPartition((0.0, 0.6, 0.4, 1.0), ("A", "B", "C"))
+
+    @pytest.mark.parametrize("labels", [("A",), ("A", "B", "C")])
+    def test_rejects_label_count_mismatch(self, labels):
+        with pytest.raises(ValueError, match="one label per interval"):
+            StrategyPartition((0.0, 0.5, 1.0), labels)
+
+    @pytest.mark.parametrize("bounds", [(False, True), (0.0, "0.5", 1.0), (0.0, None, 1.0), (0.0, np.bool_(1))])
+    def test_rejects_non_number_bounds(self, bounds):
+        labels = tuple(f"S{i}" for i in range(len(bounds) - 1))
+        with pytest.raises(ValueError, match="partition bounds must be numbers"):
+            StrategyPartition(bounds, labels)
+
+    def test_quoted_bound_in_json_is_not_reported_as_a_gap(self):
+        obj = [{"lower": 0, "upper": "0.5", "label": "A"}, {"lower": 0.5, "upper": 1, "label": "B"}]
+        with pytest.raises(ValueError, match="partition bounds must be numbers"):
+            StrategyPartition.from_json_obj(obj)
+
+    @pytest.mark.parametrize("label", [5, ["x"], None, b"A"])
+    def test_rejects_non_string_labels(self, label):
+        with pytest.raises(ValueError, match="interval labels must be strings"):
+            StrategyPartition((0.0, 1.0), (label,))
+
+    def test_integer_bounds_are_stored_as_floats(self):
+        part = StrategyPartition((0, np.float64(0.5), 1), ("A", "B"))
+        assert part.bounds == (0.0, 0.5, 1.0)
+        assert all(type(b) is float for b in part.bounds)
 
 
 class TestSerialization:
@@ -104,6 +127,11 @@ class TestSerialization:
         part = default_partition()
         again = StrategyPartition.from_json_obj(json.loads(json.dumps(part.to_json_obj())))
         assert again == part
+
+    def test_bounds_equal_the_interval_list(self):
+        obj = [{"lower": 0, "upper": 0.3, "label": "A"}, {"lower": 0.3, "upper": 1, "label": "B"}]
+        assert StrategyPartition.from_json_obj(obj) == StrategyPartition((0.0, 0.3, 1.0), ("A", "B"))
+        assert StrategyPartition((0.0, 0.3, 1.0), ("A", "B")).to_json_obj() == obj
 
     def test_json_obj_shape(self):
         obj = default_partition().to_json_obj()
@@ -126,8 +154,8 @@ def test_random_grid_partitions_are_valid_and_total(cuts):
     )
     for probe in [0.0, 0.25, 0.5, 0.75, 1.0] + [c / 1000 for c in cuts]:
         idx = part.index_of(probe)
-        iv = part.intervals[idx]
-        assert iv.lower <= probe <= iv.upper
-        if probe < 1.0 and probe == iv.upper:
+        lower, upper = part.bounds[idx], part.bounds[idx + 1]
+        assert lower <= probe <= upper
+        if probe < 1.0 and probe == upper:
             # boundary values belong to the interval on their right
             raise AssertionError("interior boundary assigned to its left interval")
