@@ -214,32 +214,23 @@ def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     )
 
 
-def cmd_analyze(args: argparse.Namespace, artifacts: dict[str, str]) -> tuple[TransitionCounts, StateDistribution | None, dict]:
-    """Add the analysis; return the counts, the stationary distribution (None if the solve fails) and its JSON."""
+def cmd_analyze(args: argparse.Namespace, artifacts: dict[str, str]) -> tuple[TransitionCounts, StateDistribution]:
+    """Add the analysis; return the counts and the empirical stationary distribution."""
     counts = count_transitions(args.series, args.partition)
     empirical = empirical_transition_matrix(counts)
-    stationary = None
-    note = None
-    try:
-        stationary = stationary_distribution(empirical)
-        stationary_obj = stationary.to_json_obj()
-    except ValueError as exc:
-        note = str(exc)
-        stationary_obj = {"labels": list(args.partition.labels), "weights": None, "note": note}
+    # one closed class: every state reaches the last sample's, an unvisited one by its uniform row
+    stationary = stationary_distribution(empirical)
     artifacts["transition_counts.csv"] = counts.to_csv()
     artifacts["empirical_matrix.json"] = _dumps(empirical.to_json_obj())
     artifacts["empirical_matrix.csv"] = empirical.to_csv()
-    artifacts["empirical_stationary.json"] = _dumps(stationary_obj)
+    artifacts["empirical_stationary.json"] = _dumps(stationary.to_json_obj())
     artifacts["occupancy.json"] = _dumps(occupancy_from_counts(counts, args.series).to_json_obj())
     print(f"transition counts over {counts.total} pairs:")
     print(_render_table(counts.labels, [[str(int(v)) for v in row] for row in counts.counts]))
     print("empirical transition matrix, rounded to 2 decimals:")
     print(_render_matrix(empirical))
-    if stationary is not None:
-        print(f"empirical stationary distribution: {_render_weights(stationary)}")
-    else:
-        print(f"empirical stationary distribution unavailable: {note}")
-    return counts, stationary, stationary_obj
+    print(f"empirical stationary distribution: {_render_weights(stationary)}")
+    return counts, stationary
 
 
 def cmd_compare(args: argparse.Namespace, artifacts: dict[str, str]) -> dict:
@@ -263,14 +254,14 @@ def cmd_compare(args: argparse.Namespace, artifacts: dict[str, str]) -> dict:
 
 def cmd_pipeline(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     cmd_simulate(args, artifacts)
-    args.counts, stationary, stationary_obj = cmd_analyze(args, artifacts)
+    args.counts, stationary = cmd_analyze(args, artifacts)
     report = cmd_compare(args, artifacts)
     pi1, pi2 = (stationary_distribution(args.models[kind]) for kind in ("midpoint", "kernel"))
     summary = {
         "stationary": {
             "model1": pi1.to_json_obj(),
             "model2": pi2.to_json_obj(),
-            "empirical": stationary_obj,
+            "empirical": stationary.to_json_obj(),
         },
         "relative_likelihood": {
             entry["model_name"]: entry["relative_likelihood"]
@@ -282,10 +273,7 @@ def cmd_pipeline(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     print("stationary distributions (model1, model2, empirical):")
     print(f"  model1    {_render_weights(pi1)}")
     print(f"  model2    {_render_weights(pi2)}")
-    if stationary is not None:
-        print(f"  empirical {_render_weights(stationary)}")
-    else:
-        print(f"  empirical unavailable: {stationary_obj['note']}")
+    print(f"  empirical {_render_weights(stationary)}")
 
 
 _DISPATCH = {

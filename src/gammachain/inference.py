@@ -35,7 +35,8 @@ def checked_times(times) -> np.ndarray:
         raise ValueError("series must contain at least one sample")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    if np.any(np.diff(times) <= 0):
+    # neighbours compared, not subtracted: a difference of wide times overflows
+    if not np.all(times[1:] > times[:-1]):
         raise ValueError("times must be strictly increasing")
     return times
 

@@ -5,7 +5,9 @@ states. The midpoint model weights each target interval by its length damped
 by the distance between interval midpoints. The kernel model integrates a
 squared-exponential similarity kernel over source and target intervals and
 normalizes by the integral over the whole unit interval. A linear solver
-recovers the stationary distribution of any irreducible chain.
+recovers the stationary distribution of any chain with exactly one closed
+class, the one case in which it is unique; states outside that class, the
+transient ones, get weight 0.
 """
 
 from __future__ import annotations
@@ -212,42 +214,45 @@ def model2_transition_matrix(
     return TransitionMatrix(entries, partition.labels)
 
 
-def is_irreducible(matrix: TransitionMatrix) -> bool:
-    """Whether every state reaches every other under positive-probability steps.
-
-    Computes the transitive closure of the positive-entry digraph by
-    repeated boolean squaring.
-    """
+def _reach(matrix: TransitionMatrix) -> np.ndarray:
+    """Entry (i, j): whether state i reaches state j; the closure by repeated boolean squaring."""
     reach = (matrix.entries > 0) | np.eye(matrix.size, dtype=bool)
     for _ in range(max(1, math.ceil(math.log2(matrix.size)) + 1)):
         reach = reach | (reach @ reach)
-    return bool(reach.all())
+    return reach
+
+
+def is_irreducible(matrix: TransitionMatrix) -> bool:
+    """Whether every state reaches every other under positive-probability steps."""
+    return bool(_reach(matrix).all())
 
 
 def stationary_distribution(matrix: TransitionMatrix) -> StateDistribution:
-    """Solve pi = pi P with sum(pi) = 1 for an irreducible chain.
+    """Solve pi = pi P with sum(pi) = 1 on the chain's one closed class; transient states get 0.
 
-    The singular balance system is closed by replacing one equation with the
-    normalization constraint; eigenvalue 1 of an irreducible chain is simple
-    (Perron-Frobenius), so the closed system is nonsingular.
+    The closed class is the states that every state reaches (all of them
+    in an irreducible chain); with none, the chain has two or more closed
+    classes and no unique solution. The class's submatrix is stochastic and
+    irreducible, so eigenvalue 1 is simple (Perron-Frobenius), and the
+    balance system with one equation replaced by sum(pi) = 1 is nonsingular.
 
     Raises
     ------
     ValueError
-        If the chain is not irreducible or the solution fails the residual
-        bound 1e-10.
+        If the chain has more than one closed class, or the solution fails
+        the residual bound 1e-10 against the full matrix.
     """
-    if not is_irreducible(matrix):
-        raise ValueError(
-            "chain is not irreducible: stationary distribution is not unique"
-        )
-    k = matrix.size
-    system = matrix.entries.T - np.eye(k)
+    closed = _reach(matrix).all(axis=0)
+    if not closed.any():
+        raise ValueError("stationary distribution is not unique: the chain has more than one closed class")
+    k = int(closed.sum())
+    system = matrix.entries[np.ix_(closed, closed)].T - np.eye(k)
     system[-1, :] = 1.0
     rhs = np.zeros(k)
     rhs[-1] = 1.0
-    pi = np.linalg.solve(system, rhs)
-    pi = pi / pi.sum()
+    solved = np.linalg.solve(system, rhs)
+    pi = np.zeros(matrix.size)
+    pi[closed] = solved / solved.sum()
     residual = float(np.abs(pi @ matrix.entries - pi).max())
     if residual >= _STATIONARY_RESIDUAL_TOL:
         raise ValueError(f"stationary solve residual {residual:.3e} exceeds 1e-10")

@@ -88,8 +88,8 @@ class RegionConfig(ArrayEq):
     ValueError
         If the names are not a list of strings or repeat, the field
         lengths disagree, a node count is negative or not a whole number,
-        or the latency matrix is not symmetric with finite entries above 5
-        (the Pareto scale of ``init_network`` is mean - 5).
+        or the latency matrix is not symmetric with finite numbers above 5
+        (strings and bools are not numbers; the Pareto scale is mean - 5).
     """
 
     region_names: tuple[str, ...] = REGION_NAMES
@@ -111,6 +111,8 @@ class RegionConfig(ArrayEq):
         # JSON true would otherwise pass as 1
         if counts != given or any(isinstance(c, (bool, np.bool_)) for c in given):
             raise ValueError("node counts must be whole numbers")
+        if any(isinstance(v, (str, bool, np.bool_)) for v in np.asarray(self.mean_latency, dtype=object).flat):
+            raise ValueError("mean latencies must be numbers, not strings or bools")
         matrix = readonly(self.mean_latency)
         object.__setattr__(self, "region_names", names)
         object.__setattr__(self, "node_counts", counts)
@@ -462,10 +464,13 @@ def simulate_gamma_series(
     Raises
     ------
     ValueError
-        If the schedule is empty, not finite or not strictly increasing,
-        or a link probability is out of range.
+        If the schedule is empty, not finite, not strictly increasing or
+        spans more than the largest float, or a link probability is out of range.
     """
     times = checked_times(schedule)
+    # python floats overflow to inf without a warning; no gap exceeds the span
+    if not math.isfinite(float(times[-1]) - float(times[0])):
+        raise ValueError("schedule gaps must be finite")
     _check_activation(activation)
     config = config or default_region_config()
     rng = np.random.default_rng(seed)

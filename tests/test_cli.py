@@ -19,6 +19,9 @@ from helpers import write_file
 FIXTURE_SERIES = "time,gamma\n0.0,0.1\n1.0,0.2\n2.0,0.7\n3.0,0.9\n"
 # the Pareto scale of the initial draw is mean - 5, so a mean of 3 is malformed
 LOW_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[3, 50], [50, 12]]}'
+# numpy parses quoted numbers and JSON true as numbers; the region file must not
+STRING_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [["10", "20"], ["20", "30"]]}'
+BOOL_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[10, true], [true, 12]]}'
 
 # sha256 of every artifact of each pinned run, and of its stdout without the
 # "wrote" lines. run_metadata.json is hashed with "versions" removed, so that a
@@ -37,10 +40,10 @@ CLI_DIGESTS = {
     "analyze simulated": {
         "empirical_matrix.csv": "77b9582353e6b2db96087bc4acc5b1fead146ec0b0df9ab3d07399685c8a1aa1",
         "empirical_matrix.json": "74a994af72fe374e2dd370dce66504abd8546596c882b6ecd3f33d122ee75a49",
-        "empirical_stationary.json": "48e6d7bb35b95179604e12b917d4d704b6330ba309117aec7eca399c37651cc2",
+        "empirical_stationary.json": "4516e290f73752ba24c5c4d897ca63f48a4eb9f609284ef8e115375b758b86ab",
         "occupancy.json": "4516e290f73752ba24c5c4d897ca63f48a4eb9f609284ef8e115375b758b86ab",
         "transition_counts.csv": "a18855eb2514beec38c0dac9a692f16b5b24a377b35dd482431441aa05e9adb3",
-        "stdout": "a56fa674a3fc776e7b2271c1cc54d177b5eea17229ddc73850455984d6d79e92",
+        "stdout": "20cb77439cd72c909f143a418dbe00dcd43c55146a5256ba19f74cc098a3475a",
     },
     "model --kind midpoint": {
         "model_midpoint_matrix.csv": "10539f2df651c1d04f375339b97aab99936f430ccb8b10e78293ed023d87e4bd",
@@ -75,29 +78,29 @@ CLI_DIGESTS = {
         "comparison.json": "ca98958fbf05dfd67615b26d721d2ec442a82468405dac16837cc33a668fa650",
         "empirical_matrix.csv": "ebe615476d909e4512b22cf80ccabcc3b5deca07c92518f3444009fd55d34750",
         "empirical_matrix.json": "6e9c7e81110d8a73f0b62b497047aabe7e4382ed71ba9ff6d7e225493156aa7c",
-        "empirical_stationary.json": "48e6d7bb35b95179604e12b917d4d704b6330ba309117aec7eca399c37651cc2",
+        "empirical_stationary.json": "cbfab1c774248e5decd3fb309bf617b655992b81e8e2cd7da7d21b9fbed2b0d5",
         "moving_average.csv": "a3a1df2c9d1f00e5611d8c4c2c4919d2236fd8d9138ac647ce215d322cb5b76e",
         "occupancy.json": "d4ea68ec21e5e2ea1e90087f08ce2de9714ce9bcabcedb7638f9494f03e86d40",
         "plot_data.csv": "b2f19d20d8e9f047ba9128e481b3cb7e0e174a5e48e895f5c89b140b395010a4",
         "run_metadata.json": "809fa45a859249720a24ae473e0fcb83a45240faf930588b76db6ac7087c1159",
         "series.csv": "0ea63f00d2cfe72f5d451de5d3a5e916ea2140f9926a210d48db3ed66edc30d2",
-        "summary.json": "353383bd067312fa90e0f964416d68faf5274ca225bc5c971f57042331427774",
+        "summary.json": "e69e879c45e858c2426d9548d7348953c52b4504fa73d6205223d9b90f88d1a5",
         "transition_counts.csv": "c74c2d58e4c0ad9e6dd4c175d95cfb59ee79d29bd36139ee10ffbaa550b47e1b",
-        "stdout": "0870b23f0f428a6a6ad4cf2dfe3fb47b45be9589d746f449d5ce28e57e7785e5",
+        "stdout": "09440f97e3d3063fe58f992075149bc7f0e82ea6c394519fbea31edacd2fef7f",
     },
     "pipeline --nodes 400 --steps 30 --seed 7": {
         "comparison.json": "c8634e3f505ce9038f3c4b021d7cfa5e6138ee750f85dfe5e692f12d00afed1a",
         "empirical_matrix.csv": "77b9582353e6b2db96087bc4acc5b1fead146ec0b0df9ab3d07399685c8a1aa1",
         "empirical_matrix.json": "74a994af72fe374e2dd370dce66504abd8546596c882b6ecd3f33d122ee75a49",
-        "empirical_stationary.json": "48e6d7bb35b95179604e12b917d4d704b6330ba309117aec7eca399c37651cc2",
+        "empirical_stationary.json": "4516e290f73752ba24c5c4d897ca63f48a4eb9f609284ef8e115375b758b86ab",
         "moving_average.csv": "38c31e1df2bf47b048785e5892955f62815301a26383d32c0e534929291f9d52",
         "occupancy.json": "4516e290f73752ba24c5c4d897ca63f48a4eb9f609284ef8e115375b758b86ab",
         "plot_data.csv": "7fc0bd2d8c0a8fd2b8e9832dc11f33d67e8e11e5a41af3a695b4030400bf9397",
         "run_metadata.json": "d9a0e2c2fa5270fec9399febecdee7ac6db86ddfc6367eee045d8a495f9669d3",
         "series.csv": "193fa006d91e99e106076a991acdd187cb1b21d93d732edb4e9f97adefec0521",
-        "summary.json": "bb79d1f677d32180e62693a5c07476b03c41f16791024ef4014b9ba627d04b71",
+        "summary.json": "80a4bf0b18e8892a112968584afe39aee61795e10fe164135af1393a05688072",
         "transition_counts.csv": "e50d462aee13a3db73b3725c723b49fff77fd3b1d02de20be05c2fe15d157ca0",
-        "stdout": "b6b45511dae1bda74a7645cd085d9d017da6a7ee2095c9de15bb2b95e04933fc",
+        "stdout": "d5bcb935a75259525e5721e99d407aed926f8ed8b4f975b1d31a2dcdcda6299e",
     },
 }
 
@@ -269,14 +272,14 @@ class TestAnalyzeCommand:
             "transition_counts.csv",
         ]
 
-    def test_reducible_series_reports_note(self, tmp_path):
+    def test_reducible_series_reports_weights(self, tmp_path):
+        # HM is the one closed class; the unvisited states are transient
         series_file = tmp_path / "input.csv"
         series_file.write_text("time,gamma\n0.0,0.5\n1.0,0.5\n2.0,0.5\n")
         out = tmp_path / "out"
         assert run(out, "analyze", "--series", str(series_file)) == 0
         stationary = json.loads((out / "empirical_stationary.json").read_text())
-        assert stationary["weights"] is None
-        assert "irreducible" in stationary["note"]
+        assert stationary == {"labels": ["HM", "SM", "LSM", "EFSM"], "weights": [1.0, 0.0, 0.0, 0.0]}
 
     def test_irreducible_series_reports_weights(self, tmp_path):
         series_file = tmp_path / "input.csv"
@@ -341,6 +344,15 @@ class TestAnalyzeCommand:
         expected = f"error: malformed input file {series_file}: ValueError: series must contain at least one sample\n"
         assert capsys.readouterr().err == expected
         assert not out.exists()
+
+    def test_wide_sample_times_raise_no_warning(self, tmp_path, capsys):
+        series_file = write_file(tmp_path, "time,gamma\n-1e308,0.1\n1e308,0.2\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(out, "analyze", "--series", str(series_file)) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("source", ["benchmark-shaped", "simulated"])
     def test_artifacts_match_pinned_digests(self, tmp_path, capsys, source):
@@ -473,6 +485,14 @@ class TestPipelineCommand:
         assert summary["verdict"] in {"model1 preferred", "model2 preferred", "tie"}
         model1_pi = summary["stationary"]["model1"]["weights"]
         assert model1_pi[0] == pytest.approx(0.73, abs=0.01)
+
+    def test_simulated_chain_gets_its_closed_class_solution(self, tmp_path):
+        # counts HM->HM 297, HM->SM 1, SM->HM 1: balance gives pi_SM = pi_HM / 298
+        assert run(tmp_path, "pipeline", "--steps", "300", "--seed", "7") == 0
+        expected = [float(f"{v:.12g}") for v in (298 / 299, 1 / 299, 0.0, 0.0)]
+        stationary = json.loads((tmp_path / "empirical_stationary.json").read_text())
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert stationary["weights"] == summary["stationary"]["empirical"]["weights"] == expected
 
     def test_summary_stationary_matches_model_command(self, tmp_path):
         run(tmp_path / "pipe", "pipeline", "--steps", "30", "--seed", "4")
@@ -774,6 +794,8 @@ class TestArgumentHandling:
                 "--region-config",
                 '{"region_names": [["x"], 2], "node_counts": [1, 1], "mean_latency": [[10, 50], [50, 12]]}',
             ),
+            ("simulate", "--region-config", STRING_MEAN_REGION),
+            ("simulate", "--region-config", BOOL_MEAN_REGION),
         ],
     )
     def test_malformed_input_file_exits_one(self, tmp_path, capsys, command, flag, text):
@@ -793,3 +815,5 @@ class TestArgumentHandling:
             assert f"malformed input file {path}: JSONDecodeError" in err
         if isinstance(text, bytes):
             assert f"malformed input file {path}: UnicodeDecodeError" in err
+        if text in (STRING_MEAN_REGION, BOOL_MEAN_REGION):
+            assert f"malformed input file {path}: ValueError: mean latencies must be numbers" in err

@@ -107,6 +107,16 @@ class TestEmpiricalMatrix:
         assert matrix.entries[0].tolist() == [0.0, 1.0, 0.0, 0.0]
         assert (matrix.entries[2] == 0.25).all()
 
+    @settings(max_examples=200)
+    @given(grid_partitions(), st.lists(st.floats(0, 1), min_size=2, max_size=40))
+    def test_series_chain_has_one_stationary_distribution(self, part, values):
+        # every state reaches the last sample's state, so the chain has one closed class
+        series = series_of(values)
+        matrix = empirical_transition_matrix(count_transitions(series, part))
+        pi = stationary_distribution(matrix).weights
+        assert pi[part.index_of(values[-1])] > 0
+        assert np.abs(pi @ matrix.entries - pi).max() < 1e-10
+
 
 class TestOccupancy:
     def test_constant_series_is_indicator(self, partition):

@@ -233,6 +233,20 @@ class TestStationaryDistribution:
         with pytest.raises(ValueError):
             stationary_distribution(TransitionMatrix(np.eye(2), ("A", "B")))
 
+    def test_transient_states_get_exact_zeros(self):
+        # B and C form the one closed class; A and D are transient
+        entries = np.array(
+            [
+                [0.5, 0.5, 0.0, 0.0],
+                [0.0, 0.9, 0.1, 0.0],
+                [0.0, 0.2, 0.8, 0.0],
+                [0.25, 0.25, 0.25, 0.25],
+            ]
+        )
+        weights = stationary_distribution(TransitionMatrix(entries, tuple("ABCD"))).weights
+        assert weights[0] == 0.0 and weights[3] == 0.0
+        assert weights[1:3] == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
+
     def test_fixed_point_residual(self):
         for build in (model1_transition_matrix, model2_transition_matrix):
             matrix = build(default_partition())
@@ -270,6 +284,8 @@ class TestValueValidation:
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError):
             TransitionMatrix(np.eye(2), ("A", "B", "C"))
+        with pytest.raises(ValueError, match="weight count must match label count"):
+            StateDistribution(np.array([0.5, 0.5]), ("A", "B", "C"))
 
     def test_rejects_nan_entries(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

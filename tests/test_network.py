@@ -75,6 +75,8 @@ class TestRegionConfig:
     def test_scaled_to_same_total_is_identity(self):
         config = default_region_config()
         assert config.scaled_to(100) is config
+        with pytest.raises(ValueError, match="total node count must be positive"):
+            config.scaled_to(0)
 
     def test_rejects_fractional_node_counts(self):
         # JSON true and the non-finite floats are no whole numbers either
@@ -125,6 +127,20 @@ class TestRegionConfig:
         obj = {"region_names": names, "node_counts": [1, 1], "mean_latency": [[10.0, 50.0], [50.0, 12.0]]}
         with pytest.raises(ValueError, match="region names must be a list of strings"):
             RegionConfig.from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "counts, matrix, message",
+        [
+            ([1], [[10.0, 50.0], [50.0, 12.0]], "node_counts length must match region_names"),
+            ([1, 1], [[10.0, 50.0]], "mean_latency must be square over the regions"),
+            ([0, 0], [[10.0, 50.0], [50.0, 12.0]], "at least one node is required"),
+            ([1, 1], [["10", "20"], ["20", "30"]], "mean latencies must be numbers, not strings or bools"),
+            ([1, 1], [[10, True], [True, 12]], "mean latencies must be numbers, not strings or bools"),
+        ],
+    )
+    def test_rejects_fields_that_do_not_fit(self, counts, matrix, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RegionConfig.from_json_obj({"region_names": ["a", "b"], "node_counts": counts, "mean_latency": matrix})
 
     def test_rejects_duplicate_region_names(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -212,6 +228,19 @@ class TestNetworkStateValidation:
         with pytest.raises(ValueError):
             state_from_weights([[0.0, 0.5], [0.5, 0.0]])
 
+    @pytest.mark.parametrize(
+        "weights, region_of, message",
+        [
+            (np.zeros((2, 3)), np.zeros(2), "weights must be a square matrix"),
+            (np.zeros((2, 2)), np.zeros(3), "region assignment must cover every node"),
+            ([[0.0, np.inf], [np.inf, 0.0]], np.zeros(2), "inactive links must use the sentinel"),
+            ([[0.0, 2 * INACTIVE], [2 * INACTIVE, 0.0]], np.zeros(2), "inactive links must use the sentinel"),
+        ],
+    )
+    def test_rejects_malformed_state(self, weights, region_of, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkState(weights, region_of)
+
     @pytest.mark.parametrize("weight", [WEIGHT_FLOOR, WEIGHT_CEIL])
     def test_accepts_weights_at_the_bounds(self, weight):
         state = state_from_weights([[0.0, weight], [weight, 0.0]])
@@ -253,6 +282,17 @@ class TestEigenvectorCentrality:
             dominant = eigvecs[:, np.argmax(eigvals)]
             dominant = np.abs(dominant) / np.linalg.norm(dominant)
             assert np.abs(scores / np.linalg.norm(scores) - dominant).max() < 1e-3
+
+    def test_budget_exhausted_returns_the_fiftieth_iterate(self):
+        # a 20-node path converges too slowly for 50 products to reach the tolerance
+        state = adjacency_state(20, [(i, i + 1) for i in range(19)])
+        adjacency = (state.weights < INACTIVE).astype(float)
+        x = np.full(20, 1 / 20)
+        for _ in range(50):
+            previous, x = x, adjacency @ x
+            x = x / np.sqrt(np.add.reduce(x * x))
+        assert np.add.reduce(np.abs(x - previous)) >= 20 * 1e-5
+        assert np.array_equal(eigenvector_centrality(state).scores, x)
 
     def test_empty_graph_falls_back_to_uniform(self):
         state = adjacency_state(5, [])
@@ -469,6 +509,13 @@ class TestGammaSeries:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             GammaSeries(np.array([0.0, 1.0]), np.array([0.0, np.nan]))
 
+    def test_wide_times_accepted_without_warning(self):
+        # pytest turns warnings into errors, so an overflowing difference fails here
+        series = GammaSeries([-1e308, 1e308], [0.1, 0.2])
+        assert series.times.tolist() == [-1e308, 1e308]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GammaSeries([1e308, -1e308], [0.1, 0.2])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_time(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -587,6 +634,24 @@ class TestSimulateGammaSeries:
         with pytest.raises(ValueError, match=f"^{re.escape(str(series_error.value))}$"):
             simulate_gamma_series(bad, seed=rng)
         assert rng.bit_generator.state == before
+
+    def test_rejects_a_schedule_wider_than_a_float_before_drawing(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^schedule gaps must be finite$"):
+            simulate_gamma_series([-1e308, 1e308], seed=rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("activation", [-0.1, 1.5, np.nan])
+    def test_rejects_activation_outside_unit_interval(self, activation):
+        with pytest.raises(ValueError, match="activation must lie in"):
+            simulate_gamma_series([0.0, 1.0], seed=0, activation=activation)
+        with pytest.raises(ValueError, match="activation must lie in"):
+            evolve_network(init_network(seed=0), 1.0, activation=activation, seed=0)
+
+    def test_rejects_a_single_node_network(self):
+        with pytest.raises(ValueError, match="need at least two nodes"):
+            simulate_gamma_series([0.0], seed=0, config=RegionConfig(["a"], [1], [[10.0]]))
 
     def test_small_network_runs(self):
         series = simulate_gamma_series(
