@@ -29,7 +29,7 @@ the artifacts, then prints stdout, only when the whole run succeeds, so a
 run that exits 1 or 2 prints just its error and leaves ``--out`` as it
 found it, unless writing is what failed. Exit status is 2 when a flag is
 rejected, 1 when the run fails, and 0 exactly when all requested
-artifacts were written.
+artifacts were written; a reader that closes stdout early does not change it.
 
 Only the commands that simulate, or that take ``--region-config``, import
 the simulator (``network``), and only ``simulate`` and ``pipeline`` import
@@ -41,10 +41,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import sys
 from contextlib import redirect_stdout
-from os import environ
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +100,11 @@ def _read(path, parse, text=True):
         raise ValueError(f"malformed input file {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _build_model(args: argparse.Namespace, kind: str) -> TransitionMatrix:
-    if kind == "midpoint":
-        return model1_transition_matrix(args.partition)
-    return model2_transition_matrix(args.partition, KernelConfig(args.length_scale))
+# each --kind, in report order: the model's report name and its builder
+_MODELS = {
+    "midpoint": ("model1", lambda args: model1_transition_matrix(args.partition)),
+    "kernel": ("model2", lambda args: model2_transition_matrix(args.partition, KernelConfig(args.length_scale))),
+}
 
 
 def _load_inputs(args: argparse.Namespace) -> None:
@@ -135,8 +136,8 @@ def _load_inputs(args: argparse.Namespace) -> None:
         except ValueError as exc:
             raise ValueError(f"{exc}; give counts binned under --partition with --counts") from None
     if "length_scale" in given:
-        kinds = [args.kind] if "kind" in given else ["midpoint", "kernel"]
-        args.models = {kind: _build_model(args, kind) for kind in kinds}
+        kinds = [args.kind] if "kind" in given else list(_MODELS)
+        args.models = {kind: _MODELS[kind][1](args) for kind in kinds}
     if simulates:
         args.series = simulate_gamma_series(
             np.arange(args.steps, dtype=float), seed=args.seed, config=args.region_config,
@@ -193,16 +194,12 @@ def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
         "nodes": region.node_count,
         "dropout": args.dropout,
         "activation": args.activation,
-        "config_hash": _config_hash(
-            {
-                "seed": args.seed,
-                "steps": args.steps,
-                "dropout": args.dropout,
-                "activation": args.activation,
-                "region_config": region.to_json_obj(),
-            }
-        ),
-        "versions": {"gammachain": __version__, "python": platform.python_version(), "numpy": np.__version__},
+    }
+    # the hash covers these and the region config, not the command, label or node count
+    hashed = {key: metadata[key] for key in ("seed", "steps", "dropout", "activation")}
+    metadata["config_hash"] = _config_hash({**hashed, "region_config": region.to_json_obj()})
+    metadata["versions"] = {
+        "gammachain": __version__, "python": platform.python_version(), "numpy": np.__version__
     }
     artifacts["series.csv"] = series.to_csv()
     artifacts["moving_average.csv"] = averaged.to_csv()
@@ -210,7 +207,7 @@ def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     artifacts["run_metadata.json"] = _dumps(metadata)
     print(
         f"simulated {len(series)} samples on {region.node_count} nodes "
-        f"(seed {args.seed}); final moving average {averaged.values[-1]:.2f}"
+        f"(seed {metadata['seed']}); final moving average {averaged.values[-1]:.2f}"
     )
 
 
@@ -236,18 +233,18 @@ def cmd_analyze(args: argparse.Namespace, artifacts: dict[str, str]) -> tuple[Tr
 def cmd_compare(args: argparse.Namespace, artifacts: dict[str, str]) -> dict:
     """Add the likelihood report of the two models against ``args.counts``; return it."""
     counts = args.counts
-    model1 = score_model("model1", args.models["midpoint"], counts)
-    model2 = score_model("model2", args.models["kernel"], counts)
-    rl1, rl2 = model1.relative_likelihood, model2.relative_likelihood
-    verdict = "tie" if rl1 == rl2 else "model1 preferred" if rl1 < rl2 else "model2 preferred"
+    scores = [score_model(name, args.models[kind], counts) for kind, (name, _) in _MODELS.items()]
+    first, second = scores
+    rl1, rl2 = first.relative_likelihood, second.relative_likelihood
+    verdict = "tie" if rl1 == rl2 else f"{(first if rl1 < rl2 else second).model_name} preferred"
     report = {
         "counts_total": counts.total,
         "length_scale": args.length_scale,
-        "models": [model1.to_json_obj(), model2.to_json_obj()],
+        "models": [score.to_json_obj() for score in scores],
         "verdict": verdict,
     }
     artifacts["comparison.json"] = _dumps(report)
-    print(f"relative likelihood: model1 {rl1:.2f}, model2 {rl2:.2f}")
+    print("relative likelihood: " + ", ".join(f"{s.model_name} {s.relative_likelihood:.2f}" for s in scores))
     print(f"verdict: {verdict}")
     return report
 
@@ -256,13 +253,10 @@ def cmd_pipeline(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     cmd_simulate(args, artifacts)
     args.counts, stationary = cmd_analyze(args, artifacts)
     report = cmd_compare(args, artifacts)
-    pi1, pi2 = (stationary_distribution(args.models[kind]) for kind in ("midpoint", "kernel"))
+    stationaries = {name: stationary_distribution(args.models[kind]) for kind, (name, _) in _MODELS.items()}
+    stationaries["empirical"] = stationary
     summary = {
-        "stationary": {
-            "model1": pi1.to_json_obj(),
-            "model2": pi2.to_json_obj(),
-            "empirical": stationary.to_json_obj(),
-        },
+        "stationary": {name: dist.to_json_obj() for name, dist in stationaries.items()},
         "relative_likelihood": {
             entry["model_name"]: entry["relative_likelihood"]
             for entry in report["models"]
@@ -270,19 +264,9 @@ def cmd_pipeline(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
         "verdict": report["verdict"],
     }
     artifacts["summary.json"] = _dumps(summary)
-    print("stationary distributions (model1, model2, empirical):")
-    print(f"  model1    {_render_weights(pi1)}")
-    print(f"  model2    {_render_weights(pi2)}")
-    print(f"  empirical {_render_weights(stationary)}")
-
-
-_DISPATCH = {
-    "model": cmd_model,
-    "simulate": cmd_simulate,
-    "analyze": cmd_analyze,
-    "compare": cmd_compare,
-    "pipeline": cmd_pipeline,
-}
+    print(f"stationary distributions ({', '.join(stationaries)}):")
+    for name, dist in stationaries.items():
+        print(f"  {name:<9} {_render_weights(dist)}")
 
 
 def _checked(convert, accept, message: str):
@@ -350,34 +334,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_model = sub.add_parser(
-        "model", parents=[common, kernel], help="build one analytical model"
-    )
-    p_model.add_argument(
-        "--kind", choices=("midpoint", "kernel"), default="midpoint", help="model kind"
-    )
+    p_model = sub.add_parser("model", parents=[common, kernel], help="build one analytical model")
+    p_model.set_defaults(handler=cmd_model)
+    p_model.add_argument("--kind", choices=list(_MODELS), default="midpoint", help="model kind")
 
-    p_sim = sub.add_parser(
-        "simulate", parents=[common, sim], help="run the network simulation"
-    )
+    p_sim = sub.add_parser("simulate", parents=[common, sim], help="run the network simulation")
+    p_sim.set_defaults(handler=cmd_simulate)
 
-    p_analyze = sub.add_parser(
-        "analyze", parents=[common, sim], help="bin a gamma series into transition counts"
-    )
+    p_analyze = sub.add_parser("analyze", parents=[common, sim], help="bin a gamma series into transition counts")
+    p_analyze.set_defaults(handler=cmd_analyze)
     p_analyze.add_argument(
         "--series", default=None, metavar="CSV", help="existing series file (otherwise simulate)"
     )
 
-    p_compare = sub.add_parser(
-        "compare", parents=[common, kernel], help="score both models against counts"
-    )
+    p_compare = sub.add_parser("compare", parents=[common, kernel], help="score both models against counts")
+    p_compare.set_defaults(handler=cmd_compare)
     p_compare.add_argument(
         "--counts", default=None, metavar="CSV", help="transition counts file (default: packaged reference)"
     )
 
-    p_pipe = sub.add_parser(
-        "pipeline", parents=[common, sim, kernel], help="simulate, analyze, and compare"
-    )
+    p_pipe = sub.add_parser("pipeline", parents=[common, sim, kernel], help="simulate, analyze, and compare")
+    p_pipe.set_defaults(handler=cmd_pipeline)
     for p, steps in ((p_sim, 1000), (p_analyze, 5000), (p_pipe, 5000)):
         p.add_argument("--steps", type=positive_int, default=steps, help="samples to draw")
     for p in (p_model, p_analyze, p_compare, p_pipe):
@@ -389,22 +366,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = Path(args.out if args.out is not None else environ.get(OUT_DIR_ENV, "."))
+    out = Path(args.out if args.out is not None else os.environ.get(OUT_DIR_ENV, "."))
     artifacts: dict[str, str] = {}
     stdout = io.StringIO()
     try:
         _load_inputs(args)
         with redirect_stdout(stdout):
-            _DISPATCH[args.command](args, artifacts)
+            args.handler(args, artifacts)
         out.mkdir(parents=True, exist_ok=True)
         for name, text in artifacts.items():
             (out / name).write_text(text, encoding="utf-8")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(stdout.getvalue())
-    for name in artifacts:
-        print(f"wrote {out / name}")
+    try:
+        sys.stdout.write(stdout.getvalue())
+        for name in artifacts:
+            print(f"wrote {out / name}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early, after every artifact was written; silence the exit-time flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

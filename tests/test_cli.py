@@ -1,9 +1,11 @@
-"""End-to-end checks of the command line entry point, run in-process."""
+"""End-to-end checks of the command line entry point, run in-process unless a check needs a child's stdout."""
 
 import hashlib
 import json
 import platform
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -14,7 +16,7 @@ from gammachain import cli
 from gammachain.inference import GammaSeries, TransitionCounts
 from gammachain.markov import TransitionMatrix, model1_transition_matrix
 from gammachain.partition import StrategyPartition, default_partition
-from helpers import write_file
+from helpers import subprocess_env, write_file
 
 FIXTURE_SERIES = "time,gamma\n0.0,0.1\n1.0,0.2\n2.0,0.7\n3.0,0.9\n"
 # the Pareto scale of the initial draw is mean - 5, so a mean of 3 is malformed
@@ -413,13 +415,18 @@ class TestCompareCommand:
         assert run(tmp_path, "compare", "--counts", str(counts_file)) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_length_scale_shifts_model2(self, tmp_path):
-        narrow = tmp_path / "narrow"
-        wide = tmp_path / "wide"
-        run(narrow, "compare", "--length-scale", "0.1")
-        run(wide, "compare", "--length-scale", "0.5")
-        pick = lambda p: json.loads((p / "comparison.json").read_text())["models"][1]
-        assert pick(narrow)["relative_likelihood"] != pick(wide)["relative_likelihood"]
+    def test_length_scale_shifts_model2(self, tmp_path, capsys):
+        # a narrow kernel scores worse than model1, a wide one better
+        cases = (("0.1", 2753.96, "model1 preferred"), ("0.5", 166.78, "model2 preferred"))
+        for length_scale, model2_rl, verdict in cases:
+            out = tmp_path / length_scale
+            assert run(out, "compare", "--length-scale", length_scale) == 0
+            report = json.loads((out / "comparison.json").read_text())
+            scores = [entry["relative_likelihood"] for entry in report["models"]]
+            assert scores == [pytest.approx(231.18, abs=0.005), pytest.approx(model2_rl, abs=0.005)]
+            assert report["verdict"] == verdict
+            stdout = capsys.readouterr().out
+            assert f"relative likelihood: model1 231.18, model2 {model2_rl:.2f}\nverdict: {verdict}\n" in stdout
 
 
     def test_infinite_likelihood_is_strict_json(self, tmp_path):
@@ -653,6 +660,32 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert "length_scale 1e+300" in err
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("command", ["model", "simulate", "analyze", "compare", "pipeline"])
+    def test_command_parses_to_its_handler(self, command):
+        assert cli.build_parser().parse_args([command]).handler is getattr(cli, f"cmd_{command}")
+
+    def test_kind_choices_are_the_model_table(self, capsys):
+        assert {kind: name for kind, (name, _) in cli._MODELS.items()} == {"midpoint": "model1", "kernel": "model2"}
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["model", "--help"])
+        assert excinfo.value.code == 0
+        assert f"--kind {{{','.join(cli._MODELS)}}}" in capsys.readouterr().out
+
+    def test_closed_stdout_still_exits_zero(self, tmp_path):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "gammachain.cli", "model", "--out", str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=subprocess_env(),
+            text=True,
+        )
+        child.stdout.close()
+        with child.stderr:
+            err = child.stderr.read()
+        assert child.wait(timeout=120) == 0, err
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert len(list(tmp_path.glob("model_midpoint_*"))) == 4
 
     @pytest.mark.parametrize("command, steps", [("simulate", 1000), ("analyze", 5000), ("pipeline", 5000)])
     def test_steps_default(self, command, steps):
