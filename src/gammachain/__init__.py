@@ -42,7 +42,6 @@ _LAYERS = {
         "stationary_distribution",
     ),
     "network": (
-        "CentralityVector",
         "NetworkState",
         "RegionConfig",
         "default_region_config",

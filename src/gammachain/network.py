@@ -14,27 +14,22 @@ draw order, and only three functions draw from it: ``_initial_flat`` once,
 then, per step, ``_link_draws`` (skipped before the first race) and
 ``_draw_node_pair``. The state update takes their arrays and draws nothing.
 
-The simulation loop keeps the network as its flat pair vector, in the same
-upper-triangle order, and never builds a ``NetworkState``; the public
-functions expand and flatten states around the very helpers the loop calls.
-The loop owns one node-by-node matrix with a unit diagonal: each evolution
-step writes the sampled adjacency into its off-diagonal entries, and each
-race overwrites them with the weights. The diagonal gives the adjacency its
-self-loops and does not affect the race; the public functions race a
-state's own weight matrix. The race is a radius-batched Dijkstra in numpy
-from both nodes. It ends when its last pending nodes settle, without
-relaxing their rows, or when the settle bound reaches the sentinel;
-unreachable nodes, and nodes whose cheapest path costs at least the
-sentinel, report exactly 1e7 and tie. Every weight is at least 1.0, so
-fl(d + w) > d and the float distances match a plain dense-matrix Dijkstra
-bit for bit (see ``_kernels``).
-
-Centrality note: the adjacency derived from a weight matrix marks every
-finite entry as an edge, and the zero diagonal is finite, so nodes carry
-self-loops. The same convention is applied to the freshly sampled adjacency
-inside the evolution step. Self-loops shift every eigenvalue by one without
-changing eigenvectors, which keeps power iteration convergent on connected
-bipartite graphs where the plain adjacency would oscillate.
+A network is its pair vector everywhere: one weight per unordered node pair
+in upper-triangle order (``pair_indices``). A ``NetworkState`` holds that
+vector, and the simulation loop evolves it without building a state. A
+node-by-node matrix exists only for the race and for the centrality
+adjacency, and ``fill_off_diagonal`` writes both. The loop reuses one with
+a unit diagonal: each evolution step writes the sampled adjacency into its
+off-diagonal entries, and each race overwrites them with the weights. The
+unit diagonal gives the adjacency self-loops, which shift every eigenvalue
+by one without changing eigenvectors and so keep power iteration convergent
+on connected bipartite graphs; it does not affect the race. The race is a
+radius-batched Dijkstra in numpy from both nodes. It ends when its last
+pending nodes settle, without relaxing their rows, or when the settle bound
+reaches the sentinel; unreachable nodes, and nodes whose cheapest path costs
+at least the sentinel, report exactly 1e7 and tie. Every weight is at least
+1.0, so fl(d + w) > d and the float distances match a plain dense-matrix
+Dijkstra bit for bit (see ``_kernels``).
 """
 
 from __future__ import annotations
@@ -180,57 +175,51 @@ def default_region_config() -> RegionConfig:
 
 @dataclass(frozen=True, eq=False)
 class NetworkState(ArrayEq):
-    """Immutable latency snapshot: symmetric weights plus region assignment.
+    """Immutable latency snapshot: the pair vector ``flat`` plus each node's region.
+
+    ``flat`` holds one weight per unordered node pair in ``pair_indices``
+    order, with the sentinel marking an inactive link; ``weights`` expands
+    it into the symmetric matrix with a zero diagonal that the race reads.
 
     Raises
     ------
     ValueError
-        If the weight matrix is not symmetric with a zero diagonal, or any
-        off-diagonal entry is neither the sentinel nor a finite weight in
-        [WEIGHT_FLOOR, WEIGHT_CEIL].
+        If ``region_of`` is not a vector, ``flat`` is not a vector with one
+        entry per node pair, or an entry is neither the sentinel nor a
+        finite weight in [WEIGHT_FLOOR, WEIGHT_CEIL].
     """
 
-    weights: np.ndarray
+    flat: np.ndarray
     region_of: np.ndarray
 
     def __post_init__(self):
-        weights = readonly(self.weights)
+        flat = readonly(self.flat)
         region_of = readonly(self.region_of, dtype=np.int64)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "region_of", region_of)
-        n = weights.shape[0]
-        if weights.ndim != 2 or weights.shape != (n, n):
-            raise ValueError("weights must be a square matrix")
-        if region_of.shape != (n,):
-            raise ValueError("region assignment must cover every node")
-        if not np.array_equal(weights, weights.T):
-            raise ValueError("weights must be symmetric")
-        if np.any(np.diag(weights) != 0.0):
-            raise ValueError("diagonal must be zero")
-        off = ~np.eye(n, dtype=bool)
-        vals = weights[off]
-        finite = vals < INACTIVE
-        if np.any(vals[~finite] != INACTIVE):
+        # len() of a 0-d array raises TypeError
+        if region_of.ndim != 1:
+            raise ValueError("region assignment must be a vector")
+        n = len(region_of)
+        if flat.shape != (n * (n - 1) // 2,):
+            raise ValueError("flat must hold one weight per node pair")
+        finite = flat < INACTIVE
+        if np.any(flat[~finite] != INACTIVE):
             raise ValueError(f"inactive links must use the sentinel {INACTIVE}")
-        if np.any((vals[finite] < WEIGHT_FLOOR) | (vals[finite] > WEIGHT_CEIL)):
+        if np.any((flat[finite] < WEIGHT_FLOOR) | (flat[finite] > WEIGHT_CEIL)):
             raise ValueError(f"finite weights must lie in [{WEIGHT_FLOOR}, {WEIGHT_CEIL}]")
 
     @property
     def node_count(self) -> int:
-        return self.weights.shape[0]
+        return len(self.region_of)
 
-
-@dataclass(frozen=True, eq=False)
-class CentralityVector(ArrayEq):
-    """Non-negative node scores, L2-normalized."""
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        scores = readonly(self.scores)
-        object.__setattr__(self, "scores", scores)
-        if np.any(scores < 0):
-            raise ValueError("centrality scores must be non-negative")
+    @property
+    def weights(self) -> np.ndarray:
+        """The read-only symmetric weight matrix, zero on the diagonal, built on each access."""
+        n = self.node_count
+        matrix = fill_off_diagonal(np.zeros((n, n)), self.flat)
+        matrix.setflags(write=False)
+        return matrix
 
 
 def _pair_means(config: RegionConfig, region_of: np.ndarray) -> np.ndarray:
@@ -276,8 +265,7 @@ def init_network(config: RegionConfig | None = None, dropout: float = 0.1, seed=
     """
     config = config or default_region_config()
     region_of, _, flat = _initial_flat(config, dropout, np.random.default_rng(seed))
-    n = config.node_count
-    return NetworkState(fill_off_diagonal(np.zeros((n, n)), flat), region_of)
+    return NetworkState(flat, region_of)
 
 
 def _power_iteration(adjacency: np.ndarray) -> np.ndarray:
@@ -300,14 +288,14 @@ def _power_iteration(adjacency: np.ndarray) -> np.ndarray:
     return x
 
 
-def eigenvector_centrality(state: NetworkState) -> CentralityVector:
-    """Centrality scores from the boolean adjacency of finite weights.
+def eigenvector_centrality(state: NetworkState) -> np.ndarray:
+    """Read-only, non-negative, L2-normalized node scores of the active-link adjacency.
 
-    Every finite entry counts as an edge, so the zero diagonal contributes
-    self-loops (see the module docstring for why that is kept).
+    The adjacency is the one the evolution step builds: every finite pair
+    is an edge, on a unit diagonal (see the module docstring).
     """
-    adjacency = (state.weights < INACTIVE).astype(float)
-    return CentralityVector(_power_iteration(adjacency))
+    n = state.node_count
+    return readonly(_power_iteration(fill_off_diagonal(np.eye(n), state.flat < INACTIVE)))
 
 
 def sample_skew_normal(shape: float, seed=None) -> float:
@@ -373,11 +361,10 @@ def evolve_network(
     _check_activation(activation)
     if not np.array_equal(config.region_assignment(), prev.region_of):
         raise ValueError("config region layout does not match the network state")
-    n = prev.node_count
     means = _pair_means(config, prev.region_of)
     draws = _link_draws(np.random.default_rng(seed), len(means), activation)
-    flat = _evolve_flat(prev.weights[pair_indices(n)], means, delta_t, draws, np.eye(n))
-    return NetworkState(fill_off_diagonal(np.zeros((n, n)), flat), prev.region_of)
+    flat = _evolve_flat(prev.flat, means, delta_t, draws, np.eye(prev.node_count))
+    return NetworkState(flat, prev.region_of)
 
 
 def _check_node(node: int, node_count: int) -> None:

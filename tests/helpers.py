@@ -8,12 +8,24 @@ import numpy as np
 from hypothesis import strategies as st
 
 import gammachain
-from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR
+from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR, pair_indices
+from gammachain.network import NetworkState
 from gammachain.partition import StrategyPartition
 
 
 def make_partition(boundaries):
     return StrategyPartition(boundaries, tuple(f"S{i}" for i in range(len(boundaries) - 1)))
+
+
+def state_of(matrix):
+    """The ``NetworkState`` of a symmetric weight matrix, every node in region 0.
+
+    The state keeps the upper triangle; its ``weights`` are ``matrix`` with a zero diagonal.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    assert np.array_equal(matrix, matrix.T), "weight matrix must be symmetric"
+    n = len(matrix)
+    return NetworkState(matrix[pair_indices(n)], np.zeros(n, dtype=np.int64))
 
 
 def grid_partitions(max_cuts=5):

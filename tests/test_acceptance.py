@@ -28,14 +28,13 @@ from gammachain.markov import (
 )
 from gammachain.network import (
     INACTIVE,
-    NetworkState,
     eigenvector_centrality,
     sample_skew_normal,
     shortest_latencies,
     simulate_gamma_series,
 )
 from gammachain.partition import default_partition
-from helpers import make_partition
+from helpers import make_partition, state_of
 
 P1 = np.array(
     [
@@ -282,8 +281,7 @@ def _random_state(gen, size, inactive_fraction):
     upper = np.triu(gen.uniform(1.0, 90.0, (size, size)), k=1)
     mask = np.triu(gen.random((size, size)) < inactive_fraction, k=1)
     upper[mask] = INACTIVE
-    weights = upper + upper.T
-    return NetworkState(weights, np.zeros(size, dtype=np.int64))
+    return state_of(upper + upper.T)
 
 
 def test_criterion_09_oracle_equivalences():
@@ -307,7 +305,7 @@ def test_criterion_09_oracle_equivalences():
         if not (reach > 0).all():
             continue
         solved += 1
-        scores = eigenvector_centrality(state).scores
+        scores = eigenvector_centrality(state)
         eigvals, eigvecs = np.linalg.eigh(adjacency + np.eye(6))
         dominant = np.abs(eigvecs[:, np.argmax(eigvals)])
         dominant /= np.linalg.norm(dominant)

@@ -8,7 +8,7 @@ import pytest
 
 from gammachain.inference import GammaSeries, TransitionCounts
 from gammachain.markov import StateDistribution, TransitionMatrix
-from gammachain.network import CentralityVector, NetworkState, RegionConfig
+from gammachain.network import NetworkState, RegionConfig
 from gammachain.partition import default_partition
 
 from helpers import make_partition
@@ -22,10 +22,9 @@ CASES = [
     ),
     (
         NetworkState,
-        dict(weights=[[0.0, 1.0], [1.0, 0.0]], region_of=[0, 1]),
-        dict(weights=[[0.0, 2.0], [2.0, 0.0]], region_of=[1, 1]),
+        dict(flat=[1.0], region_of=[0, 1]),
+        dict(flat=[2.0], region_of=[1, 1]),
     ),
-    (CentralityVector, dict(scores=[0.6, 0.8]), dict(scores=[0.8, 0.6])),
     (
         GammaSeries,
         dict(times=[0.0, 1.0], values=[0.1, 0.2]),

@@ -14,7 +14,6 @@ from gammachain._kernels import (
     race_latencies,
 )
 from gammachain.network import (
-    NetworkState,
     default_region_config,
     evolve_network,
     gamma_of,
@@ -23,7 +22,7 @@ from gammachain.network import (
     shortest_latencies,
 )
 
-from helpers import dijkstra_numpy, perturb_reference
+from helpers import dijkstra_numpy, perturb_reference, state_of
 
 
 def random_weight_matrix(rng, size, inactive_fraction):
@@ -115,7 +114,7 @@ class TestRaceMatchesOracle:
                 [WEIGHT_CEIL, 4e6, 0.0],
             ]
         )
-        state = NetworkState(weights, np.zeros(3, dtype=np.int64))
+        state = state_of(weights)
         assert shortest_latencies(state, 0).tolist() == [0.0, 4e6, 8e6]
         assert np.array_equal(shortest_latencies(state, 0), dijkstra_numpy(weights, 0))
 
@@ -123,7 +122,7 @@ class TestRaceMatchesOracle:
         weights = random_weight_matrix(rng, 12, 0.3)
         weights[4, :] = weights[:, 4] = INACTIVE
         weights[4, 4] = 0.0
-        state = NetworkState(weights, np.zeros(12, dtype=np.int64))
+        state = state_of(weights)
         isolated = shortest_latencies(state, 4)
         assert isolated[4] == 0.0
         assert (np.delete(isolated, 4) == INACTIVE).all()
@@ -141,7 +140,7 @@ class TestRaceMatchesOracle:
         grid = 1.0 + rng.integers(0, 11, weights.shape) * 1e-4
         weights[active] = np.minimum(grid, grid.T)[active]
         np.fill_diagonal(weights, 0.0)
-        state = NetworkState(weights, np.zeros(size, dtype=np.int64))
+        state = state_of(weights)
         for source in range(size):
             assert np.array_equal(shortest_latencies(state, source), dijkstra_numpy(weights, source))
 
@@ -149,7 +148,7 @@ class TestRaceMatchesOracle:
         for _ in range(40):
             size = int(rng.integers(1, 30))
             weights = random_weight_matrix(rng, size, float(rng.uniform(0.0, 0.8)))
-            state = NetworkState(weights, np.zeros(size, dtype=np.int64))
+            state = state_of(weights)
             source = int(rng.integers(size))
             assert np.array_equal(shortest_latencies(state, source), dijkstra_numpy(weights, source))
 
@@ -162,7 +161,7 @@ class TestRaceMatchesOracle:
                 [INACTIVE, WEIGHT_CEIL, 0.0],
             ]
         )
-        state = NetworkState(weights, np.zeros(3, dtype=np.int64))
+        state = state_of(weights)
         dist = shortest_latencies(state, 0)
         assert dist.tolist() == [0.0, WEIGHT_CEIL, INACTIVE]
         assert np.array_equal(dist, dijkstra_numpy(weights, 0))
@@ -177,7 +176,7 @@ class TestRaceMatchesOracle:
                 [INACTIVE, INACTIVE, 0.0],
             ]
         )
-        state = NetworkState(weights, np.zeros(3, dtype=np.int64))
+        state = state_of(weights)
         assert shortest_latencies(state, 0).tolist() == [0.0, WEIGHT_CEIL, INACTIVE]
         for source in range(3):
             assert np.array_equal(shortest_latencies(state, source), dijkstra_numpy(weights, source))

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from gammachain import network
-from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR
+from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR, pair_indices
 from gammachain.inference import moving_average
 from gammachain.network import (
     DEFAULT_MEAN_LATENCY,
     DEFAULT_NODE_COUNTS,
     REGION_NAMES,
-    CentralityVector,
     GammaSeries,
     NetworkState,
     RegionConfig,
@@ -29,12 +28,7 @@ from gammachain.network import (
     shortest_latencies,
     simulate_gamma_series,
 )
-from helpers import write_file
-
-
-def state_from_weights(weights):
-    weights = np.asarray(weights, dtype=float)
-    return NetworkState(weights, np.zeros(weights.shape[0], dtype=np.int64))
+from helpers import state_of, write_file
 
 
 def adjacency_state(size, edges, weight=10.0):
@@ -43,7 +37,7 @@ def adjacency_state(size, edges, weight=10.0):
     for i, j in edges:
         weights[i, j] = weight
         weights[j, i] = weight
-    return state_from_weights(weights)
+    return state_of(weights)
 
 
 def region_override(node_counts):
@@ -207,60 +201,53 @@ class TestInitNetwork:
 
 
 class TestNetworkStateValidation:
-    def test_rejects_asymmetric_weights(self):
-        weights = np.full((3, 3), 5.0)
-        np.fill_diagonal(weights, 0.0)
-        weights[0, 1] = 6.0
-        with pytest.raises(ValueError):
-            state_from_weights(weights)
-
-    def test_rejects_nonzero_diagonal(self):
-        weights = np.full((3, 3), 5.0)
-        with pytest.raises(ValueError):
-            state_from_weights(weights)
-
     def test_rejects_non_positive_finite_weight(self):
-        weights = np.zeros((2, 2))
         with pytest.raises(ValueError):
-            state_from_weights(weights)
+            NetworkState([0.0], np.zeros(2))
 
     def test_rejects_finite_weight_below_floor(self):
         with pytest.raises(ValueError):
-            state_from_weights([[0.0, 0.5], [0.5, 0.0]])
+            NetworkState([0.5], np.zeros(2))
 
     @pytest.mark.parametrize(
-        "weights, region_of, message",
+        "flat, region_of, message",
         [
-            (np.zeros((2, 3)), np.zeros(2), "weights must be a square matrix"),
-            (np.zeros((2, 2)), np.zeros(3), "region assignment must cover every node"),
-            ([[0.0, np.inf], [np.inf, 0.0]], np.zeros(2), "inactive links must use the sentinel"),
-            ([[0.0, 2 * INACTIVE], [2 * INACTIVE, 0.0]], np.zeros(2), "inactive links must use the sentinel"),
+            (np.full(2, 5.0), np.zeros(3), "flat must hold one weight per node pair"),
+            (np.full(4, 5.0), np.zeros(3), "flat must hold one weight per node pair"),
+            (np.full((1, 3), 5.0), np.zeros(3), "flat must hold one weight per node pair"),
+            (np.float64(5.0), np.zeros(2), "flat must hold one weight per node pair"),
+            (np.full(1, 5.0), np.int64(2), "region assignment must be a vector"),
+            (np.full(1, 5.0), np.zeros((1, 2)), "region assignment must be a vector"),
+            ([np.nan], np.zeros(2), "inactive links must use the sentinel"),
+            ([np.inf], np.zeros(2), "inactive links must use the sentinel"),
+            ([2 * INACTIVE], np.zeros(2), "inactive links must use the sentinel"),
         ],
     )
-    def test_rejects_malformed_state(self, weights, region_of, message):
+    def test_rejects_malformed_state(self, flat, region_of, message):
         with pytest.raises(ValueError, match=message):
-            NetworkState(weights, region_of)
+            NetworkState(flat, region_of)
 
     @pytest.mark.parametrize("weight", [WEIGHT_FLOOR, WEIGHT_CEIL])
     def test_accepts_weights_at_the_bounds(self, weight):
-        state = state_from_weights([[0.0, weight], [weight, 0.0]])
-        assert state.weights[0, 1] == weight
+        state = NetworkState([weight], np.zeros(2))
+        assert state.flat.tolist() == [weight]
+        assert state.weights.tolist() == [[0.0, weight], [weight, 0.0]]
 
 
 class TestEigenvectorCentrality:
     def test_complete_graph_is_uniform(self):
         state = adjacency_state(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
-        scores = eigenvector_centrality(state).scores
+        scores = eigenvector_centrality(state)
         assert np.abs(scores - scores[0]).max() < 1e-9
 
     def test_cycle_graph_is_uniform(self):
         state = adjacency_state(8, [(i, (i + 1) % 8) for i in range(8)])
-        scores = eigenvector_centrality(state).scores
+        scores = eigenvector_centrality(state)
         assert np.abs(scores - scores[0]).max() < 1e-9
 
     def test_star_center_dominates(self):
         state = adjacency_state(5, [(0, i) for i in range(1, 5)])
-        scores = eigenvector_centrality(state).scores
+        scores = eigenvector_centrality(state)
         assert (scores[0] > scores[1:]).all()
         # dominant eigenvector of the star adjacency has center/leaf ratio 2
         assert scores[0] / scores[1] == pytest.approx(2.0, abs=1e-3)
@@ -277,7 +264,7 @@ class TestEigenvectorCentrality:
             if not (reach > 0).all():
                 continue
             edges = [(int(i), int(j)) for i, j in zip(iu[mask], ju[mask])]
-            scores = eigenvector_centrality(adjacency_state(size, edges)).scores
+            scores = eigenvector_centrality(adjacency_state(size, edges))
             eigvals, eigvecs = np.linalg.eigh(adjacency + np.eye(size))
             dominant = eigvecs[:, np.argmax(eigvals)]
             dominant = np.abs(dominant) / np.linalg.norm(dominant)
@@ -292,22 +279,18 @@ class TestEigenvectorCentrality:
             previous, x = x, adjacency @ x
             x = x / np.sqrt(np.add.reduce(x * x))
         assert np.add.reduce(np.abs(x - previous)) >= 20 * 1e-5
-        assert np.array_equal(eigenvector_centrality(state).scores, x)
+        assert np.array_equal(eigenvector_centrality(state), x)
 
     def test_empty_graph_falls_back_to_uniform(self):
         state = adjacency_state(5, [])
-        scores = eigenvector_centrality(state).scores
+        scores = eigenvector_centrality(state)
         assert np.abs(scores - scores[0]).max() == 0.0
 
     def test_scores_non_negative_and_normalized(self):
         state = init_network(seed=21)
-        scores = eigenvector_centrality(state).scores
+        scores = eigenvector_centrality(state)
         assert (scores >= 0).all()
         assert np.linalg.norm(scores) == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_negative_scores(self):
-        with pytest.raises(ValueError):
-            CentralityVector(np.array([0.5, -0.1]))
 
 
 class TestSampleSkewNormal:
@@ -377,20 +360,33 @@ class TestEvolveNetwork:
         # two EU nodes, one inactive link; centrality is (1/sqrt2, 1/sqrt2)
         # either way, so the shock shape is 3 * sqrt(2) every step
         config = region_override((0, 2, 0, 0, 0, 0))
-        prev = NetworkState(
-            np.array([[0.0, INACTIVE], [INACTIVE, 0.0]]), config.region_assignment()
-        )
+        prev = NetworkState([INACTIVE], config.region_assignment())
         alpha = 3.0 * np.sqrt(2.0)
         delta = alpha / np.sqrt(1.0 + alpha * alpha)
         expected = 11.0 * (1.0 + delta * np.sqrt(2.0 / np.pi))
         rng = np.random.default_rng(2024)
         draws = np.array(
             [
-                evolve_network(prev, 1.0, config=config, seed=rng).weights[0, 1]
+                evolve_network(prev, 1.0, config=config, seed=rng).flat[0]
                 for _ in range(20000)
             ]
         )
         assert draws.mean() == pytest.approx(expected, abs=0.25)
+
+
+@pytest.mark.parametrize("nodes", [4, 100, 400])
+def test_pair_vector_round_trips_through_the_matrix(nodes):
+    config = default_region_config().scaled_to(nodes)
+    initial = init_network(config, seed=nodes)
+    for state in (initial, evolve_network(initial, 1.0, config, seed=nodes)):
+        weights = state.weights
+        assert np.array_equal(weights, weights.T)
+        assert (np.diag(weights) == 0.0).all()
+        assert not weights.flags.writeable
+        assert weights[pair_indices(nodes)].tobytes() == state.flat.tobytes()
+        centrality = eigenvector_centrality(state)
+        assert isinstance(centrality, np.ndarray) and centrality.shape == (nodes,)
+        assert not centrality.flags.writeable
 
 
 class TestEvolveFlat:
@@ -441,7 +437,7 @@ class TestShortestLatencies:
         weights = np.array(state.weights)
         weights[1, 2] = weights[2, 1] = 1.0
         weights[0, 2] = weights[2, 0] = 5.0
-        dist = shortest_latencies(state_from_weights(weights), 0)
+        dist = shortest_latencies(state_of(weights), 0)
         assert dist.tolist() == [0.0, 1.0, 2.0]
 
     def test_single_edge_leaves_third_node_unreachable(self):
@@ -749,7 +745,7 @@ def test_replayed_state_pinned(nodes):
         state = evolve_network(state, 1.0, config, seed=rng)
     arrays = {
         "weights": (state.weights, weights_digest),
-        "centrality": (eigenvector_centrality(state).scores, centrality_digest),
+        "centrality": (eigenvector_centrality(state), centrality_digest),
     }
     moved = [name for name, (array, pin) in arrays.items() if hashlib.sha256(array.tobytes()).hexdigest() != pin]
     assert not moved, f"{nodes}-node replay moved from its pin: {', '.join(moved)} (numpy {np.__version__})"

@@ -3,12 +3,14 @@
 Its tracer wraps an attribute only if the owner defines it, and skips a
 missing one without a word, so a rename would leave its span reporting
 zero calls. These tests fail instead: every name must exist where the
-harness looks for it, and the CLI runs it times must reach the spans
-that wrap CLI calls.
+harness looks for it, the calls it times must accept the arguments it
+passes, and the CLI runs it times must reach the spans that wrap CLI calls.
 """
 
 import functools
 import importlib
+
+import numpy as np
 
 from gammachain import cli, network
 from gammachain.network import GammaSeries
@@ -38,6 +40,18 @@ def test_imported_and_wrapped_names_exist():
     for name in NETWORK_NAMES:
         assert callable(vars(network).get(name)), f"network.{name}"
     importlib.import_module("gammachain._kernels")
+
+
+def test_network_calls_take_the_harness_arguments():
+    # the shapes of the harness's setup snippet and its direct per-call timings
+    config = network.default_region_config().scaled_to(12)
+    state = network.init_network(config, seed=0)
+    rng = np.random.default_rng(12)
+    state = network.evolve_network(state, 1.0, config, seed=rng)
+    pair = tuple(int(v) for v in rng.choice(12, 2, replace=False))
+    assert 0.0 <= network.gamma_of(state, *pair) < 1.0
+    latencies = network.shortest_latencies(state, pair[0])
+    assert latencies.shape == (12,) and latencies[pair[0]] == 0.0
 
 
 def test_cli_runs_reach_every_wrapped_span(tmp_path, monkeypatch):
