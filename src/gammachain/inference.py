@@ -20,7 +20,7 @@ import numpy as np
 
 from ._frozen import ArrayEq, readonly
 from .markov import StateDistribution, TransitionMatrix
-from .partition import DEFAULT_BOUNDARIES, StrategyPartition, default_partition
+from .partition import DEFAULT_BOUNDARIES, StrategyPartition, _check_gammas, default_partition
 
 REFERENCE_COUNTS_FILE = "reference_counts.csv"
 _INTEGER_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -62,8 +62,7 @@ class GammaSeries(ArrayEq):
         object.__setattr__(self, "values", values)
         if values.shape != times.shape:
             raise ValueError("values must be one-dimensional, one per time")
-        if not np.all((values >= 0) & (values <= 1)):
-            raise ValueError("gamma values must lie in [0, 1]")
+        _check_gammas(values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -250,23 +249,24 @@ def log_likelihood(model: TransitionMatrix, counts: TransitionCounts) -> float:
     return float((weights * np.log(theta)).sum())
 
 
+def _gap_to_best(model_log_likelihood: float, counts: TransitionCounts) -> float:
+    best = log_likelihood(empirical_transition_matrix(counts), counts)
+    return max(best - model_log_likelihood, 0.0)
+
+
 def relative_likelihood(model: TransitionMatrix, counts: TransitionCounts) -> float:
     """Log-likelihood gap from the empirical maximum-likelihood matrix.
 
     Always non-negative: zero when the model matches the empirical matrix
     on every observed cell, +inf when the model zeroes an observed cell.
     """
-    best = log_likelihood(empirical_transition_matrix(counts), counts)
-    return max(best - log_likelihood(model, counts), 0.0)
+    return _gap_to_best(log_likelihood(model, counts), counts)
 
 
 def score_model(name: str, model: TransitionMatrix, counts: TransitionCounts) -> LikelihoodReport:
-    """Bundle the two likelihood figures for one model into a report."""
-    return LikelihoodReport(
-        model_name=name,
-        relative_likelihood=relative_likelihood(model, counts),
-        log_likelihood=log_likelihood(model, counts),
-    )
+    """Bundle the two likelihood figures for one model into a report, scoring the model once."""
+    model_log_likelihood = log_likelihood(model, counts)
+    return LikelihoodReport(name, _gap_to_best(model_log_likelihood, counts), model_log_likelihood)
 
 
 def load_reference_counts(partition: StrategyPartition | None = None) -> TransitionCounts:

@@ -24,6 +24,15 @@ _ROW_SUM_TOL = 1e-9
 _STATIONARY_RESIDUAL_TOL = 1e-10
 
 
+def _check_probabilities(rows: np.ndarray) -> None:
+    """The probability rule, for a matrix of rows or one row: entries in [0, 1] up to a 1e-12
+    rounding slack (NaN rejected), and each row summing to 1 within 1e-9."""
+    if not np.all((rows >= -1e-12) & (rows <= 1.0 + 1e-12)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if np.any(np.abs(rows.sum(axis=-1) - 1.0) > _ROW_SUM_TOL):
+        raise ValueError("probabilities must sum to 1 within 1e-9 in every row")
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix(ArrayEq):
     """Row-stochastic matrix over partition states.
@@ -46,11 +55,7 @@ class TransitionMatrix(ArrayEq):
             raise ValueError("transition matrix must be square")
         if entries.shape[0] != len(self.labels):
             raise ValueError("label count must match matrix size")
-        if not np.all((entries >= -1e-12) & (entries <= 1.0 + 1e-12)):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        row_sums = entries.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > _ROW_SUM_TOL):
-            raise ValueError("every row must sum to 1 within 1e-9")
+        _check_probabilities(entries)
 
     @property
     def size(self) -> int:
@@ -79,10 +84,7 @@ class StateDistribution(ArrayEq):
         object.__setattr__(self, "labels", tuple(self.labels))
         if weights.ndim != 1 or weights.shape[0] != len(self.labels):
             raise ValueError("weight count must match label count")
-        if not np.all((weights >= -1e-12) & (weights <= 1.0 + 1e-12)):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(float(weights.sum()) - 1.0) > _ROW_SUM_TOL:
-            raise ValueError("probabilities must sum to 1 within 1e-9")
+        _check_probabilities(weights)
 
     def to_json_obj(self) -> dict:
         return {
@@ -138,7 +140,7 @@ def _erf_antiderivative(s: float) -> float:
     return s * math.erf(s) + math.expm1(-s * s) / math.sqrt(math.pi)
 
 
-def kernel_box_integral(a: float, b: float, c: float, d: float, length_scale: float) -> float:
+def kernel_box_integral(a: float, b: float, c: float, d: float, config: KernelConfig = KernelConfig()) -> float:
     """Exact integral of the squared-exponential kernel over [a, b] x [c, d].
 
     Integrating exp(-((x - y) / l)**2 / 2) in x over [a, b] gives a scaled
@@ -149,10 +151,11 @@ def kernel_box_integral(a: float, b: float, c: float, d: float, length_scale: fl
     so a result that rounds below zero is returned as zero: the integrand is
     positive.
     """
-    h = length_scale * math.sqrt(2.0)
+    scale = config.length_scale
+    h = scale * math.sqrt(2.0)
     ee = _erf_antiderivative
     terms = ee((b - c) / h) - ee((b - d) / h) - ee((a - c) / h) + ee((a - d) / h)
-    return max(0.0, length_scale * length_scale * math.sqrt(math.pi) * terms)
+    return max(0.0, scale * scale * math.sqrt(math.pi) * terms)
 
 
 def model2_transition_matrix(
@@ -179,11 +182,10 @@ def model2_transition_matrix(
     k = len(partition)
     # python floats: an overflowed scale yields inf or nan without a warning
     lo, hi = partition.bounds[:-1], partition.bounds[1:]
-    scale = config.length_scale
 
     if method == "closed_form":
         def integral(a, b, c, d):
-            return kernel_box_integral(a, b, c, d, scale)
+            return kernel_box_integral(a, b, c, d, config)
     elif method == "quadrature":
         # imported here: scipy is only a dev dependency, and scipy.integrate
         # adds about 0.4 s to a cold start
@@ -208,7 +210,7 @@ def model2_transition_matrix(
     for i in range(k):
         denom = integral(0.0, 1.0, lo[i], hi[i])
         if not 0.0 < denom < math.inf:
-            raise ValueError(f"length_scale {scale!r} gives a row kernel mass of {denom}")
+            raise ValueError(f"length_scale {config.length_scale!r} gives a row kernel mass of {denom}")
         for j in range(k):
             entries[i, j] = integral(lo[j], hi[j], lo[i], hi[i]) / denom
     return TransitionMatrix(entries, partition.labels)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -213,9 +214,9 @@ class NetworkState(ArrayEq):
     def node_count(self) -> int:
         return len(self.region_of)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """The read-only symmetric weight matrix, zero on the diagonal, built on each access."""
+        """The read-only symmetric weight matrix, zero on the diagonal, built on first access."""
         n = self.node_count
         matrix = fill_off_diagonal(np.zeros((n, n)), self.flat)
         matrix.setflags(write=False)
@@ -352,12 +353,12 @@ def evolve_network(
     Raises
     ------
     ValueError
-        If delta_t <= 0, activation is outside [0, 1], or the config does
-        not match the state's node regions.
+        If delta_t is not positive and finite, activation is outside
+        [0, 1], or the config does not match the state's node regions.
     """
     config = config or default_region_config()
-    if not delta_t > 0:
-        raise ValueError("delta_t must be positive")
+    if not 0 < delta_t < math.inf:
+        raise ValueError("delta_t must be positive and finite")
     _check_activation(activation)
     if not np.array_equal(config.region_assignment(), prev.region_of):
         raise ValueError("config region layout does not match the network state")

@@ -20,6 +20,12 @@ DEFAULT_BOUNDARIES = (0.0, 0.675, 0.76, 0.761, 1.0)
 DEFAULT_LABELS = ("HM", "SM", "LSM", "EFSM")
 
 
+def _check_gammas(values: np.ndarray) -> None:
+    """The gamma range rule, shared with ``GammaSeries``: every value in [0, 1], NaN rejected."""
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValueError("gamma values must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class StrategyPartition:
     """Labeled intervals covering [0, 1]: interval i is [bounds[i], bounds[i + 1]), named labels[i].
@@ -77,8 +83,7 @@ class StrategyPartition:
             If a value is NaN or lies outside [0, 1].
         """
         arr = np.asarray(values, dtype=float)
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):
-            raise ValueError("gamma values must lie in [0, 1]")
+        _check_gammas(arr)
         return np.searchsorted(self.bounds[1:-1], arr, side="right")
 
     def to_json_obj(self) -> list[dict]:

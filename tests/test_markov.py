@@ -107,7 +107,7 @@ class TestKernelBoxIntegral:
     def test_matches_adaptive_quadrature(self, box):
         a, b, c, d = box
         config = KernelConfig(0.25)
-        exact = kernel_box_integral(a, b, c, d, 0.25)
+        exact = kernel_box_integral(a, b, c, d, config)
         numeric, _ = dblquad(
             lambda x, y: sq_exp_kernel(x, y, config), c, d, a, b,
             epsabs=1e-12, epsrel=1e-12,
@@ -119,12 +119,12 @@ class TestKernelBoxIntegral:
             a, c = rng.uniform(0.0, 0.9, 2)
             b = a + rng.uniform(0.01, 1.0 - a)
             d = c + rng.uniform(0.01, 1.0 - c)
-            assert kernel_box_integral(a, b, c, d, 0.25) > 0.0
+            assert kernel_box_integral(a, b, c, d, KernelConfig(0.25)) > 0.0
 
     def test_additive_in_target(self):
-        whole = kernel_box_integral(0.0, 1.0, 0.3, 0.5, 0.25)
-        left = kernel_box_integral(0.0, 0.6, 0.3, 0.5, 0.25)
-        right = kernel_box_integral(0.6, 1.0, 0.3, 0.5, 0.25)
+        whole = kernel_box_integral(0.0, 1.0, 0.3, 0.5, KernelConfig(0.25))
+        left = kernel_box_integral(0.0, 0.6, 0.3, 0.5, KernelConfig(0.25))
+        right = kernel_box_integral(0.6, 1.0, 0.3, 0.5, KernelConfig(0.25))
         assert whole == pytest.approx(left + right, abs=1e-14)
 
 

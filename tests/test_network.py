@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gammachain import network
-from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR, pair_indices
+from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR, fill_off_diagonal, pair_indices
 from gammachain.inference import moving_average
 from gammachain.network import (
     DEFAULT_MEAN_LATENCY,
@@ -232,6 +232,16 @@ class TestNetworkStateValidation:
         state = NetworkState([weight], np.zeros(2))
         assert state.flat.tolist() == [weight]
         assert state.weights.tolist() == [[0.0, weight], [weight, 0.0]]
+
+    def test_weights_are_built_once_per_state(self):
+        state = init_network(seed=5)
+        first = state.weights
+        assert state.weights is first
+        assert not first.flags.writeable
+        n = state.node_count
+        assert first.tobytes() == fill_off_diagonal(np.zeros((n, n)), state.flat).tobytes()
+        # the cached matrix is no field, so equality still compares flat and region_of alone
+        assert state == NetworkState(state.flat, state.region_of)
 
 
 class TestEigenvectorCentrality:
