@@ -140,7 +140,7 @@ def _erf_antiderivative(s: float) -> float:
     return s * math.erf(s) + math.expm1(-s * s) / math.sqrt(math.pi)
 
 
-def kernel_box_integral(a: float, b: float, c: float, d: float, config: KernelConfig = KernelConfig()) -> float:
+def kernel_box_integral(a: float, b: float, c: float, d: float, config: KernelConfig) -> float:
     """Exact integral of the squared-exponential kernel over [a, b] x [c, d].
 
     Integrating exp(-((x - y) / l)**2 / 2) in x over [a, b] gives a scaled

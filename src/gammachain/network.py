@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -214,9 +213,9 @@ class NetworkState(ArrayEq):
     def node_count(self) -> int:
         return len(self.region_of)
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
-        """The read-only symmetric weight matrix, zero on the diagonal, built on first access."""
+        """The read-only symmetric weight matrix, zero on the diagonal, built on each access."""
         n = self.node_count
         matrix = fill_off_diagonal(np.zeros((n, n)), self.flat)
         matrix.setflags(write=False)

@@ -299,6 +299,27 @@ class TestValueValidation:
         with pytest.raises(ValueError):
             StateDistribution(np.array([0.5, 0.4]), ("A", "B"))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda row: TransitionMatrix(np.array([row, [0.5, 0.5]]), ("A", "B")),
+            lambda row: StateDistribution(np.array(row), ("A", "B")),
+        ],
+        ids=["TransitionMatrix", "StateDistribution"],
+    )
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([1.5, -0.5], r"^probabilities must lie in \[0, 1\]$"),
+            ([math.nan, 1.0], r"^probabilities must lie in \[0, 1\]$"),
+            ([0.6, 0.5], r"^probabilities must sum to 1 within 1e-9 in every row$"),
+        ],
+        ids=["above-one", "nan", "sum-1.1"],
+    )
+    def test_probability_rule_has_one_message(self, build, row, message):
+        with pytest.raises(ValueError, match=message):
+            build(row)
+
     def test_matrix_is_immutable(self):
         matrix = model1_transition_matrix(default_partition())
         with pytest.raises(ValueError):

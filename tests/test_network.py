@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gammachain import network
-from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR, fill_off_diagonal, pair_indices
+from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR, pair_indices
 from gammachain.inference import moving_average
 from gammachain.network import (
     DEFAULT_MEAN_LATENCY,
@@ -233,16 +233,6 @@ class TestNetworkStateValidation:
         assert state.flat.tolist() == [weight]
         assert state.weights.tolist() == [[0.0, weight], [weight, 0.0]]
 
-    def test_weights_are_built_once_per_state(self):
-        state = init_network(seed=5)
-        first = state.weights
-        assert state.weights is first
-        assert not first.flags.writeable
-        n = state.node_count
-        assert first.tobytes() == fill_off_diagonal(np.zeros((n, n)), state.flat).tobytes()
-        # the cached matrix is no field, so equality still compares flat and region_of alone
-        assert state == NetworkState(state.flat, state.region_of)
-
 
 class TestEigenvectorCentrality:
     def test_complete_graph_is_uniform(self):
@@ -357,8 +347,8 @@ class TestEvolveNetwork:
 
     def test_rejects_non_positive_delta_t(self):
         prev = init_network(seed=0)
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"^delta_t must be positive and finite$"):
                 evolve_network(prev, bad, seed=0)
 
     def test_rejects_node_count_mismatch(self):
