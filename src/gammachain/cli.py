@@ -96,7 +96,7 @@ def _read(path, parse, text=True):
     """``parse`` an input file's text (its path if not ``text``); a wrong shape raises ValueError."""
     try:
         return parse(Path(path).read_text(encoding="utf-8") if text else path)
-    except (KeyError, TypeError, OverflowError, ValueError) as exc:
+    except (KeyError, TypeError, OverflowError, RecursionError, ValueError) as exc:
         raise ValueError(f"malformed input file {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel.add_argument(
         "--length-scale",
         type=_checked(float, lambda v: 0 < v < np.inf, "must be positive and finite"),
-        default=0.25,
+        default=KernelConfig.length_scale,
         help="kernel length scale",
     )
 

@@ -133,9 +133,8 @@ class TransitionCounts(ArrayEq):
         return "\n".join(",".join(str(int(v)) for v in row) for row in self.counts) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, partition: StrategyPartition | None = None) -> "TransitionCounts":
+    def from_csv(cls, text: str, partition: StrategyPartition = default_partition()) -> "TransitionCounts":
         """Read one comma-separated row of decimal integers a line; blank lines are skipped."""
-        partition = partition or default_partition()
         rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
         if len({len(row) for row in rows}) > 1:
             raise ValueError("counts rows must all have the same number of cells")
@@ -176,7 +175,7 @@ class LikelihoodReport:
         return obj
 
 
-def count_transitions(series: GammaSeries, partition: StrategyPartition | None = None) -> TransitionCounts:
+def count_transitions(series: GammaSeries, partition: StrategyPartition = default_partition()) -> TransitionCounts:
     """Accumulate consecutive-pair transitions of a series into counts.
 
     The total over all cells equals the series length minus one.
@@ -186,7 +185,6 @@ def count_transitions(series: GammaSeries, partition: StrategyPartition | None =
     ValueError
         If the series has fewer than two samples.
     """
-    partition = partition or default_partition()
     if len(series) < 2:
         raise ValueError("need at least two samples to count transitions")
     states = partition.index_of(series.values)
@@ -210,9 +208,8 @@ def empirical_transition_matrix(counts: TransitionCounts) -> TransitionMatrix:
     return TransitionMatrix(normalized, counts.labels)
 
 
-def occupancy_fractions(series: GammaSeries, partition: StrategyPartition | None = None) -> StateDistribution:
+def occupancy_fractions(series: GammaSeries, partition: StrategyPartition = default_partition()) -> StateDistribution:
     """Fraction of samples falling in each partition state."""
-    partition = partition or default_partition()
     states = partition.index_of(series.values)
     k = len(partition)
     occ = np.bincount(states, minlength=k) / len(series)
@@ -269,12 +266,11 @@ def score_model(name: str, model: TransitionMatrix, counts: TransitionCounts) ->
     return LikelihoodReport(name, _gap_to_best(model_log_likelihood, counts), model_log_likelihood)
 
 
-def load_reference_counts(partition: StrategyPartition | None = None) -> TransitionCounts:
+def load_reference_counts(partition: StrategyPartition = default_partition()) -> TransitionCounts:
     """The packaged reference transition counts, binned under the default partition's bounds.
 
     ``partition`` may relabel the four default states; other bounds raise ``ValueError``.
     """
-    partition = partition or default_partition()
     if partition.bounds != DEFAULT_BOUNDARIES:
         default, given = (", ".join(f"{b:g}" for b in bounds) for bounds in (DEFAULT_BOUNDARIES, partition.bounds))
         raise ValueError(

@@ -54,6 +54,8 @@ from .inference import GammaSeries, checked_times
 
 _POWER_ITERATIONS = 50
 _POWER_TOL = 1e-5
+_DROPOUT = 0.1
+_ACTIVATION = 0.9
 
 REGION_NAMES = (
     "NORTH_AMERICA",
@@ -242,7 +244,7 @@ def _initial_flat(config: RegionConfig, dropout: float, rng: np.random.Generator
     return region_of, means, np.where(drop_uniforms < dropout, INACTIVE, drawn)
 
 
-def init_network(config: RegionConfig | None = None, dropout: float = 0.1, seed=None) -> NetworkState:
+def init_network(config: RegionConfig = default_region_config(), dropout: float = _DROPOUT, seed=None) -> NetworkState:
     """Draw the initial latency network.
 
     Each unordered node pair is inactive with probability ``dropout``;
@@ -263,7 +265,6 @@ def init_network(config: RegionConfig | None = None, dropout: float = 0.1, seed=
     ValueError
         If dropout is outside [0, 1).
     """
-    config = config or default_region_config()
     region_of, _, flat = _initial_flat(config, dropout, np.random.default_rng(seed))
     return NetworkState(flat, region_of)
 
@@ -289,10 +290,10 @@ def _power_iteration(adjacency: np.ndarray) -> np.ndarray:
 
 
 def eigenvector_centrality(state: NetworkState) -> np.ndarray:
-    """Read-only, non-negative, L2-normalized node scores of the active-link adjacency.
+    """Read-only, non-negative, L2-normalized node scores of the state's finite links.
 
-    The adjacency is the one the evolution step builds: every finite pair
-    is an edge, on a unit diagonal (see the module docstring).
+    Each finite pair is an edge, on the evolution step's unit diagonal (see
+    the module docstring); the step itself scores its sampled ``active`` draws.
     """
     n = state.node_count
     return readonly(_power_iteration(fill_off_diagonal(np.eye(n), state.flat < INACTIVE)))
@@ -302,6 +303,11 @@ def sample_skew_normal(shape: float, seed=None) -> float:
     """One skew-normal draw of ``shape``: ``_kernels.skew_normal`` on two standard normals."""
     u0, u1 = np.random.default_rng(seed).standard_normal((2, 1))
     return float(skew_normal(np.full(1, shape, dtype=float), u0, u1)[0])
+
+
+def _check_step(delta_t: float) -> None:
+    if not 0 < delta_t < math.inf:
+        raise ValueError("delta_t must be positive and finite")
 
 
 def _check_activation(activation: float) -> None:
@@ -335,8 +341,8 @@ def _evolve_flat(flat, means, delta_t, draws, adjacency) -> np.ndarray:
 def evolve_network(
     prev: NetworkState,
     delta_t: float,
-    config: RegionConfig | None = None,
-    activation: float = 0.9,
+    config: RegionConfig = default_region_config(),
+    activation: float = _ACTIVATION,
     seed=None,
 ) -> NetworkState:
     """One stochastic evolution step; returns a new state.
@@ -355,9 +361,7 @@ def evolve_network(
         If delta_t is not positive and finite, activation is outside
         [0, 1], or the config does not match the state's node regions.
     """
-    config = config or default_region_config()
-    if not 0 < delta_t < math.inf:
-        raise ValueError("delta_t must be positive and finite")
+    _check_step(delta_t)
     _check_activation(activation)
     if not np.array_equal(config.region_assignment(), prev.region_of):
         raise ValueError("config region layout does not match the network state")
@@ -368,8 +372,9 @@ def evolve_network(
 
 
 def _check_node(node: int, node_count: int) -> None:
-    if not 0 <= node < node_count:
-        raise ValueError(f"node {node} out of range for {node_count} nodes")
+    # a bool is an int, and numpy would index a float with an IndexError
+    if isinstance(node, bool) or not isinstance(node, (int, np.integer)) or not 0 <= node < node_count:
+        raise ValueError(f"node {node} is not an integer in [0, {node_count})")
 
 
 def shortest_latencies(state: NetworkState, source: int) -> np.ndarray:
@@ -381,7 +386,7 @@ def shortest_latencies(state: NetworkState, source: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``source`` is out of range.
+        If ``source`` is not an in-range integer.
     """
     _check_node(source, state.node_count)
     return race_latencies(state.weights, [source])[0]
@@ -405,7 +410,7 @@ def gamma_of(state: NetworkState, attacker: int, honest: int) -> float:
     Raises
     ------
     ValueError
-        If the two nodes coincide or either is out of range.
+        If the two nodes coincide or either is not an in-range integer.
     """
     if attacker == honest:
         raise ValueError("attacker and honest node must differ")
@@ -415,8 +420,6 @@ def gamma_of(state: NetworkState, attacker: int, honest: int) -> float:
 
 
 def _draw_node_pair(rng: np.random.Generator, node_count: int) -> tuple[int, int]:
-    if node_count < 2:
-        raise ValueError("need at least two nodes to race propagation")
     first = int(rng.integers(0, node_count))
     second = int(rng.integers(0, node_count))
     while second == first:
@@ -427,9 +430,9 @@ def _draw_node_pair(rng: np.random.Generator, node_count: int) -> tuple[int, int
 def simulate_gamma_series(
     schedule,
     seed=None,
-    config: RegionConfig | None = None,
-    dropout: float = 0.1,
-    activation: float = 0.9,
+    config: RegionConfig = default_region_config(),
+    dropout: float = _DROPOUT,
+    activation: float = _ACTIVATION,
 ) -> GammaSeries:
     """Simulate gamma over a sampling schedule; deterministic given the seed.
 
@@ -451,17 +454,18 @@ def simulate_gamma_series(
     Raises
     ------
     ValueError
-        If the schedule is empty, not finite, not strictly increasing or
-        spans more than the largest float, or a link probability is out of range.
+        If the schedule is empty, not finite, not strictly increasing or wider than
+        a float, a link probability is out of range, or the config has one node.
     """
     times = checked_times(schedule)
-    # python floats overflow to inf without a warning; no gap exceeds the span
-    if not math.isfinite(float(times[-1]) - float(times[0])):
-        raise ValueError("schedule gaps must be finite")
+    if len(times) > 1:
+        # every gap is positive and none exceeds the span; python floats overflow to inf without a warning
+        _check_step(float(times[-1]) - float(times[0]))
     _check_activation(activation)
-    config = config or default_region_config()
-    rng = np.random.default_rng(seed)
     n = config.node_count
+    if n < 2:
+        raise ValueError("need at least two nodes to race propagation")
+    rng = np.random.default_rng(seed)
 
     _, means, flat = _initial_flat(config, dropout, rng)
     # the evolution step's adjacency, then the race's weights

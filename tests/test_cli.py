@@ -1,6 +1,7 @@
 """End-to-end checks of the command line entry point, run in-process unless a check needs a child's stdout."""
 
 import hashlib
+import inspect
 import json
 import platform
 import re
@@ -14,7 +15,8 @@ import pytest
 import gammachain
 from gammachain import cli
 from gammachain.inference import GammaSeries, TransitionCounts
-from gammachain.markov import TransitionMatrix, model1_transition_matrix
+from gammachain.markov import KernelConfig, TransitionMatrix, model1_transition_matrix
+from gammachain.network import default_region_config, init_network, simulate_gamma_series
 from gammachain.partition import StrategyPartition, default_partition
 from helpers import subprocess_env, write_file
 
@@ -24,6 +26,8 @@ LOW_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_lat
 # numpy parses quoted numbers and JSON true as numbers; the region file must not
 STRING_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [["10", "20"], ["20", "30"]]}'
 BOOL_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[10, true], [true, 12]]}'
+# deeper than the JSON decoder's recursion limit
+DEEP_JSON = "[" * 100000 + "]" * 100000
 
 # sha256 of every artifact of each pinned run, and of its stdout without the
 # "wrote" lines. run_metadata.json is hashed with "versions" removed, so that a
@@ -120,6 +124,14 @@ def benchmark_shaped_series(rows=3000):
 
 def run(tmp_path, *args):
     return cli.main([*args, "--out", str(tmp_path)])
+
+
+def _raises(error, call, arg) -> bool:
+    try:
+        call(arg)
+    except error:
+        return True
+    return False
 
 
 def assert_pinned(name, out, stdout):
@@ -724,6 +736,36 @@ class TestArgumentHandling:
         metadata = json.loads((tmp_path / "run_metadata.json").read_text())
         assert (metadata["dropout"], metadata["activation"]) == (0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "flag, values",
+        [
+            ("--dropout", ["-0.1", "0", "0.5", "1", "1.1", "nan", "inf", "-inf"]),
+            ("--activation", ["-0.1", "0", "0.5", "1", "1.1", "nan", "inf", "-inf"]),
+            ("--length-scale", ["-1", "0", "1e-300", "0.25", "1e300", "inf", "nan"]),
+            ("--nodes", ["-1", "0", "1", "2", "3"]),
+        ],
+    )
+    def test_flag_rules_and_defaults_match_the_library(self, flag, values):
+        # the parser keeps its own copy of each rule, to exit 2 before any input file is read
+        simulate_defaults = inspect.signature(simulate_gamma_series).parameters
+        library, default = {
+            "--dropout": (lambda v: init_network(dropout=v, seed=0), simulate_defaults["dropout"].default),
+            "--activation": (
+                lambda v: simulate_gamma_series([0.0], seed=0, activation=v),
+                simulate_defaults["activation"].default,
+            ),
+            "--length-scale": (KernelConfig, KernelConfig.length_scale),
+            "--nodes": (
+                lambda n: simulate_gamma_series([0.0], config=default_region_config().scaled_to(n)),
+                default_region_config().node_count,
+            ),
+        }[flag]
+        parser = cli.build_parser()
+        assert getattr(parser.parse_args(["pipeline"]), flag[2:].replace("-", "_")) == default
+        for text in values:
+            parser_rejects = _raises(SystemExit, parser.parse_args, ["pipeline", f"{flag}={text}"])
+            assert parser_rejects == _raises(ValueError, library, type(default)(text)), (flag, text)
+
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAMMACHAIN_OUT_DIR", str(tmp_path / "from_env"))
         assert cli.main(["model", "--kind", "midpoint"]) == 0
@@ -829,6 +871,8 @@ class TestArgumentHandling:
             ),
             ("simulate", "--region-config", STRING_MEAN_REGION),
             ("simulate", "--region-config", BOOL_MEAN_REGION),
+            pytest.param("model", "--partition", DEEP_JSON, id="model---partition-deep"),
+            pytest.param("simulate", "--region-config", DEEP_JSON, id="simulate---region-config-deep"),
         ],
     )
     def test_malformed_input_file_exits_one(self, tmp_path, capsys, command, flag, text):

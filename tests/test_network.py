@@ -450,7 +450,7 @@ class TestShortestLatencies:
 
     def test_rejects_out_of_range_source(self):
         state = adjacency_state(3, [(0, 1)])
-        for bad in (-1, 3):
+        for bad in (-1, 3, 1.5, 2.0):
             with pytest.raises(ValueError):
                 shortest_latencies(state, bad)
 
@@ -472,8 +472,9 @@ class TestGammaOf:
 
     def test_rejects_out_of_range_nodes(self):
         state = adjacency_state(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            gamma_of(state, 0, 5)
+        for bad in (5, 1.5, 2.0):
+            with pytest.raises(ValueError):
+                gamma_of(state, 0, bad)
 
 
 class TestGammaSeries:
@@ -634,20 +635,26 @@ class TestSimulateGammaSeries:
     def test_rejects_a_schedule_wider_than_a_float_before_drawing(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        with pytest.raises(ValueError, match="^schedule gaps must be finite$"):
+        with pytest.raises(ValueError, match="^delta_t must be positive and finite$"):
             simulate_gamma_series([-1e308, 1e308], seed=rng)
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("activation", [-0.1, 1.5, np.nan])
     def test_rejects_activation_outside_unit_interval(self, activation):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
         with pytest.raises(ValueError, match="activation must lie in"):
-            simulate_gamma_series([0.0, 1.0], seed=0, activation=activation)
+            simulate_gamma_series([0.0, 1.0], seed=rng, activation=activation)
+        assert rng.bit_generator.state == before
         with pytest.raises(ValueError, match="activation must lie in"):
             evolve_network(init_network(seed=0), 1.0, activation=activation, seed=0)
 
     def test_rejects_a_single_node_network(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
         with pytest.raises(ValueError, match="need at least two nodes"):
-            simulate_gamma_series([0.0], seed=0, config=RegionConfig(["a"], [1], [[10.0]]))
+            simulate_gamma_series([0.0], seed=rng, config=RegionConfig(["a"], [1], [[10.0]]))
+        assert rng.bit_generator.state == before
 
     def test_small_network_runs(self):
         series = simulate_gamma_series(
