@@ -7,7 +7,7 @@ off-diagonal matrix entry, row by row, to its pair; through it a pair vector
 becomes a symmetric matrix (``fill_off_diagonal``).
 
 The race reads a square matrix row by row as out-links, in plain numpy; it
-needs no symmetry, and a non-negative diagonal has no effect. From each source it settles, in
+needs no symmetry, and a non-negative diagonal has no effect. From its source it settles, in
 one vectorised round, every pending node whose distance is at most
 ``bound = min(pending) + WEIGHT_FLOOR`` and relaxes all their rows at once.
 Every off-diagonal weight, the sentinel included, is at least WEIGHT_FLOOR,
@@ -68,8 +68,8 @@ def fill_off_diagonal(matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def race_latencies(weights: np.ndarray, sources) -> np.ndarray:
-    """Shortest latencies from each source, one row per source, capped at 1e7.
+def race_latencies(weights: np.ndarray, source: int) -> np.ndarray:
+    """Shortest latencies from ``source`` as one row, capped at 1e7.
 
     Row ``u`` of ``weights`` holds the out-links of node ``u``; every
     off-diagonal entry, the sentinel included, is at least WEIGHT_FLOOR,
@@ -78,27 +78,27 @@ def race_latencies(weights: np.ndarray, sources) -> np.ndarray:
     round that settles the last pending nodes leaves their rows unread, and
     a bound of 1e7 ends the race with unreachable nodes still pending.
     """
-    dist = weights[sources]
-    for d, source in zip(dist, sources):
-        d[source] = 0.0
-        # zero for a pending node, inf once it has settled
-        settled = np.zeros(len(d))
-        settled[source] = np.inf
-        left = len(d) - 1
-        while True:
-            pending = d + settled
-            bound = np.minimum.reduce(pending) + WEIGHT_FLOOR
-            if bound >= INACTIVE:
-                break
-            batch = (pending <= bound).nonzero()[0]
-            left -= len(batch)
-            if not left:
-                break
-            settled[batch] = np.inf
-            rows = weights[batch]
-            rows += d[batch, None]
-            np.minimum(d, np.minimum.reduce(rows, axis=0), out=d)
-    return np.minimum(dist, INACTIVE, out=dist)
+    # a copy, never a view: the race writes into it
+    d = weights[source].copy()
+    d[source] = 0.0
+    # zero for a pending node, inf once it has settled
+    settled = np.zeros(len(d))
+    settled[source] = np.inf
+    left = len(d) - 1
+    while True:
+        pending = d + settled
+        bound = np.minimum.reduce(pending) + WEIGHT_FLOOR
+        if bound >= INACTIVE:
+            break
+        batch = (pending <= bound).nonzero()[0]
+        left -= len(batch)
+        if not left:
+            break
+        settled[batch] = np.inf
+        rows = weights[batch]
+        rows += d[batch, None]
+        np.minimum(d, np.minimum.reduce(rows, axis=0), out=d)
+    return np.minimum(d, INACTIVE, out=d)
 
 
 def skew_normal(alpha: np.ndarray, u0: np.ndarray, u1: np.ndarray) -> np.ndarray:

@@ -141,11 +141,13 @@ class RegionConfig(ArrayEq):
         return np.repeat(np.arange(len(self.node_counts)), self.node_counts)
 
     def scaled_to(self, total: int) -> "RegionConfig":
-        """Same region proportions rescaled to ``total`` nodes.
+        """Same region proportions rescaled to ``total`` nodes, a positive integer.
 
         Counts are apportioned by largest remainder so they sum exactly to
         ``total`` while preserving relative region sizes.
         """
+        if isinstance(total, bool) or not isinstance(total, (int, np.integer)):
+            raise ValueError(f"total node count {total!r} is not an integer")
         if total < 1:
             raise ValueError("total node count must be positive")
         if total == self.node_count:
@@ -153,9 +155,7 @@ class RegionConfig(ArrayEq):
         exact = np.asarray(self.node_counts, dtype=float) * total / self.node_count
         floors = np.floor(exact).astype(int)
         shortfall = total - int(floors.sum())
-        order = np.argsort(-(exact - floors), kind="stable")
-        for idx in order[:shortfall]:
-            floors[idx] += 1
+        floors[np.argsort(-(exact - floors), kind="stable")[:shortfall]] += 1
         return RegionConfig(self.region_names, tuple(int(c) for c in floors), self.mean_latency)
 
     def to_json_obj(self) -> dict:
@@ -389,12 +389,11 @@ def shortest_latencies(state: NetworkState, source: int) -> np.ndarray:
         If ``source`` is not an in-range integer.
     """
     _check_node(source, state.node_count)
-    return race_latencies(state.weights, [source])[0]
+    return race_latencies(state.weights, source)
 
 
 def _gamma(weights: np.ndarray, attacker: int, honest: int) -> float:
-    dist_attacker, dist_honest = race_latencies(weights, [attacker, honest])
-    closer = dist_attacker < dist_honest
+    closer = race_latencies(weights, attacker) < race_latencies(weights, honest)
     closer[attacker] = closer[honest] = False
     return np.count_nonzero(closer) / len(weights)
 
@@ -412,10 +411,10 @@ def gamma_of(state: NetworkState, attacker: int, honest: int) -> float:
     ValueError
         If the two nodes coincide or either is not an in-range integer.
     """
-    if attacker == honest:
-        raise ValueError("attacker and honest node must differ")
     _check_node(attacker, state.node_count)
     _check_node(honest, state.node_count)
+    if attacker == honest:
+        raise ValueError("attacker and honest node must differ")
     return _gamma(state.weights, attacker, honest)
 
 

@@ -71,6 +71,11 @@ class TestRegionConfig:
         assert config.scaled_to(100) is config
         with pytest.raises(ValueError, match="total node count must be positive"):
             config.scaled_to(0)
+        assert config.scaled_to(np.int64(50)) == config.scaled_to(50)
+        # a bool is an int, and a whole float is still no integer
+        for bad in (50.0, 2.5, True, float("nan")):
+            with pytest.raises(ValueError, match="is not an integer"):
+                config.scaled_to(bad)
 
     def test_rejects_fractional_node_counts(self):
         # JSON true and the non-finite floats are no whole numbers either
@@ -475,6 +480,10 @@ class TestGammaOf:
         for bad in (5, 1.5, 2.0):
             with pytest.raises(ValueError):
                 gamma_of(state, 0, bad)
+        # a bool is reported as no integer, not as equal to node 1
+        for pair in ((1, True), (True, 1)):
+            with pytest.raises(ValueError, match="is not an integer"):
+                gamma_of(state, *pair)
 
 
 class TestGammaSeries:
@@ -688,11 +697,21 @@ class TestSimulateGammaSeries:
         "seed, nodes, dropout, activation",
         [(3, 100, 0.1, 0.9), (8, 40, 0.3, 0.6), (21, 100, 0.0, 1.0)],
     )
-    def test_flat_loop_matches_public_api_replay(self, seed, nodes, dropout, activation):
+    def test_flat_loop_matches_public_api_replay(self, monkeypatch, seed, nodes, dropout, activation):
         config = default_region_config().scaled_to(nodes)
         schedule = np.cumsum(np.random.default_rng(seed).uniform(0.1, 2.0, 40))
+        # gamma is blind to weight bits above the floor, so pin the loop's pair vectors too
+        evolved = []
+
+        def recording(*args):
+            flat = _evolve_flat(*args)
+            evolved.append(flat.tobytes())
+            return flat
+
+        monkeypatch.setattr(network, "_evolve_flat", recording)
         rng_a = np.random.default_rng(seed)
         series = simulate_gamma_series(schedule, rng_a, config, dropout, activation)
+        monkeypatch.undo()
 
         rng_b = np.random.default_rng(seed)
         state = init_network(config, dropout, rng_b)
@@ -700,7 +719,9 @@ class TestSimulateGammaSeries:
         for step, at in enumerate(schedule):
             if step:
                 state = evolve_network(state, at - schedule[step - 1], config, activation, rng_b)
+                assert evolved[step - 1] == state.flat.tobytes()
             replay.append(gamma_of(state, *_draw_node_pair(rng_b, nodes)))
+        assert len(evolved) == len(schedule) - 1
         assert series.values.tobytes() == np.array(replay).tobytes()
         # nothing is drawn past the last step
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
