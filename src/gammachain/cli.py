@@ -9,9 +9,9 @@ Five subcommands tie the library together:
     Run the latency-network simulation and write the gamma series, its
     cumulative moving average, and run metadata.
 ``analyze``
-    Bin a gamma series (from a file, or freshly simulated) into transition
-    counts and write counts, the empirical matrix, its stationary
-    distribution, and occupancy fractions.
+    Bin a gamma series file (``--series``, as ``simulate`` writes it) into
+    transition counts and write counts, the empirical matrix, its
+    stationary distribution, and occupancy fractions. It never simulates.
 ``compare``
     Score both analytical models against a transition-count matrix and
     write a likelihood report with a verdict.
@@ -31,9 +31,8 @@ found it, unless writing is what failed. Exit status is 2 when a flag is
 rejected, 1 when the run fails, and 0 exactly when all requested
 artifacts were written; a reader that closes stdout early does not change it.
 
-Only the commands that simulate, or that take ``--region-config``, import
-the simulator (``network``), and only ``simulate`` and ``pipeline`` import
-``hashlib``.
+Only ``simulate`` and ``pipeline`` simulate, and only they import the
+simulator (``network``) and ``hashlib``.
 """
 
 from __future__ import annotations
@@ -116,8 +115,8 @@ def _load_inputs(args: argparse.Namespace) -> None:
             if args.partition is None
             else _read(args.partition, lambda text: StrategyPartition.from_json_obj(json.loads(text)))
         )
-    simulates = "steps" in given and given.get("series") is None
-    if simulates or given.get("region_config") is not None:
+    simulates = "steps" in given
+    if simulates:
         from .network import RegionConfig, default_region_config
 
         region = (
@@ -126,7 +125,7 @@ def _load_inputs(args: argparse.Namespace) -> None:
             else _read(args.region_config, lambda text: RegionConfig.from_json_obj(json.loads(text)))
         )
         args.region_config = region.scaled_to(args.nodes)
-    if given.get("series") is not None:
+    if "series" in given:
         args.series = _read(args.series, GammaSeries.from_csv, text=False)
     if given.get("counts") is not None:
         args.counts = _read(args.counts, lambda text: TransitionCounts.from_csv(text, args.partition))
@@ -341,11 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[common, sim], help="run the network simulation")
     p_sim.set_defaults(handler=cmd_simulate)
 
-    p_analyze = sub.add_parser("analyze", parents=[common, sim], help="bin a gamma series into transition counts")
+    p_analyze = sub.add_parser("analyze", parents=[common], help="bin a gamma series file into transition counts")
     p_analyze.set_defaults(handler=cmd_analyze)
-    p_analyze.add_argument(
-        "--series", default=None, metavar="CSV", help="existing series file (otherwise simulate)"
-    )
+    p_analyze.add_argument("--series", required=True, metavar="CSV", help="gamma series file, as simulate writes it")
 
     p_compare = sub.add_parser("compare", parents=[common, kernel], help="score both models against counts")
     p_compare.set_defaults(handler=cmd_compare)
@@ -355,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pipe = sub.add_parser("pipeline", parents=[common, sim, kernel], help="simulate, analyze, and compare")
     p_pipe.set_defaults(handler=cmd_pipeline)
-    for p, steps in ((p_sim, 1000), (p_analyze, 5000), (p_pipe, 5000)):
+    for p, steps in ((p_sim, 1000), (p_pipe, 5000)):
         p.add_argument("--steps", type=positive_int, default=steps, help="samples to draw")
     for p in (p_model, p_analyze, p_compare, p_pipe):
         p.add_argument("--partition", default=None, metavar="JSON", help="strategy partition file")

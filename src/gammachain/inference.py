@@ -234,10 +234,10 @@ def log_likelihood(model: TransitionMatrix, counts: TransitionCounts) -> float:
     Raises
     ------
     ValueError
-        If the model and counts dimensions disagree.
+        If the model and the counts label different states.
     """
-    if model.size != counts.counts.shape[0]:
-        raise ValueError("model and counts dimensions disagree")
+    if model.labels != counts.labels:
+        raise ValueError(f"model states {model.labels} differ from counts states {counts.labels}")
     observed = counts.counts > 0
     theta = model.entries[observed]
     if np.any(theta <= 0.0):

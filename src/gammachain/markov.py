@@ -98,12 +98,12 @@ class StateDistribution(ArrayEq):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Length scale of the squared-exponential kernel, positive and finite."""
+    """Length scale of the squared-exponential kernel, positive and finite (a bool is not a length)."""
 
     length_scale: float = 0.25
 
     def __post_init__(self):
-        if not 0 < self.length_scale < math.inf:
+        if isinstance(self.length_scale, (bool, np.bool_)) or not 0 < self.length_scale < math.inf:
             raise ValueError("length_scale must be positive and finite")
 
 

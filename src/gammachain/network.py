@@ -231,7 +231,7 @@ def _pair_means(config: RegionConfig, region_of: np.ndarray) -> np.ndarray:
 
 def _initial_flat(config: RegionConfig, dropout: float, rng: np.random.Generator):
     """Validated initial draw: node regions, pair means and flat weights."""
-    if not 0.0 <= dropout < 1.0:
+    if isinstance(dropout, (bool, np.bool_)) or not 0.0 <= dropout < 1.0:
         raise ValueError("dropout must lie in [0, 1)")
     region_of = config.region_assignment()
     means = _pair_means(config, region_of)
@@ -306,12 +306,12 @@ def sample_skew_normal(shape: float, seed=None) -> float:
 
 
 def _check_step(delta_t: float) -> None:
-    if not 0 < delta_t < math.inf:
+    if isinstance(delta_t, (bool, np.bool_)) or not 0 < delta_t < math.inf:
         raise ValueError("delta_t must be positive and finite")
 
 
 def _check_activation(activation: float) -> None:
-    if not 0.0 <= activation <= 1.0:
+    if isinstance(activation, (bool, np.bool_)) or not 0.0 <= activation <= 1.0:
         raise ValueError("activation must lie in [0, 1]")
 
 

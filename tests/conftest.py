@@ -3,17 +3,12 @@
 import numpy as np
 import pytest
 
-from gammachain import default_partition, default_region_config, load_reference_counts
+from gammachain import default_partition, load_reference_counts
 
 
 @pytest.fixture
 def partition():
     return default_partition()
-
-
-@pytest.fixture
-def region_config():
-    return default_region_config()
 
 
 @pytest.fixture

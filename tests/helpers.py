@@ -1,5 +1,5 @@
-"""Small construction helpers, the race and perturbation references and the
-child-interpreter environment shared across test modules."""
+"""Small construction helpers, the race, perturbation and simulation references
+and the child-interpreter environment shared across test modules."""
 
 import os
 from pathlib import Path
@@ -80,6 +80,52 @@ def perturb_reference(prev, mean, omega_sum, u0, u1, delta_t, active):
     finite = prev < INACTIVE
     value = np.clip(np.where(finite, prev, mean) * factor, WEIGHT_FLOOR, WEIGHT_CEIL)
     return np.where(finite & ~active, INACTIVE, value)
+
+
+def reference(times, seed, config, dropout, activation):
+    """The simulation loop written out plainly: ``(gamma values, pair vector after each step)``.
+
+    An independent statement of the model to check the loop against byte for
+    byte. It calls no function of ``network`` or ``_kernels``: matrices are
+    filled through ``np.triu_indices``, the shock is ``perturb_reference`` and
+    both races are ``dijkstra_numpy``. It draws in the order of ``network``'s
+    module docstring: the initial drop and Pareto uniforms, then per step the
+    link uniforms and two normal blocks (not before the first race), then the
+    node pair. A generator passed as ``seed`` is consumed in place.
+    """
+    rng = np.random.default_rng(seed)
+    region_of = np.repeat(np.arange(len(config.node_counts)), config.node_counts)
+    n = len(region_of)
+    rows, cols = np.triu_indices(n, k=1)
+    means = np.asarray(config.mean_latency)[region_of[rows], region_of[cols]]
+    drop, pareto = rng.random(len(means)), rng.random(len(means))
+    drawn = np.clip((means - 5.0) / pareto ** (1.0 / (0.2 * means)), WEIGHT_FLOOR, WEIGHT_CEIL)
+    flat = np.where(drop < dropout, INACTIVE, drawn)
+    adjacency, weights = np.eye(n), np.zeros((n, n))
+    values, flats = [], []
+    for step in range(len(times)):
+        if step:
+            active = rng.random(len(means)) < activation
+            u0, u1 = rng.standard_normal(len(means)), rng.standard_normal(len(means))
+            adjacency[rows, cols] = adjacency[cols, rows] = active
+            # power iteration from uniform: at most 50 products, until the L1 change is below n * 1e-5
+            omega = np.full(n, 1.0 / n)
+            for _ in range(50):
+                previous, omega = omega, adjacency @ omega
+                omega = omega / np.sqrt(np.sum(omega * omega))
+                if np.sum(np.abs(omega - previous)) < n * 1e-5:
+                    break
+            delta_t = times[step] - times[step - 1]
+            flat = perturb_reference(flat, means, omega[rows] + omega[cols], u0, u1, delta_t, active)
+            flats.append(flat)
+        attacker, honest = int(rng.integers(0, n)), int(rng.integers(0, n))
+        while honest == attacker:
+            honest = int(rng.integers(0, n))
+        weights[rows, cols] = weights[cols, rows] = flat
+        closer = dijkstra_numpy(weights, attacker) < dijkstra_numpy(weights, honest)
+        closer[[attacker, honest]] = False
+        values.append(np.count_nonzero(closer) / n)
+    return np.array(values), flats
 
 
 def write_file(tmp_path, text, name="input.csv"):

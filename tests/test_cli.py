@@ -5,9 +5,11 @@ import inspect
 import json
 import platform
 import re
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,8 @@ CLI_DIGESTS = {
         "stdout": "d5bcb935a75259525e5721e99d407aed926f8ed8b4f975b1d31a2dcdcda6299e",
     },
 }
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # the counts file of the pinned `compare --counts` run
 PINNED_COUNTS = "120,30,5,1\n40,60,20,2\n3,15,25,9\n0,2,8,14\n"
@@ -380,21 +384,6 @@ class TestAnalyzeCommand:
         assert run(out, "analyze", "--series", str(series_file)) == 0
         assert_pinned(f"analyze {source}", out, capsys.readouterr().out)
 
-    def test_bad_region_config_fails_beside_a_series_file(self, tmp_path, capsys):
-        series_file = write_file(tmp_path, FIXTURE_SERIES, "series.csv")
-        region_file = write_file(tmp_path, "{}", "region.json")
-        out = tmp_path / "out"
-        assert run(out, "analyze", "--series", str(series_file), "--region-config", str(region_file)) == 1
-        assert f"malformed input file {region_file}: KeyError" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_without_series_simulates(self, tmp_path):
-        assert run(tmp_path, "analyze", "--steps", "40", "--seed", "5") == 0
-        counts = TransitionCounts.from_csv(
-            (tmp_path / "transition_counts.csv").read_text()
-        )
-        assert counts.total == 39
-
 
 class TestCompareCommand:
     def test_reference_scores_and_verdict(self, tmp_path, capsys):
@@ -570,11 +559,10 @@ class TestPipelineCommand:
 
     def test_rejects_single_step(self, tmp_path, capsys):
         # count_transitions is the one place the two-sample rule lives
-        for command in ("pipeline", "analyze"):
-            out = tmp_path / command
-            assert run(out, command, "--steps", "1") == 1
-            assert capsys.readouterr().err == "error: need at least two samples to count transitions\n"
-            assert not out.exists()
+        out = tmp_path / "out"
+        assert run(out, "pipeline", "--steps", "1") == 1
+        assert capsys.readouterr().err == "error: need at least two samples to count transitions\n"
+        assert not out.exists()
 
 
 class TestInputResolution:
@@ -582,11 +570,12 @@ class TestInputResolution:
 
     @pytest.mark.parametrize(
         "command",
-        ["model", "simulate --steps 3", "analyze --steps 3", "compare", "pipeline --steps 3"],
+        ["model", "simulate --steps 3", "analyze --series {series}", "compare", "pipeline --steps 3"],
     )
     def test_failed_run_prints_nothing(self, tmp_path, capsys, command):
+        series = write_file(tmp_path, FIXTURE_SERIES, "series.csv")
         out = write_file(tmp_path, "", "taken")
-        assert run(out, *command.split()) == 1
+        assert run(out, *command.format(series=series).split()) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
@@ -649,16 +638,22 @@ class TestArgumentHandling:
             ("simulate", "--dropout", "float"),
             ("simulate", "--activation", "float"),
             ("compare", "--length-scale", "float"),
-            # options the command does not take
+            # options the command does not take; analyze takes no simulation flag
             ("model", "--label", None),
-            ("analyze", "--label", None),
+            ("analyze --series {series}", "--label", None),
             ("compare", "--label", None),
             ("simulate", "--partition", None),
+            *[
+                ("analyze --series {series}", flag, None)
+                for flag in ("--steps", "--seed", "--nodes", "--dropout", "--activation", "--region-config")
+            ],
         ],
     )
     def test_malformed_value_names_the_type(self, tmp_path, capsys, command, flag, type_name):
+        series = write_file(tmp_path, FIXTURE_SERIES, "series.csv")
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as excinfo:
-            cli.main([command, flag, "x", "--out", str(tmp_path)])
+            cli.main([*command.format(series=series).split(), flag, "x", "--out", str(out)])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         if type_name is None:
@@ -666,6 +661,15 @@ class TestArgumentHandling:
         else:
             assert f"argument {flag}: invalid {type_name} value: 'x'" in err
         assert re.search(r"\b_\w", err) is None
+        assert not out.exists()
+
+    def test_analyze_without_series_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["analyze", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --series" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflowing_length_scale_exits_one(self, tmp_path, capsys):
         assert run(tmp_path, "compare", "--length-scale", "1e300") == 1
@@ -673,9 +677,18 @@ class TestArgumentHandling:
         assert "length_scale 1e+300" in err
         assert "Warning" not in err
 
-    @pytest.mark.parametrize("command", ["model", "simulate", "analyze", "compare", "pipeline"])
+    @pytest.mark.parametrize("command", ["model", "simulate", "analyze --series s.csv", "compare", "pipeline"])
     def test_command_parses_to_its_handler(self, command):
-        assert cli.build_parser().parse_args([command]).handler is getattr(cli, f"cmd_{command}")
+        argv = command.split()
+        assert cli.build_parser().parse_args(argv).handler is getattr(cli, f"cmd_{argv[0]}")
+
+    def test_readme_command_lines_parse(self):
+        block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        lines = [line for line in block.split("```", 1)[0].splitlines() if line.startswith("gammachain ")]
+        assert {line.split()[1] for line in lines} == {"model", "simulate", "analyze", "compare", "pipeline"}
+        parser = cli.build_parser()
+        for line in lines:
+            assert not _raises(SystemExit, parser.parse_args, shlex.split(line)[1:]), line
 
     def test_kind_choices_are_the_model_table(self, capsys):
         assert {kind: name for kind, (name, _) in cli._MODELS.items()} == {"midpoint": "model1", "kernel": "model2"}
@@ -699,7 +712,7 @@ class TestArgumentHandling:
         assert "Traceback" not in err and "Exception ignored" not in err
         assert len(list(tmp_path.glob("model_midpoint_*"))) == 4
 
-    @pytest.mark.parametrize("command, steps", [("simulate", 1000), ("analyze", 5000), ("pipeline", 5000)])
+    @pytest.mark.parametrize("command, steps", [("simulate", 1000), ("pipeline", 5000)])
     def test_steps_default(self, command, steps):
         assert cli.build_parser().parse_args([command]).steps == steps
 
@@ -708,7 +721,7 @@ class TestArgumentHandling:
             cli.main(["simulate", "--steps", "-3", "--out", str(tmp_path)])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("command", ["simulate", "analyze", "pipeline"])
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     @pytest.mark.parametrize(
         "flag, value",
         [

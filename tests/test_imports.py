@@ -5,7 +5,6 @@ the simulator and ``hashlib`` only in the commands that use them. Modules
 accumulate in a process, so every check starts its own child interpreter.
 """
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import gammachain
-from gammachain.network import default_region_config
 from helpers import subprocess_env, write_file
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -39,11 +37,6 @@ COMMANDS = {
     "compare": (["compare"], set(), SIMULATOR),
     "model-kernel": (["model", "--kind", "kernel"], set(), SIMULATOR),
     "analyze-series": (["analyze", "--series", "{series}"], set(), SIMULATOR),
-    # a given region config is still validated, which takes the simulator
-    "analyze-series-region": (
-        ["analyze", "--series", "{series}", "--region-config", "{region}"], {"gammachain.network"}, {"hashlib"}
-    ),
-    "analyze-simulated": (["analyze", "--steps", "5"], {"gammachain.network"}, set()),
     "simulate": (["simulate", "--steps", "5"], SIMULATOR, set()),
     "pipeline": (["pipeline", "--steps", "5"], SIMULATOR, set()),
 }
@@ -53,8 +46,7 @@ COMMANDS = {
 def test_command_loads_only_its_layers(command, tmp_path):
     argv, loaded, absent = COMMANDS[command]
     series = write_file(tmp_path, "time,gamma\n0.0,0.1\n1.0,0.7\n2.0,0.9\n")
-    region = write_file(tmp_path, json.dumps(default_region_config().to_json_obj()), "region.json")
-    argv = [arg.format(series=series, region=region) for arg in argv]
+    argv = [arg.format(series=series) for arg in argv]
     code = (
         "import sys\n"
         "from gammachain import cli\n"

@@ -24,7 +24,7 @@ from gammachain.markov import (
     model2_transition_matrix,
     stationary_distribution,
 )
-from gammachain.partition import default_partition
+from gammachain.partition import StrategyPartition, default_partition
 from helpers import grid_partitions, make_partition
 
 
@@ -168,8 +168,13 @@ class TestLogLikelihood:
     def test_rejects_dimension_mismatch(self, partition):
         counts = TransitionCounts(np.zeros((4, 4), dtype=np.int64), partition)
         two_state = TransitionMatrix(np.full((2, 2), 0.5), ("A", "B"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="differ from counts states"):
             log_likelihood(two_state, counts)
+        # the same size over other states is refused too
+        xy = TransitionMatrix(np.full((2, 2), 0.5), ("X", "Y"))
+        pq = TransitionCounts(np.ones((2, 2), dtype=np.int64), StrategyPartition((0.0, 0.5, 1.0), ("P", "Q")))
+        with pytest.raises(ValueError, match=r"\('X', 'Y'\) differ from counts states \('P', 'Q'\)"):
+            log_likelihood(xy, pq)
 
 
 class TestRelativeLikelihood:

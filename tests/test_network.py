@@ -28,7 +28,7 @@ from gammachain.network import (
     shortest_latencies,
     simulate_gamma_series,
 )
-from helpers import state_of, write_file
+from helpers import reference, state_of, write_file
 
 
 def adjacency_state(size, edges, weight=10.0):
@@ -38,6 +38,21 @@ def adjacency_state(size, edges, weight=10.0):
         weights[i, j] = weight
         weights[j, i] = weight
     return state_of(weights)
+
+
+def simulate_recording(monkeypatch, *args):
+    """``simulate_gamma_series(*args)`` and the bytes of each pair vector its loop's ``_evolve_flat`` returns."""
+    evolved = []
+
+    def recording(*step_args):
+        flat = _evolve_flat(*step_args)
+        evolved.append(flat.tobytes())
+        return flat
+
+    monkeypatch.setattr(network, "_evolve_flat", recording)
+    series = simulate_gamma_series(*args)
+    monkeypatch.undo()
+    return series, evolved
 
 
 def region_override(node_counts):
@@ -177,7 +192,7 @@ class TestInitNetwork:
         off = state.weights[np.triu_indices(100, 1)]
         assert (off == INACTIVE).mean() == pytest.approx(0.1, abs=0.02)
 
-    @pytest.mark.parametrize("dropout", [-0.01, 1.0, 1.5])
+    @pytest.mark.parametrize("dropout", [-0.01, 1.0, 1.5, False, np.False_])
     def test_rejects_bad_dropout(self, dropout):
         with pytest.raises(ValueError):
             init_network(dropout=dropout, seed=0)
@@ -352,7 +367,7 @@ class TestEvolveNetwork:
 
     def test_rejects_non_positive_delta_t(self):
         prev = init_network(seed=0)
-        for bad in (0.0, -1.0, np.inf, np.nan):
+        for bad in (0.0, -1.0, np.inf, np.nan, True, np.True_):
             with pytest.raises(ValueError, match=r"^delta_t must be positive and finite$"):
                 evolve_network(prev, bad, seed=0)
 
@@ -648,7 +663,7 @@ class TestSimulateGammaSeries:
             simulate_gamma_series([-1e308, 1e308], seed=rng)
         assert rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("activation", [-0.1, 1.5, np.nan])
+    @pytest.mark.parametrize("activation", [-0.1, 1.5, np.nan, True, np.True_])
     def test_rejects_activation_outside_unit_interval(self, activation):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
@@ -701,17 +716,8 @@ class TestSimulateGammaSeries:
         config = default_region_config().scaled_to(nodes)
         schedule = np.cumsum(np.random.default_rng(seed).uniform(0.1, 2.0, 40))
         # gamma is blind to weight bits above the floor, so pin the loop's pair vectors too
-        evolved = []
-
-        def recording(*args):
-            flat = _evolve_flat(*args)
-            evolved.append(flat.tobytes())
-            return flat
-
-        monkeypatch.setattr(network, "_evolve_flat", recording)
         rng_a = np.random.default_rng(seed)
-        series = simulate_gamma_series(schedule, rng_a, config, dropout, activation)
-        monkeypatch.undo()
+        series, evolved = simulate_recording(monkeypatch, schedule, rng_a, config, dropout, activation)
 
         rng_b = np.random.default_rng(seed)
         state = init_network(config, dropout, rng_b)
@@ -724,6 +730,23 @@ class TestSimulateGammaSeries:
         assert len(evolved) == len(schedule) - 1
         assert series.values.tobytes() == np.array(replay).tobytes()
         # nothing is drawn past the last step
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "seed, nodes, steps, dropout, activation",
+        [(3, 100, 300, 0.1, 0.9), (5, 400, 20, 0.2, 0.7)],
+    )
+    def test_loop_matches_the_written_out_reference(self, monkeypatch, seed, nodes, steps, dropout, activation):
+        # the replay test checks the loop against helpers that run its own code; this one does not
+        config = default_region_config().scaled_to(nodes)
+        schedule = np.cumsum(np.random.default_rng(seed).uniform(0.1, 2.0, steps))
+        rng_a = np.random.default_rng(seed)
+        series, evolved = simulate_recording(monkeypatch, schedule, rng_a, config, dropout, activation)
+
+        rng_b = np.random.default_rng(seed)
+        values, flats = reference(schedule, rng_b, config, dropout, activation)
+        assert evolved == [flat.tobytes() for flat in flats]
+        assert series.values.tobytes() == values.tobytes()
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_each_step_draws_links_then_a_node_pair(self, monkeypatch):
@@ -776,7 +799,11 @@ def test_replayed_state_pinned(nodes):
         "centrality": (eigenvector_centrality(state), centrality_digest),
     }
     moved = [name for name, (array, pin) in arrays.items() if hashlib.sha256(array.tobytes()).hexdigest() != pin]
-    assert not moved, f"{nodes}-node replay moved from its pin: {', '.join(moved)} (numpy {np.__version__})"
+    # the pins hold this machine's BLAS kernel and numpy SIMD level as well as the code
+    build = np.show_config(mode="dicts")
+    blas = build["Build Dependencies"]["blas"]
+    machine = f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, SIMD {', '.join(build['SIMD Extensions']['found'])}"
+    assert not moved, f"{nodes}-node replay moved from its pin: {', '.join(moved)} ({machine})"
 
 
 class TestMovingAverage:
