@@ -124,7 +124,7 @@ def _load_inputs(args: argparse.Namespace) -> None:
             if args.region_config is None
             else _read(args.region_config, lambda text: RegionConfig.from_json_obj(json.loads(text)))
         )
-        args.region_config = region.scaled_to(args.nodes)
+        args.region_config = region if args.nodes is None else region.scaled_to(args.nodes)
     if "series" in given:
         args.series = _read(args.series, GammaSeries.from_csv, text=False)
     if given.get("counts") is not None:
@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--nodes",
         type=_checked(int, lambda v: v >= 2, "must be at least 2"),
-        default=100,
-        help="number of network nodes",
+        default=None, metavar="N",
+        help="rescale the region layout to N nodes in the same proportions (default: the layout's own count)",
     )
     sim.add_argument(
         "--dropout",
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-step link activation probability",
     )
     sim.add_argument(
-        "--region-config", default=None, metavar="JSON", help="region latency config file"
+        "--region-config", default=None, metavar="JSON", help="region layout file: names, node counts, latencies"
     )
 
     kernel = argparse.ArgumentParser(add_help=False)
@@ -373,8 +373,8 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in artifacts.items():
             (out / name).write_text(text, encoding="utf-8")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     try:
         sys.stdout.write(stdout.getvalue())

@@ -28,6 +28,9 @@ LOW_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_lat
 # numpy parses quoted numbers and JSON true as numbers; the region file must not
 STRING_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [["10", "20"], ["20", "30"]]}'
 BOOL_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[10, true], [true, 12]]}'
+# a valid two-region layout of 12 nodes, and one of a single node
+TWELVE_NODE_REGION = '{"region_names": ["a", "b"], "node_counts": [5, 7], "mean_latency": [[10, 50], [50, 12]]}'
+ONE_NODE_REGION = '{"region_names": ["a"], "node_counts": [1], "mean_latency": [[10]]}'
 # deeper than the JSON decoder's recursion limit
 DEEP_JSON = "[" * 100000 + "]" * 100000
 
@@ -254,6 +257,24 @@ class TestSimulateCommand:
         assert run(tmp_path, "simulate", "--steps", "1") == 0
         lines = (tmp_path / "series.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            pytest.param("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)", id="numpy"),
+            pytest.param("", id="bare"),  # as Python raises it itself
+        ],
+    )
+    def test_failed_allocation_exits_one(self, tmp_path, capsys, monkeypatch, message):
+        # never allocate for real: a machine that overcommits memory could start filling the array
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "simulate_gamma_series", fail)
+        out = tmp_path / "out"
+        assert run(out, "simulate", "--steps", "3") == 1
+        assert capsys.readouterr() == ("", f"error: {message or 'MemoryError'}\n")
+        assert not out.exists()
 
     def test_plot_data_columns(self, tmp_path):
         run(tmp_path, "simulate", "--steps", "3")
@@ -580,6 +601,25 @@ class TestInputResolution:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize(
+        "nodes_flag, nodes", [pytest.param([], 12, id="as-written"), pytest.param(["--nodes", "40"], 40, id="rescaled")]
+    )
+    def test_region_config_sets_the_network_size(self, tmp_path, capsys, command, nodes_flag, nodes):
+        region = write_file(tmp_path, TWELVE_NODE_REGION, "region.json")
+        out = tmp_path / "out"
+        assert run(out, command, "--steps", "3", "--region-config", str(region), *nodes_flag) == 0
+        assert json.loads((out / "run_metadata.json").read_text())["nodes"] == nodes
+        assert f"simulated 3 samples on {nodes} nodes " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_one_node_region_config_exits_one(self, tmp_path, capsys, command):
+        region = write_file(tmp_path, ONE_NODE_REGION, "region.json")
+        out = tmp_path / "out"
+        assert run(out, command, "--steps", "3", "--region-config", str(region)) == 1
+        assert capsys.readouterr() == ("", "error: need at least two nodes to race propagation\n")
+        assert not out.exists()
+
     def test_model_builds_only_the_requested_kind(self, tmp_path):
         assert run(tmp_path, "model", "--kind", "midpoint", "--length-scale", "1e300") == 0
         assert sorted(path.name for path in tmp_path.iterdir()) == [
@@ -758,7 +798,7 @@ class TestArgumentHandling:
             ("--nodes", ["-1", "0", "1", "2", "3"]),
         ],
     )
-    def test_flag_rules_and_defaults_match_the_library(self, flag, values):
+    def test_flag_rules_and_defaults_match_the_library(self, tmp_path, flag, values):
         # the parser keeps its own copy of each rule, to exit 2 before any input file is read
         simulate_defaults = inspect.signature(simulate_gamma_series).parameters
         library, default = {
@@ -774,7 +814,14 @@ class TestArgumentHandling:
             ),
         }[flag]
         parser = cli.build_parser()
-        assert getattr(parser.parse_args(["pipeline"]), flag[2:].replace("-", "_")) == default
+        parsed = getattr(parser.parse_args(["pipeline"]), flag[2:].replace("-", "_"))
+        if flag == "--nodes":
+            # unset, so the layout keeps its own size
+            assert parsed is None
+            assert run(tmp_path, "pipeline", "--steps", "2") == 0
+            assert json.loads((tmp_path / "run_metadata.json").read_text())["nodes"] == default
+        else:
+            assert parsed == default
         for text in values:
             parser_rejects = _raises(SystemExit, parser.parse_args, ["pipeline", f"{flag}={text}"])
             assert parser_rejects == _raises(ValueError, library, type(default)(text)), (flag, text)

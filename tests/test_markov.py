@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
+from gammachain import markov
 from gammachain.markov import (
     KernelConfig,
     StateDistribution,
@@ -257,6 +258,13 @@ class TestStationaryDistribution:
             pi = stationary_distribution(matrix).weights
             assert np.abs(pi @ matrix.entries - pi).max() < 1e-10
             assert abs(pi.sum() - 1.0) < 1e-12
+
+    def test_rejects_a_solution_off_balance(self, monkeypatch):
+        # a solver that misses the balance equations: pi P = (0.83, 0.17) for pi = (0.9, 0.1)
+        monkeypatch.setattr(markov.np.linalg, "solve", lambda system, rhs: np.array([0.9, 0.1]))
+        m = TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]), ("A", "B"))
+        with pytest.raises(ValueError, match=r"^stationary solve residual 7\.000e-02 exceeds 1e-10$"):
+            stationary_distribution(m)
 
     @settings(max_examples=60)
     @given(
