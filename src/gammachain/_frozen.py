@@ -18,6 +18,18 @@ def readonly(arr, dtype=float) -> np.ndarray:
     return out
 
 
+def whole_numbers(values, field: str) -> np.ndarray:
+    """A read-only int64 copy of ``values``; ValueError unless each is a whole number (JSON true is not) in int64."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "i"):
+        for cell in np.asarray(values, dtype=object).flat:
+            integral = isinstance(cell, (int, np.integer)) and not isinstance(cell, bool)
+            if not (integral or isinstance(cell, (float, np.floating)) and cell.is_integer()):
+                raise ValueError(f"{field} must be whole numbers")
+            if not -(2**63) <= int(cell) < 2**63:
+                raise ValueError(f"{field} must fit in a signed 64-bit integer")
+    return readonly(values, np.int64)
+
+
 class ArrayEq:
     """Field-wise ``==`` for ``@dataclass(eq=False)`` subclasses, which stay unhashable."""
 

@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._frozen import ArrayEq, readonly
+from ._frozen import ArrayEq, readonly, whole_numbers
 from .markov import StateDistribution, TransitionMatrix
 from .partition import DEFAULT_BOUNDARIES, StrategyPartition, _check_gammas, default_partition
 
@@ -104,15 +104,15 @@ class TransitionCounts(ArrayEq):
     Raises
     ------
     ValueError
-        If the matrix is not square over the partition states or any entry
-        is negative.
+        If the matrix is not square over the partition states or an entry
+        is negative or not a whole number (a fraction, NaN, None, text or a bool).
     """
 
     counts: np.ndarray
     partition: StrategyPartition
 
     def __post_init__(self):
-        counts = readonly(self.counts, np.int64)
+        counts = whole_numbers(self.counts, "counts")
         object.__setattr__(self, "counts", counts)
         k = len(self.partition)
         if counts.shape != (k, k):

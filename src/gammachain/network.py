@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import ArrayEq, readonly
+from ._frozen import ArrayEq, readonly, whole_numbers
 from ._kernels import (
     INACTIVE,
     WEIGHT_CEIL,
@@ -83,8 +83,8 @@ class RegionConfig(ArrayEq):
     Raises
     ------
     ValueError
-        If the names are not a list of strings or repeat, the field
-        lengths disagree, a node count is negative or not a whole number,
+        If the names are not a list of strings or repeat, the field lengths
+        disagree, a node count is negative or not a whole number in int64,
         or the latency matrix is not symmetric with finite numbers above 5
         (strings and bools are not numbers; the Pareto scale is mean - 5).
     """
@@ -100,27 +100,21 @@ class RegionConfig(ArrayEq):
         if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
             raise ValueError("region names must be a list of strings")
         names = tuple(names)
-        given = tuple(self.node_counts)
-        try:
-            counts = tuple(int(c) for c in given)
-        except (OverflowError, ValueError):  # an infinite or NaN count
-            counts = None
-        # JSON true would otherwise pass as 1
-        if counts != given or any(isinstance(c, (bool, np.bool_)) for c in given):
-            raise ValueError("node counts must be whole numbers")
-        if any(isinstance(v, (str, bool, np.bool_)) for v in np.asarray(self.mean_latency, dtype=object).flat):
+        counts = tuple(whole_numbers(self.node_counts, "node counts").tolist())
+        cells = np.asarray(self.mean_latency, dtype=object)
+        if any(isinstance(v, (str, bool, np.bool_)) for v in cells.flat):
             raise ValueError("mean latencies must be numbers, not strings or bools")
-        matrix = readonly(self.mean_latency)
-        object.__setattr__(self, "region_names", names)
-        object.__setattr__(self, "node_counts", counts)
-        object.__setattr__(self, "mean_latency", matrix)
         k = len(names)
         if len(set(names)) != k:
             raise ValueError("region names must be distinct")
         if len(counts) != k:
             raise ValueError("node_counts length must match region_names")
-        if matrix.shape != (k, k):
+        if cells.shape != (k, k):
             raise ValueError("mean_latency must be square over the regions")
+        matrix = readonly(cells)
+        object.__setattr__(self, "region_names", names)
+        object.__setattr__(self, "node_counts", counts)
+        object.__setattr__(self, "mean_latency", matrix)
         if any(c < 0 for c in counts):
             raise ValueError("node counts must be non-negative")
         if sum(counts) < 1:
@@ -143,20 +137,19 @@ class RegionConfig(ArrayEq):
     def scaled_to(self, total: int) -> "RegionConfig":
         """Same region proportions rescaled to ``total`` nodes, a positive integer.
 
-        Counts are apportioned by largest remainder so they sum exactly to
-        ``total`` while preserving relative region sizes.
+        Largest remainder, exactly and in integers: each region gets the whole
+        part of its share of ``total``, and the nodes left over go one each to
+        the largest remainders, a tie to the earlier region (a stable sort).
         """
         if isinstance(total, bool) or not isinstance(total, (int, np.integer)):
             raise ValueError(f"total node count {total!r} is not an integer")
         if total < 1:
             raise ValueError("total node count must be positive")
-        if total == self.node_count:
-            return self
-        exact = np.asarray(self.node_counts, dtype=float) * total / self.node_count
-        floors = np.floor(exact).astype(int)
-        shortfall = total - int(floors.sum())
-        floors[np.argsort(-(exact - floors), kind="stable")[:shortfall]] += 1
-        return RegionConfig(self.region_names, tuple(int(c) for c in floors), self.mean_latency)
+        shares = [divmod(c * int(total), self.node_count) for c in self.node_counts]
+        counts = [whole for whole, _ in shares]
+        for region in sorted(range(len(shares)), key=lambda r: -shares[r][1])[: total - sum(counts)]:
+            counts[region] += 1
+        return RegionConfig(self.region_names, tuple(counts), self.mean_latency)
 
     def to_json_obj(self) -> dict:
         return {
@@ -186,9 +179,9 @@ class NetworkState(ArrayEq):
     Raises
     ------
     ValueError
-        If ``region_of`` is not a vector, ``flat`` is not a vector with one
-        entry per node pair, or an entry is neither the sentinel nor a
-        finite weight in [WEIGHT_FLOOR, WEIGHT_CEIL].
+        If ``region_of`` is not a vector of whole numbers, ``flat`` is not a
+        vector with one entry per node pair, or an entry is neither the
+        sentinel nor a finite weight in [WEIGHT_FLOOR, WEIGHT_CEIL].
     """
 
     flat: np.ndarray
@@ -196,7 +189,7 @@ class NetworkState(ArrayEq):
 
     def __post_init__(self):
         flat = readonly(self.flat)
-        region_of = readonly(self.region_of, dtype=np.int64)
+        region_of = whole_numbers(self.region_of, "region assignment")
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "region_of", region_of)
         # len() of a 0-d array raises TypeError

@@ -28,6 +28,7 @@ LOW_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_lat
 # numpy parses quoted numbers and JSON true as numbers; the region file must not
 STRING_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [["10", "20"], ["20", "30"]]}'
 BOOL_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[10, true], [true, 12]]}'
+RAGGED_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[10, 50], [50]]}'
 # a valid two-region layout of 12 nodes, and one of a single node
 TWELVE_NODE_REGION = '{"region_names": ["a", "b"], "node_counts": [5, 7], "mean_latency": [[10, 50], [50, 12]]}'
 ONE_NODE_REGION = '{"region_names": ["a"], "node_counts": [1], "mean_latency": [[10]]}'
@@ -783,6 +784,13 @@ class TestArgumentHandling:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nodes_past_int64_exits_one(self, tmp_path, capsys):
+        # the whole-number layout overflows int64; no float rounding may call it negative or fractional
+        out = tmp_path / "out"
+        assert run(out, "simulate", "--nodes", str(10**30), "--steps", "2") == 1
+        assert capsys.readouterr().err == "error: node counts must fit in a signed 64-bit integer\n"
+        assert not out.exists()
+
     def test_link_probability_bounds_accepted(self, tmp_path):
         args = ["--steps", "3", "--dropout", "0", "--activation", "1"]
         assert run(tmp_path, "simulate", *args) == 0
@@ -893,11 +901,7 @@ class TestArgumentHandling:
             ),
             ("compare", "--partition", b'\xff\xfe[{"lower": 0, "upper": 1, "label": "ALL"}]'),
             ("analyze", "--series", b"time,gamma\n0,0.5\n1,0.\xe9\n"),
-            (
-                "simulate",
-                "--region-config",
-                '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[10, 50], [50]]}',
-            ),
+            ("simulate", "--region-config", RAGGED_MEAN_REGION),
             ("compare", "--partition", '[{"lower": "x", "upper": 1, "label": "ALL"}]'),
             ("simulate", "--region-config", LOW_MEAN_REGION),
             (
@@ -954,3 +958,5 @@ class TestArgumentHandling:
             assert f"malformed input file {path}: UnicodeDecodeError" in err
         if text in (STRING_MEAN_REGION, BOOL_MEAN_REGION):
             assert f"malformed input file {path}: ValueError: mean latencies must be numbers" in err
+        if text == RAGGED_MEAN_REGION:
+            assert err.endswith(f"{path}: ValueError: mean_latency must be square over the regions\n")

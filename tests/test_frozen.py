@@ -65,3 +65,27 @@ def test_equality_is_field_wise_and_instances_are_unhashable(cls, args, changed)
         value = getattr(obj, field.name)
         if isinstance(value, np.ndarray):
             assert not value.flags.writeable
+
+
+# each integer field, built with one chosen entry
+INTEGER_FIELDS = {
+    "node counts": lambda entry: RegionConfig(("A", "B"), (1, entry), [[10.0, 20.0], [20.0, 30.0]]),
+    "counts": lambda entry: TransitionCounts([[1, entry], [0, 0]], make_partition([0.0, 0.5, 1.0])),
+    "region assignment": lambda entry: NetworkState([1.0], [0, entry]),
+}
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+@pytest.mark.parametrize(
+    "entry", [1.5, np.nan, np.inf, None, "1", True, np.True_], ids=["fraction", "nan", "inf", "none", "text", "bool", "np-bool"]
+)
+def test_integer_fields_refuse_what_is_not_a_whole_number(field, entry):
+    with pytest.raises(ValueError, match=f"^{field} must be whole numbers$"):
+        INTEGER_FIELDS[field](entry)
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_fields_take_whole_floats_and_refuse_past_int64(field):
+    assert INTEGER_FIELDS[field](1.0) == INTEGER_FIELDS[field](np.int32(1))
+    with pytest.raises(ValueError, match=f"^{field} must fit in a signed 64-bit integer$"):
+        INTEGER_FIELDS[field](2**63)

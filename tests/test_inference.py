@@ -289,6 +289,16 @@ class TestCountsValue:
         with pytest.raises(ValueError):
             TransitionCounts(raw, partition)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [np.full((4, 4), 1.5), np.full((4, 4), np.nan), np.eye(4, dtype=bool)],
+        ids=["fraction", "nan", "bools"],
+    )
+    def test_rejects_entries_that_are_not_whole_numbers(self, partition, raw):
+        # a cast to int64 would floor 1.5, warn on NaN and read True as 1
+        with pytest.raises(ValueError, match="^counts must be whole numbers$"):
+            TransitionCounts(raw, partition)
+
     def test_rejects_wrong_shape(self, partition):
         with pytest.raises(ValueError):
             TransitionCounts(np.zeros((3, 3), dtype=np.int64), partition)

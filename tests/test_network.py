@@ -3,9 +3,12 @@
 import hashlib
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gammachain import network
 from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR, pair_indices
@@ -77,13 +80,33 @@ class TestRegionConfig:
         assert np.bincount(assignment, minlength=6).tolist() == [33, 50, 1, 12, 2, 2]
 
     def test_scaled_to_preserves_total_and_order(self):
-        scaled = default_region_config().scaled_to(50)
-        assert sum(scaled.node_counts) == 50
-        assert scaled.node_counts == (17, 25, 0, 6, 1, 1)
+        # at 20 and 80 ASIA_PACIFIC's remainder ties JAPAN's or AUSTRALIA's, and the earlier region wins
+        expected = {50: (17, 25, 0, 6, 1, 1), 20: (7, 10, 0, 3, 0, 0), 80: (26, 40, 1, 10, 2, 1)}
+        for total, counts in expected.items():
+            scaled = default_region_config().scaled_to(total)
+            assert sum(scaled.node_counts) == total
+            assert scaled.node_counts == counts, total
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=500), min_size=2, max_size=8).filter(any),
+        st.integers(min_value=1, max_value=10_000),
+    )
+    def test_scaled_to_is_exact_largest_remainder(self, counts, total):
+        config = RegionConfig(tuple(f"R{i}" for i in range(len(counts))), counts, np.full((len(counts),) * 2, 10.0))
+        shares = [Fraction(c * total, sum(counts)) for c in counts]
+        expected = [int(share) for share in shares]
+        # largest remainder first; of equal remainders the earlier region gets the node
+        by_remainder = sorted(range(len(counts)), key=lambda r: (-(shares[r] % 1), r))
+        for region in by_remainder[: total - sum(expected)]:
+            expected[region] += 1
+        scaled = config.scaled_to(total).node_counts
+        assert list(scaled) == expected
+        assert sum(scaled) == total
+        assert all(new == 0 for new, old in zip(scaled, counts) if old == 0)
 
     def test_scaled_to_same_total_is_identity(self):
         config = default_region_config()
-        assert config.scaled_to(100) is config
+        assert config.scaled_to(100) == config
         with pytest.raises(ValueError, match="total node count must be positive"):
             config.scaled_to(0)
         assert config.scaled_to(np.int64(50)) == config.scaled_to(50)
@@ -94,7 +117,7 @@ class TestRegionConfig:
 
     def test_rejects_fractional_node_counts(self):
         # JSON true and the non-finite floats are no whole numbers either
-        for first, last in ((33.5, 1.5), (float("inf"), 2), (float("nan"), 2), (True, 2)):
+        for first, last in ((33.5, 1.5), (float("inf"), 2), (float("nan"), 2), (True, 2), (None, 2)):
             obj = {**default_region_config().to_json_obj(), "node_counts": [first, 50, 1, 12, 2, last]}
             with pytest.raises(ValueError, match="whole numbers"):
                 RegionConfig.from_json_obj(obj)
@@ -147,6 +170,7 @@ class TestRegionConfig:
         [
             ([1], [[10.0, 50.0], [50.0, 12.0]], "node_counts length must match region_names"),
             ([1, 1], [[10.0, 50.0]], "mean_latency must be square over the regions"),
+            ([1, 1], [[10.0, 50.0], [50.0]], "mean_latency must be square over the regions"),
             ([0, 0], [[10.0, 50.0], [50.0, 12.0]], "at least one node is required"),
             ([1, 1], [["10", "20"], ["20", "30"]], "mean latencies must be numbers, not strings or bools"),
             ([1, 1], [[10, True], [True, 12]], "mean latencies must be numbers, not strings or bools"),
@@ -238,6 +262,7 @@ class TestNetworkStateValidation:
             (np.float64(5.0), np.zeros(2), "flat must hold one weight per node pair"),
             (np.full(1, 5.0), np.int64(2), "region assignment must be a vector"),
             (np.full(1, 5.0), np.zeros((1, 2)), "region assignment must be a vector"),
+            ([1.0], [0.5, 1], "region assignment must be whole numbers"),
             ([np.nan], np.zeros(2), "inactive links must use the sentinel"),
             ([np.inf], np.zeros(2), "inactive links must use the sentinel"),
             ([2 * INACTIVE], np.zeros(2), "inactive links must use the sentinel"),
