@@ -1,33 +1,37 @@
 """Value semantics shared by the package's array-holding dataclasses.
 
-Array fields are stored as read-only copies, and ``==`` compares every field
-by value: ``np.array_equal`` for arrays, ``==`` for everything else.
+``numbers`` is the one conversion of array values from outside the package: a read-only
+copy, refused unless every cell is a real number (not text, a bool, None or a list) and,
+for int64, a whole one that fits. ``==`` compares arrays by value, other fields with ``==``.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
+from numbers import Integral, Real
 
 import numpy as np
 
 
 def readonly(arr, dtype=float) -> np.ndarray:
-    """A read-only copy of ``arr`` as ``dtype``."""
+    """A read-only copy of ``arr`` as ``dtype``, for arrays the package builds itself."""
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
-def whole_numbers(values, field: str) -> np.ndarray:
-    """A read-only int64 copy of ``values``; ValueError unless each is a whole number (JSON true is not) in int64."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind == "i"):
+def numbers(values, field: str, dtype=float) -> np.ndarray:
+    """A read-only float64 or int64 copy of ``values``; ValueError unless every cell keeps the rule above."""
+    whole = np.dtype(dtype).kind == "i"
+    rule = "whole numbers" if whole else "numbers, not strings or bools"
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in ("i" if whole else "fiu")):
         for cell in np.asarray(values, dtype=object).flat:
-            integral = isinstance(cell, (int, np.integer)) and not isinstance(cell, bool)
-            if not (integral or isinstance(cell, (float, np.floating)) and cell.is_integer()):
-                raise ValueError(f"{field} must be whole numbers")
-            if not -(2**63) <= int(cell) < 2**63:
+            integral = isinstance(cell, Integral) or isinstance(cell, (float, np.floating)) and cell.is_integer()
+            if isinstance(cell, bool) or not isinstance(cell, Real) or whole and not integral:
+                raise ValueError(f"{field} must be {rule}")
+            if whole and not -(2**63) <= int(cell) < 2**63:
                 raise ValueError(f"{field} must fit in a signed 64-bit integer")
-    return readonly(values, np.int64)
+    return readonly(values, dtype)
 
 
 class ArrayEq:

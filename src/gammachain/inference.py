@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._frozen import ArrayEq, readonly, whole_numbers
+from ._frozen import ArrayEq, numbers
 from .markov import StateDistribution, TransitionMatrix
 from .partition import DEFAULT_BOUNDARIES, StrategyPartition, _check_gammas, default_partition
 
@@ -27,8 +27,8 @@ _INTEGER_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def checked_times(times) -> np.ndarray:
-    """A read-only float copy of sample times; ValueError unless 1-D, non-empty, finite and increasing."""
-    times = readonly(times)
+    """A read-only float copy of times; ValueError unless real numbers, 1-D, non-empty, finite and increasing."""
+    times = numbers(times, "times")
     if times.ndim != 1:
         raise ValueError("times must be one-dimensional")
     if len(times) == 0:
@@ -48,8 +48,8 @@ class GammaSeries(ArrayEq):
     Raises
     ------
     ValueError
-        If the times break ``checked_times``, the values are not one per
-        time, or a value is not in [0, 1] (NaN included).
+        If the times break ``checked_times`` or the values are not real
+        numbers in [0, 1] (NaN included), one per time.
     """
 
     times: np.ndarray
@@ -57,7 +57,7 @@ class GammaSeries(ArrayEq):
 
     def __post_init__(self):
         times = checked_times(self.times)
-        values = readonly(self.values)
+        values = numbers(self.values, "gamma values")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if values.shape != times.shape:
@@ -105,14 +105,14 @@ class TransitionCounts(ArrayEq):
     ------
     ValueError
         If the matrix is not square over the partition states or an entry
-        is negative or not a whole number (a fraction, NaN, None, text or a bool).
+        is negative or not a whole number (a fraction, NaN, None, text, a bool or a list).
     """
 
     counts: np.ndarray
     partition: StrategyPartition
 
     def __post_init__(self):
-        counts = whole_numbers(self.counts, "counts")
+        counts = numbers(self.counts, "counts", np.int64)
         object.__setattr__(self, "counts", counts)
         k = len(self.partition)
         if counts.shape != (k, k):
@@ -141,7 +141,7 @@ class TransitionCounts(ArrayEq):
         for cell in (cell for row in rows for cell in row):
             if not _INTEGER_CELL.fullmatch(cell):
                 raise ValueError(f"count {cell.strip()!r} is not a decimal integer")
-        return cls(np.asarray([[int(cell) for cell in row] for row in rows], dtype=np.int64), partition)
+        return cls([[int(cell) for cell in row] for row in rows], partition)
 
 
 def _finite_or_none(value: float) -> float | None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import ArrayEq, readonly
+from ._frozen import ArrayEq, numbers
 from .partition import StrategyPartition
 
 _ROW_SUM_TOL = 1e-9
@@ -40,15 +40,15 @@ class TransitionMatrix(ArrayEq):
     Raises
     ------
     ValueError
-        If the matrix is not square, has entries outside [0, 1] (NaN
-        included), or has a row that does not sum to 1 within 1e-9.
+        If an entry is not a real number, the matrix is not square, has entries
+        outside [0, 1] (NaN included), or has a row that does not sum to 1 within 1e-9.
     """
 
     entries: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        entries = readonly(self.entries)
+        entries = numbers(self.entries, "probabilities")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "labels", tuple(self.labels))
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -73,13 +73,14 @@ class TransitionMatrix(ArrayEq):
 
 @dataclass(frozen=True, eq=False)
 class StateDistribution(ArrayEq):
-    """Probability vector over partition states; NaN is rejected as out of range."""
+    """Probability vector over partition states; ValueError unless real numbers, one per label, that
+    keep the probability rule of ``TransitionMatrix`` (NaN is out of range)."""
 
     weights: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        weights = readonly(self.weights)
+        weights = numbers(self.weights, "probabilities")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "labels", tuple(self.labels))
         if weights.ndim != 1 or weights.shape[0] != len(self.labels):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import ArrayEq, readonly, whole_numbers
+from ._frozen import ArrayEq, numbers, readonly
 from ._kernels import (
     INACTIVE,
     WEIGHT_CEIL,
@@ -83,10 +83,10 @@ class RegionConfig(ArrayEq):
     Raises
     ------
     ValueError
-        If the names are not a list of strings or repeat, the field lengths
-        disagree, a node count is negative or not a whole number in int64,
-        or the latency matrix is not symmetric with finite numbers above 5
-        (strings and bools are not numbers; the Pareto scale is mean - 5).
+        If a cell is not a real number (text, a bool, None or a list), a node
+        count is not a whole number in int64 or is negative, the names are
+        not distinct strings, the field lengths disagree, or the latency matrix
+        is not symmetric and finite above 5 (the Pareto scale is mean - 5).
     """
 
     region_names: tuple[str, ...] = REGION_NAMES
@@ -100,18 +100,16 @@ class RegionConfig(ArrayEq):
         if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
             raise ValueError("region names must be a list of strings")
         names = tuple(names)
-        counts = tuple(whole_numbers(self.node_counts, "node counts").tolist())
-        cells = np.asarray(self.mean_latency, dtype=object)
-        if any(isinstance(v, (str, bool, np.bool_)) for v in cells.flat):
-            raise ValueError("mean latencies must be numbers, not strings or bools")
+        counts = numbers(self.node_counts, "node counts", np.int64)
+        cells = np.asarray(self.mean_latency, dtype=object)  # keeps a ragged matrix's shape for the square rule
         k = len(names)
         if len(set(names)) != k:
             raise ValueError("region names must be distinct")
-        if len(counts) != k:
+        if counts.ndim != 1 or len(counts) != k:
             raise ValueError("node_counts length must match region_names")
         if cells.shape != (k, k):
             raise ValueError("mean_latency must be square over the regions")
-        matrix = readonly(cells)
+        matrix, counts = numbers(cells, "mean latencies"), tuple(counts.tolist())
         object.__setattr__(self, "region_names", names)
         object.__setattr__(self, "node_counts", counts)
         object.__setattr__(self, "mean_latency", matrix)
@@ -179,22 +177,24 @@ class NetworkState(ArrayEq):
     Raises
     ------
     ValueError
-        If ``region_of`` is not a vector of whole numbers, ``flat`` is not a
-        vector with one entry per node pair, or an entry is neither the
-        sentinel nor a finite weight in [WEIGHT_FLOOR, WEIGHT_CEIL].
+        If a cell is not a real number, ``region_of`` is not a vector of
+        non-negative whole numbers, ``flat`` does not hold one weight per node
+        pair, or a weight is neither the sentinel nor in [WEIGHT_FLOOR, WEIGHT_CEIL].
     """
 
     flat: np.ndarray
     region_of: np.ndarray
 
     def __post_init__(self):
-        flat = readonly(self.flat)
-        region_of = whole_numbers(self.region_of, "region assignment")
+        flat = numbers(self.flat, "pair weights")
+        region_of = numbers(self.region_of, "region assignment", np.int64)
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "region_of", region_of)
         # len() of a 0-d array raises TypeError
         if region_of.ndim != 1:
             raise ValueError("region assignment must be a vector")
+        if np.any(region_of < 0):
+            raise ValueError("region assignment must be non-negative")
         n = len(region_of)
         if flat.shape != (n * (n - 1) // 2,):
             raise ValueError("flat must hold one weight per node pair")

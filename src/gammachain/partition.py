@@ -12,9 +12,10 @@ equal-fork-stubborn mining (EFSM).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
+
+from ._frozen import numbers
 
 DEFAULT_BOUNDARIES = (0.0, 0.675, 0.76, 0.761, 1.0)
 DEFAULT_LABELS = ("HM", "SM", "LSM", "EFSM")
@@ -36,24 +37,21 @@ class StrategyPartition:
     Raises
     ------
     ValueError
-        If a bound is not a number (a bool included), a label is not a
-        string, or the bounds and labels break the rules above.
+        If a bound is not a real number (text, a bool, None or a list), a
+        label is not a string, or the bounds and labels break the rules above.
     """
 
     bounds: tuple[float, ...]
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        bounds, labels = tuple(self.bounds), tuple(self.labels)
-        if any(isinstance(b, bool) or not isinstance(b, Real) for b in bounds):
-            raise ValueError("partition bounds must be numbers")
+        bounds, labels = numbers(self.bounds, "partition bounds"), tuple(self.labels)
         if not all(isinstance(label, str) for label in labels):
             raise ValueError("interval labels must be strings")
-        bounds = tuple(map(float, bounds))
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "labels", labels)
-        if not labels or len(bounds) != len(labels) + 1:
+        if bounds.ndim != 1 or not labels or len(bounds) != len(labels) + 1:
             raise ValueError("partition needs at least one interval and one label per interval")
+        object.__setattr__(self, "bounds", tuple(bounds.tolist()))
+        object.__setattr__(self, "labels", labels)
         if (bounds[0], bounds[-1]) != (0.0, 1.0):
             raise ValueError("partition bounds must run from 0 to 1")
         for lo, hi, label in zip(bounds, bounds[1:], labels):
@@ -80,9 +78,9 @@ class StrategyPartition:
         Raises
         ------
         ValueError
-            If a value is NaN or lies outside [0, 1].
+            If a value is not a real number, is NaN or lies outside [0, 1].
         """
-        arr = np.asarray(values, dtype=float)
+        arr = numbers(values, "gamma values")
         _check_gammas(arr)
         return np.searchsorted(self.bounds[1:-1], arr, side="right")
 

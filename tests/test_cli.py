@@ -29,6 +29,8 @@ LOW_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_lat
 STRING_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [["10", "20"], ["20", "30"]]}'
 BOOL_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[10, true], [true, 12]]}'
 RAGGED_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[10, 50], [50]]}'
+NESTED_MEAN_REGION = '{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[10, [50]], [50, 12]]}'
+SCALAR_COUNTS_REGION = '{"region_names": ["a"], "node_counts": 5, "mean_latency": [[10]]}'
 # a valid two-region layout of 12 nodes, and one of a single node
 TWELVE_NODE_REGION = '{"region_names": ["a", "b"], "node_counts": [5, 7], "mean_latency": [[10, 50], [50, 12]]}'
 ONE_NODE_REGION = '{"region_names": ["a"], "node_counts": [1], "mean_latency": [[10]]}'
@@ -935,6 +937,8 @@ class TestArgumentHandling:
             ),
             ("simulate", "--region-config", STRING_MEAN_REGION),
             ("simulate", "--region-config", BOOL_MEAN_REGION),
+            ("simulate", "--region-config", NESTED_MEAN_REGION),
+            ("simulate", "--region-config", SCALAR_COUNTS_REGION),
             pytest.param("model", "--partition", DEEP_JSON, id="model---partition-deep"),
             pytest.param("simulate", "--region-config", DEEP_JSON, id="simulate---region-config-deep"),
         ],
@@ -956,7 +960,9 @@ class TestArgumentHandling:
             assert f"malformed input file {path}: JSONDecodeError" in err
         if isinstance(text, bytes):
             assert f"malformed input file {path}: UnicodeDecodeError" in err
-        if text in (STRING_MEAN_REGION, BOOL_MEAN_REGION):
+        if text in (STRING_MEAN_REGION, BOOL_MEAN_REGION, NESTED_MEAN_REGION):
             assert f"malformed input file {path}: ValueError: mean latencies must be numbers" in err
+        if text == SCALAR_COUNTS_REGION:
+            assert err.endswith(f"{path}: ValueError: node_counts length must match region_names\n")
         if text == RAGGED_MEAN_REGION:
             assert err.endswith(f"{path}: ValueError: mean_latency must be square over the regions\n")

@@ -1,15 +1,19 @@
 """Value semantics of the array-holding dataclasses: read-only fields,
-field-wise equality, no hashing."""
+field-wise equality, no hashing, and one number rule for every array field."""
 
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gammachain._frozen import numbers
 from gammachain.inference import GammaSeries, TransitionCounts
 from gammachain.markov import StateDistribution, TransitionMatrix
 from gammachain.network import NetworkState, RegionConfig
-from gammachain.partition import default_partition
+from gammachain.partition import StrategyPartition, default_partition
 
 from helpers import make_partition
 
@@ -77,7 +81,9 @@ INTEGER_FIELDS = {
 
 @pytest.mark.parametrize("field", INTEGER_FIELDS)
 @pytest.mark.parametrize(
-    "entry", [1.5, np.nan, np.inf, None, "1", True, np.True_], ids=["fraction", "nan", "inf", "none", "text", "bool", "np-bool"]
+    "entry",
+    [1.5, np.nan, np.inf, None, "1", True, np.True_, [0.5]],
+    ids=["fraction", "nan", "inf", "none", "text", "bool", "np-bool", "nested"],
 )
 def test_integer_fields_refuse_what_is_not_a_whole_number(field, entry):
     with pytest.raises(ValueError, match=f"^{field} must be whole numbers$"):
@@ -89,3 +95,48 @@ def test_integer_fields_take_whole_floats_and_refuse_past_int64(field):
     assert INTEGER_FIELDS[field](1.0) == INTEGER_FIELDS[field](np.int32(1))
     with pytest.raises(ValueError, match=f"^{field} must fit in a signed 64-bit integer$"):
         INTEGER_FIELDS[field](2**63)
+
+
+# each float field, built with one chosen entry: the name its message gives, and the builder;
+# the entry sits beside plain numbers, so a nested list makes the input ragged
+FLOAT_FIELDS = {
+    "mean latencies": ("mean latencies", lambda entry: RegionConfig(("A", "B"), (1, 1), [[10.0, entry], [entry, 30.0]])),
+    "partition bounds": ("partition bounds", lambda entry: StrategyPartition((0.0, entry, 1.0), ("A", "B"))),
+    "pair weights": ("pair weights", lambda entry: NetworkState([1.0, entry, 1.0], [0, 1, 2])),
+    "times": ("times", lambda entry: GammaSeries([0.0, entry], [0.1, 0.2])),
+    "gamma values": ("gamma values", lambda entry: GammaSeries([0.0, 1.0], [0.1, entry])),
+    "index_of": ("gamma values", lambda entry: default_partition().index_of([0.1, entry])),
+    "transition matrix": ("probabilities", lambda entry: TransitionMatrix([[0.5, entry], [0.0, 1.0]], ("A", "B"))),
+    "state distribution": ("probabilities", lambda entry: StateDistribution([0.5, entry], ("A", "B"))),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_FIELDS)
+@pytest.mark.parametrize("entry", ["0.5", True, np.True_, None, [0.5]], ids=["text", "bool", "np-bool", "none", "nested"])
+def test_float_fields_refuse_what_is_not_a_number(case, entry):
+    field, build = FLOAT_FIELDS[case]
+    with pytest.raises(ValueError, match=f"^{field} must be numbers, not strings or bools$"):
+        build(entry)
+
+
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)
+
+
+# for int64, the floats are whole and exact, as the helper requires
+@pytest.mark.parametrize(
+    "dtype, floats", [(float, st.floats()), (np.int64, st.integers(-(2**53), 2**53).map(float))], ids=["float64", "int64"]
+)
+@given(data=st.data())
+def test_numbers_copies_real_numbers_as_numpy_would(dtype, floats, data):
+    values = data.draw(
+        st.one_of(
+            hnp.arrays(np.int64, SHAPES),
+            hnp.arrays(np.float64, SHAPES, elements=floats),
+            st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), floats), max_size=6),
+        )
+    )
+    out = numbers(values, "values", dtype)
+    expected = np.array(values, dtype)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+    assert not out.flags.writeable

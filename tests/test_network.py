@@ -169,6 +169,7 @@ class TestRegionConfig:
         "counts, matrix, message",
         [
             ([1], [[10.0, 50.0], [50.0, 12.0]], "node_counts length must match region_names"),
+            (5, [[10.0, 50.0], [50.0, 12.0]], "node_counts length must match region_names"),
             ([1, 1], [[10.0, 50.0]], "mean_latency must be square over the regions"),
             ([1, 1], [[10.0, 50.0], [50.0]], "mean_latency must be square over the regions"),
             ([0, 0], [[10.0, 50.0], [50.0, 12.0]], "at least one node is required"),
@@ -263,6 +264,7 @@ class TestNetworkStateValidation:
             (np.full(1, 5.0), np.int64(2), "region assignment must be a vector"),
             (np.full(1, 5.0), np.zeros((1, 2)), "region assignment must be a vector"),
             ([1.0], [0.5, 1], "region assignment must be whole numbers"),
+            ([1.0], [-5, 7], "region assignment must be non-negative"),
             ([np.nan], np.zeros(2), "inactive links must use the sentinel"),
             ([np.inf], np.zeros(2), "inactive links must use the sentinel"),
             ([2 * INACTIVE], np.zeros(2), "inactive links must use the sentinel"),
