@@ -20,6 +20,11 @@ def readonly(arr, dtype=float) -> np.ndarray:
     return out
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number by the rule above, for the package's scalar rules."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def numbers(values, field: str, dtype=float) -> np.ndarray:
     """A read-only float64 or int64 copy of ``values``; ValueError unless every cell keeps the rule above."""
     whole = np.dtype(dtype).kind == "i"
@@ -27,7 +32,7 @@ def numbers(values, field: str, dtype=float) -> np.ndarray:
     if not (isinstance(values, np.ndarray) and values.dtype.kind in ("i" if whole else "fiu")):
         for cell in np.asarray(values, dtype=object).flat:
             integral = isinstance(cell, Integral) or isinstance(cell, (float, np.floating)) and cell.is_integer()
-            if isinstance(cell, bool) or not isinstance(cell, Real) or whole and not integral:
+            if not is_real(cell) or whole and not integral:
                 raise ValueError(f"{field} must be {rule}")
             if whole and not -(2**63) <= int(cell) < 2**63:
                 raise ValueError(f"{field} must fit in a signed 64-bit integer")

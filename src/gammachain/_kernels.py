@@ -1,10 +1,11 @@
 """Hot numerical kernels of the simulator: the latency update and the race.
 
 The latency update works on the flat pair vector of a network: one weight per
-unordered node pair in row-major upper-triangle order (``pair_indices``),
-with the sentinel 1e7 marking an inactive link. ``entry_pairs`` maps each
-off-diagonal matrix entry, row by row, to its pair; through it a pair vector
-becomes a symmetric matrix (``fill_off_diagonal``).
+unordered node pair in ``np.triu_indices(n, 1)`` order, with the sentinel 1e7
+marking an inactive link. ``pair_layout`` builds each pair's column and each
+off-diagonal matrix entry's pair, through which a pair vector becomes a
+symmetric matrix (``fill_off_diagonal``). A simulation builds and drops its
+own; the one-call helpers share ``shared_layout``'s cached copies.
 
 The race reads a square matrix row by row as out-links, in plain numpy; it
 needs no symmetry, and a non-negative diagonal has no effect. From its source it settles, in
@@ -34,37 +35,34 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._frozen import readonly
-
 INACTIVE = 1e7
 WEIGHT_FLOOR = 1.0
 # finite weights must stay strictly below the sentinel
 WEIGHT_CEIL = INACTIVE - 1.0
 
 
-@lru_cache(maxsize=8)
-def pair_indices(node_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of every unordered pair, in flat-vector order."""
+def pair_layout(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(cols, entries)``: each pair's column, in pair order, and each off-diagonal entry's pair, row by row."""
     # row-major upper-triangle order fixes both storage and RNG draw order
-    rows, cols = np.triu_indices(node_count, k=1)
-    return readonly(rows, np.intp), readonly(cols, np.intp)
+    upper = ~np.tri(node_count, dtype=bool)
+    pair_of = np.zeros(upper.shape, dtype=np.intp)
+    pair_of[upper] = np.arange(np.count_nonzero(upper))
+    pair_of += pair_of.T
+    layout = np.broadcast_to(np.arange(node_count), upper.shape)[upper], pair_of[~np.eye(node_count, dtype=bool)]
+    for table in layout:
+        table.setflags(write=False)
+    return layout
 
 
-@lru_cache(maxsize=8)
-def entry_pairs(node_count: int) -> np.ndarray:
-    """Pair index of every off-diagonal matrix entry, in row-major order."""
-    rows, cols = pair_indices(node_count)
-    pair_of = np.empty((node_count, node_count), dtype=np.intp)
-    pair_of[rows, cols] = pair_of[cols, rows] = np.arange(len(rows))
-    return readonly(pair_of[~np.eye(node_count, dtype=bool)], np.intp)
+shared_layout = lru_cache(maxsize=8)(pair_layout)
 
 
-def fill_off_diagonal(matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Write pair values into both triangles of a C-contiguous square matrix; return it."""
+def fill_off_diagonal(matrix: np.ndarray, flat: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Write pair values into both triangles of a C-contiguous square matrix through ``entries``; return it."""
     n = len(matrix)
     # the row-major buffer minus its first entry is n - 1 rows of n
     # off-diagonal entries, each followed by the next diagonal entry
-    matrix.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] = flat[entry_pairs(n)].reshape(n - 1, n)
+    matrix.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] = flat[entries].reshape(n - 1, n)
     return matrix
 
 

@@ -197,8 +197,11 @@ def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     # the hash covers these and the region config, not the command, label or node count
     hashed = {key: metadata[key] for key in ("seed", "steps", "dropout", "activation")}
     metadata["config_hash"] = _config_hash({**hashed, "region_config": region.to_json_obj()})
+    build = np.show_config(mode="dicts")
     metadata["versions"] = {
-        "gammachain": __version__, "python": platform.python_version(), "numpy": np.__version__
+        "gammachain": __version__, "python": platform.python_version(), "numpy": np.__version__,
+        "blas": {key: build["Build Dependencies"]["blas"][key] for key in ("name", "version")},
+        "simd_found": build["SIMD Extensions"]["found"],
     }
     artifacts["series.csv"] = series.to_csv()
     artifacts["moving_average.csv"] = averaged.to_csv()
@@ -256,10 +259,7 @@ def cmd_pipeline(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     stationaries["empirical"] = stationary
     summary = {
         "stationary": {name: dist.to_json_obj() for name, dist in stationaries.items()},
-        "relative_likelihood": {
-            entry["model_name"]: entry["relative_likelihood"]
-            for entry in report["models"]
-        },
+        "relative_likelihood": {entry["model_name"]: entry["relative_likelihood"] for entry in report["models"]},
         "verdict": report["verdict"],
     }
     artifacts["summary.json"] = _dumps(summary)
@@ -293,11 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Markov models and latency-network simulation of the fork-following fraction.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--out",
-        default=None,
-        help="output directory (default: $GAMMACHAIN_OUT_DIR or the working directory)",
-    )
+    common.add_argument("--out", help="output directory (default: $GAMMACHAIN_OUT_DIR or the working directory)")
 
     sim = argparse.ArgumentParser(add_help=False)
     sim.add_argument("--seed", type=non_negative_int, default=0, help="simulation seed")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import ArrayEq, numbers
+from ._frozen import ArrayEq, is_real, numbers
 from .partition import StrategyPartition
 
 _ROW_SUM_TOL = 1e-9
@@ -62,10 +62,7 @@ class TransitionMatrix(ArrayEq):
         return self.entries.shape[0]
 
     def to_json_obj(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "entries": [[_sig12(v) for v in row] for row in self.entries],
-        }
+        return {"labels": list(self.labels), "entries": [[_sig12(v) for v in row] for row in self.entries]}
 
     def to_csv(self) -> str:
         return "\n".join(",".join(f"{v:.12g}" for v in row) for row in self.entries) + "\n"
@@ -88,10 +85,7 @@ class StateDistribution(ArrayEq):
         _check_probabilities(weights)
 
     def to_json_obj(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "weights": [_sig12(v) for v in self.weights],
-        }
+        return {"labels": list(self.labels), "weights": [_sig12(v) for v in self.weights]}
 
     def to_csv(self) -> str:
         return ",".join(f"{v:.12g}" for v in self.weights) + "\n"
@@ -99,12 +93,12 @@ class StateDistribution(ArrayEq):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Length scale of the squared-exponential kernel, positive and finite (a bool is not a length)."""
+    """Length scale of the squared-exponential kernel, a positive and finite real number (not a bool or text)."""
 
     length_scale: float = 0.25
 
     def __post_init__(self):
-        if isinstance(self.length_scale, (bool, np.bool_)) or not 0 < self.length_scale < math.inf:
+        if not is_real(self.length_scale) or not 0 < self.length_scale < math.inf:
             raise ValueError("length_scale must be positive and finite")
 
 

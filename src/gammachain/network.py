@@ -14,22 +14,23 @@ draw order, and only three functions draw from it: ``_initial_flat`` once,
 then, per step, ``_link_draws`` (skipped before the first race) and
 ``_draw_node_pair``. The state update takes their arrays and draws nothing.
 
-A network is its pair vector everywhere: one weight per unordered node pair
-in upper-triangle order (``pair_indices``). A ``NetworkState`` holds that
-vector, and the simulation loop evolves it without building a state. A
-node-by-node matrix exists only for the race and for the centrality
-adjacency, and ``fill_off_diagonal`` writes both. The loop reuses one with
-a unit diagonal: each evolution step writes the sampled adjacency into its
-off-diagonal entries, and each race overwrites them with the weights. The
-unit diagonal gives the adjacency self-loops, which shift every eigenvalue
-by one without changing eigenvectors and so keep power iteration convergent
-on connected bipartite graphs; it does not affect the race. The race is a
-radius-batched Dijkstra in numpy from both nodes. It ends when its last
+A network is its pair vector everywhere: one weight per unordered node pair in
+``np.triu_indices(n, 1)`` order. A ``NetworkState`` holds that vector, and the
+simulation loop evolves it without building a state. A node-by-node matrix
+exists only for the race and the centrality adjacency; ``fill_off_diagonal``
+writes both through a ``pair_layout``, which the loop builds once and drops on
+return, and the one-call functions share from ``shared_layout``. The loop
+reuses one matrix with a unit diagonal: each evolution step writes the sampled
+adjacency into its off-diagonal entries, and each race overwrites them with the
+weights. The unit diagonal gives the adjacency self-loops, which shift every
+eigenvalue by one without changing eigenvectors and so keep power iteration
+convergent on connected bipartite graphs; it does not affect the race. The race
+is a radius-batched Dijkstra in numpy from both nodes. It ends when its last
 pending nodes settle, without relaxing their rows, or when the settle bound
-reaches the sentinel; unreachable nodes, and nodes whose cheapest path costs
-at least the sentinel, report exactly 1e7 and tie. Every weight is at least
-1.0, so fl(d + w) > d and the float distances match a plain dense-matrix
-Dijkstra bit for bit (see ``_kernels``).
+reaches the sentinel; unreachable nodes, and nodes whose cheapest path costs at
+least the sentinel, report exactly 1e7 and tie. Every weight is at least 1.0,
+so fl(d + w) > d and the float distances match a plain dense-matrix Dijkstra
+bit for bit (see ``_kernels``).
 """
 
 from __future__ import annotations
@@ -39,15 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import ArrayEq, numbers, readonly
+from ._frozen import ArrayEq, is_real, numbers, readonly
 from ._kernels import (
     INACTIVE,
     WEIGHT_CEIL,
     WEIGHT_FLOOR,
     fill_off_diagonal,
-    pair_indices,
+    pair_layout,
     perturb_weights,
     race_latencies,
+    shared_layout,
     skew_normal,
 )
 from .inference import GammaSeries, checked_times
@@ -170,9 +172,9 @@ def default_region_config() -> RegionConfig:
 class NetworkState(ArrayEq):
     """Immutable latency snapshot: the pair vector ``flat`` plus each node's region.
 
-    ``flat`` holds one weight per unordered node pair in ``pair_indices``
-    order, with the sentinel marking an inactive link; ``weights`` expands
-    it into the symmetric matrix with a zero diagonal that the race reads.
+    ``flat`` holds one weight per unordered node pair in upper-triangle order,
+    the sentinel marking an inactive link; ``weights`` expands it through the
+    shared ``pair_layout`` into the symmetric matrix, zero on the diagonal, that the race reads.
 
     Raises
     ------
@@ -212,22 +214,22 @@ class NetworkState(ArrayEq):
     def weights(self) -> np.ndarray:
         """The read-only symmetric weight matrix, zero on the diagonal, built on each access."""
         n = self.node_count
-        matrix = fill_off_diagonal(np.zeros((n, n)), self.flat)
+        matrix = fill_off_diagonal(np.zeros((n, n)), self.flat, shared_layout(n)[1])
         matrix.setflags(write=False)
         return matrix
 
 
-def _pair_means(config: RegionConfig, region_of: np.ndarray) -> np.ndarray:
-    rows, cols = pair_indices(len(region_of))
-    return config.mean_latency[region_of[rows], region_of[cols]]
+def _pair_ends(values: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` at each pair's row, in pair order n - 1 zeros, then n - 2 ones and so on, and at its column."""
+    return np.repeat(values[:-1], np.arange(len(values) - 1, 0, -1)), values[cols]
 
 
-def _initial_flat(config: RegionConfig, dropout: float, rng: np.random.Generator):
-    """Validated initial draw: node regions, pair means and flat weights."""
-    if isinstance(dropout, (bool, np.bool_)) or not 0.0 <= dropout < 1.0:
+def _initial_flat(config: RegionConfig, dropout: float, rng: np.random.Generator, cols: np.ndarray):
+    """Validated initial draw over ``pair_layout`` columns: node regions, pair means and flat weights."""
+    if not is_real(dropout) or not 0.0 <= dropout < 1.0:
         raise ValueError("dropout must lie in [0, 1)")
     region_of = config.region_assignment()
-    means = _pair_means(config, region_of)
+    means = config.mean_latency[_pair_ends(region_of, cols)]
     drop_uniforms = rng.random(len(means))
     pareto_uniforms = rng.random(len(means))
     shape = 0.2 * means
@@ -256,9 +258,10 @@ def init_network(config: RegionConfig = default_region_config(), dropout: float 
     Raises
     ------
     ValueError
-        If dropout is outside [0, 1).
+        If dropout is not a real number in [0, 1).
     """
-    region_of, _, flat = _initial_flat(config, dropout, np.random.default_rng(seed))
+    cols = shared_layout(config.node_count)[0]
+    region_of, _, flat = _initial_flat(config, dropout, np.random.default_rng(seed), cols)
     return NetworkState(flat, region_of)
 
 
@@ -289,22 +292,24 @@ def eigenvector_centrality(state: NetworkState) -> np.ndarray:
     the module docstring); the step itself scores its sampled ``active`` draws.
     """
     n = state.node_count
-    return readonly(_power_iteration(fill_off_diagonal(np.eye(n), state.flat < INACTIVE)))
+    return readonly(_power_iteration(fill_off_diagonal(np.eye(n), state.flat < INACTIVE, shared_layout(n)[1])))
 
 
 def sample_skew_normal(shape: float, seed=None) -> float:
-    """One skew-normal draw of ``shape``: ``_kernels.skew_normal`` on two standard normals."""
+    """One skew-normal draw of ``shape``, a real number: ``_kernels.skew_normal`` on two standard normals."""
+    if not is_real(shape):
+        raise ValueError("shape must be a real number")
     u0, u1 = np.random.default_rng(seed).standard_normal((2, 1))
     return float(skew_normal(np.full(1, shape, dtype=float), u0, u1)[0])
 
 
 def _check_step(delta_t: float) -> None:
-    if isinstance(delta_t, (bool, np.bool_)) or not 0 < delta_t < math.inf:
+    if not is_real(delta_t) or not 0 < delta_t < math.inf:
         raise ValueError("delta_t must be positive and finite")
 
 
 def _check_activation(activation: float) -> None:
-    if isinstance(activation, (bool, np.bool_)) or not 0.0 <= activation <= 1.0:
+    if not is_real(activation) or not 0.0 <= activation <= 1.0:
         raise ValueError("activation must lie in [0, 1]")
 
 
@@ -316,18 +321,17 @@ def _link_draws(rng: np.random.Generator, pair_count: int, activation: float):
     return active, u0, u1
 
 
-def _evolve_flat(flat, means, delta_t, draws, adjacency) -> np.ndarray:
+def _evolve_flat(flat, means, delta_t, draws, adjacency, layout) -> np.ndarray:
     """One evolution step on the flat pair vector with ``_link_draws`` output; returns the new vector.
 
     ``adjacency`` is a node-by-node buffer with a unit diagonal; every
-    off-diagonal entry is overwritten with the sampled links.
+    off-diagonal entry is overwritten with the sampled links, through ``layout``, the network's ``pair_layout``.
     """
     active, u0, u1 = draws
-    n = len(adjacency)
-    fill_off_diagonal(adjacency, active)
+    cols, entries = layout
+    fill_off_diagonal(adjacency, active, entries)
     omega = _power_iteration(adjacency)
-    # in pair order the row index is n - 1 zeros, then n - 2 ones, and so on
-    omega_sum = np.repeat(omega[:-1], np.arange(n - 1, 0, -1)) + omega[pair_indices(n)[1]]
+    omega_sum = np.add(*_pair_ends(omega, cols))
     return perturb_weights(flat, means, omega_sum, u0, u1, float(delta_t), active)
 
 
@@ -351,16 +355,17 @@ def evolve_network(
     Raises
     ------
     ValueError
-        If delta_t is not positive and finite, activation is outside
-        [0, 1], or the config does not match the state's node regions.
+        If delta_t is not a positive, finite real number, activation is not
+        one in [0, 1], or the config does not match the state's node regions.
     """
     _check_step(delta_t)
     _check_activation(activation)
     if not np.array_equal(config.region_assignment(), prev.region_of):
         raise ValueError("config region layout does not match the network state")
-    means = _pair_means(config, prev.region_of)
+    layout = shared_layout(prev.node_count)
+    means = config.mean_latency[_pair_ends(prev.region_of, layout[0])]
     draws = _link_draws(np.random.default_rng(seed), len(means), activation)
-    flat = _evolve_flat(prev.flat, means, delta_t, draws, np.eye(prev.node_count))
+    flat = _evolve_flat(prev.flat, means, delta_t, draws, np.eye(prev.node_count), layout)
     return NetworkState(flat, prev.region_of)
 
 
@@ -459,7 +464,9 @@ def simulate_gamma_series(
         raise ValueError("need at least two nodes to race propagation")
     rng = np.random.default_rng(seed)
 
-    _, means, flat = _initial_flat(config, dropout, rng)
+    # this series' own index tables, dropped when it returns
+    layout = pair_layout(n)
+    _, means, flat = _initial_flat(config, dropout, rng, layout[0])
     # the evolution step's adjacency, then the race's weights
     matrix = np.eye(n)
     gaps = np.diff(times)
@@ -467,7 +474,7 @@ def simulate_gamma_series(
     for step in range(len(times)):
         if step:
             draws = _link_draws(rng, len(means), activation)
-            flat = _evolve_flat(flat, means, gaps[step - 1], draws, matrix)
+            flat = _evolve_flat(flat, means, gaps[step - 1], draws, matrix, layout)
         attacker, honest = _draw_node_pair(rng, n)
-        values[step] = _gamma(fill_off_diagonal(matrix, flat), attacker, honest)
+        values[step] = _gamma(fill_off_diagonal(matrix, flat, layout[1]), attacker, honest)
     return GammaSeries(times, values)

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import gammachain
-from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR, pair_indices
+from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR
 from gammachain.network import NetworkState
 from gammachain.partition import StrategyPartition
 
@@ -25,7 +25,7 @@ def state_of(matrix):
     matrix = np.asarray(matrix, dtype=float)
     assert np.array_equal(matrix, matrix.T), "weight matrix must be symmetric"
     n = len(matrix)
-    return NetworkState(matrix[pair_indices(n)], np.zeros(n, dtype=np.int64))
+    return NetworkState(matrix[np.triu_indices(n, 1)], np.zeros(n, dtype=np.int64))
 
 
 def grid_partitions(max_cuts=5):

@@ -155,7 +155,7 @@ def assert_pinned(name, out, stdout):
             assert versions["gammachain"] == gammachain.__version__
             assert versions["python"] == platform.python_version()
             assert versions["numpy"] == np.__version__
-            assert len(versions) == 3
+            assert len(versions) == 5
             data = json.dumps(metadata, indent=2).encode()
         digests[path.name] = hashlib.sha256(data).hexdigest()
     kept = "".join(line for line in stdout.splitlines(True) if not line.startswith("wrote "))
@@ -219,8 +219,13 @@ class TestSimulateCommand:
     def test_metadata_records_versions_outside_the_hash(self, tmp_path):
         assert run(tmp_path, "simulate", "--steps", "5", "--seed", "3") == 0
         metadata = json.loads((tmp_path / "run_metadata.json").read_text())
-        assert set(metadata["versions"]) == {"gammachain", "python", "numpy"}
-        assert metadata["versions"]["numpy"] == np.__version__
+        versions = metadata["versions"]
+        assert set(versions) == {"gammachain", "python", "numpy", "blas", "simd_found"}
+        assert versions["numpy"] == np.__version__
+        build = np.show_config(mode="dicts")
+        blas = build["Build Dependencies"]["blas"]
+        assert versions["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert versions["simd_found"] == build["SIMD Extensions"]["found"]
         assert metadata["config_hash"] == SIMULATE_CONFIG_HASH
 
     def test_label_is_recorded_and_not_hashed(self, tmp_path):

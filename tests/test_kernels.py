@@ -9,7 +9,7 @@ from gammachain._kernels import (
     WEIGHT_CEIL,
     WEIGHT_FLOOR,
     fill_off_diagonal,
-    pair_indices,
+    pair_layout,
     perturb_weights,
     race_latencies,
 )
@@ -262,14 +262,22 @@ def test_race_reads_rows_as_out_links_and_ignores_the_diagonal(diagonal, top, rn
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7])
 def test_fill_off_diagonal_matches_both_triangles(size, rng):
-    rows, cols = pair_indices(size)
+    rows, cols = np.triu_indices(size, 1)
     flat = rng.uniform(1.0, 9.0, len(rows))
     expected = np.full((size, size), -1.0)
     expected[rows, cols] = flat
     expected[cols, rows] = flat
     matrix = np.full((size, size), -1.0)
-    fill_off_diagonal(matrix, flat)
+    fill_off_diagonal(matrix, flat, pair_layout(size)[1])
     assert np.array_equal(matrix, expected)
+
+
+@pytest.mark.parametrize("size", [2, 3, 12])
+def test_pair_layout_columns_are_the_upper_triangle_order(size):
+    cols, entries = pair_layout(size)
+    assert np.array_equal(cols, np.triu_indices(size, 1)[1])
+    assert entries.shape == (size * (size - 1),)
+    assert not cols.flags.writeable and not entries.flags.writeable
 
 
 class TestPerturbSemantics:

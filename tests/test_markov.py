@@ -84,10 +84,10 @@ class TestKernel:
             KernelConfig(0.0)
         with pytest.raises(ValueError):
             KernelConfig(-0.25)
-        # a bool is not a length, though True compares as 1
-        for flag in (True, np.True_):
+        # a bool is not a length, though True compares as 1, and neither is text, None or a complex
+        for bad in (True, np.True_, "0.5", None, 1j):
             with pytest.raises(ValueError, match="^length_scale must be positive and finite$"):
-                KernelConfig(flag)
+                KernelConfig(bad)
 
     def test_rejects_infinite_length_scale(self):
         with pytest.raises(ValueError, match="finite"):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gammachain import network
-from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR, pair_indices
+from gammachain._kernels import INACTIVE, WEIGHT_CEIL, WEIGHT_FLOOR, pair_layout, shared_layout
 from gammachain.inference import moving_average
 from gammachain.network import (
     DEFAULT_MEAN_LATENCY,
@@ -217,9 +218,9 @@ class TestInitNetwork:
         off = state.weights[np.triu_indices(100, 1)]
         assert (off == INACTIVE).mean() == pytest.approx(0.1, abs=0.02)
 
-    @pytest.mark.parametrize("dropout", [-0.01, 1.0, 1.5, False, np.False_])
+    @pytest.mark.parametrize("dropout", [-0.01, 1.0, 1.5, False, np.False_, "0.5", None, 0.5j])
     def test_rejects_bad_dropout(self, dropout):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dropout must lie in \[0, 1\)$"):
             init_network(dropout=dropout, seed=0)
 
     def test_rejects_regional_mean_at_or_below_five(self):
@@ -355,6 +356,11 @@ class TestSampleSkewNormal:
     def test_deterministic_given_seed(self):
         assert sample_skew_normal(3.0, 7) == sample_skew_normal(3.0, 7)
 
+    @pytest.mark.parametrize("shape", ["3", True, None, 3j])
+    def test_rejects_a_shape_that_is_no_real_number(self, shape):
+        with pytest.raises(ValueError, match="^shape must be a real number$"):
+            sample_skew_normal(shape, 0)
+
 
 class TestEvolveNetwork:
     def test_deterministic_given_seed(self):
@@ -394,7 +400,7 @@ class TestEvolveNetwork:
 
     def test_rejects_non_positive_delta_t(self):
         prev = init_network(seed=0)
-        for bad in (0.0, -1.0, np.inf, np.nan, True, np.True_):
+        for bad in (0.0, -1.0, np.inf, np.nan, True, np.True_, "1", None, 1j):
             with pytest.raises(ValueError, match=r"^delta_t must be positive and finite$"):
                 evolve_network(prev, bad, seed=0)
 
@@ -430,7 +436,7 @@ def test_pair_vector_round_trips_through_the_matrix(nodes):
         assert np.array_equal(weights, weights.T)
         assert (np.diag(weights) == 0.0).all()
         assert not weights.flags.writeable
-        assert weights[pair_indices(nodes)].tobytes() == state.flat.tobytes()
+        assert weights[np.triu_indices(nodes, 1)].tobytes() == state.flat.tobytes()
         centrality = eigenvector_centrality(state)
         assert isinstance(centrality, np.ndarray) and centrality.shape == (nodes,)
         assert not centrality.flags.writeable
@@ -450,7 +456,8 @@ class TestEvolveFlat:
 
     def evolve(self):
         adjacency = np.eye(4)
-        return _evolve_flat(self.FLAT, self.MEANS, 0.5, (self.ACTIVE, self.U0, self.U1), adjacency), adjacency
+        draws = (self.ACTIVE, self.U0, self.U1)
+        return _evolve_flat(self.FLAT, self.MEANS, 0.5, draws, adjacency, pair_layout(4)), adjacency
 
     def test_hand_computed_update(self):
         delta = 3.0 / np.sqrt(10.0)
@@ -690,7 +697,7 @@ class TestSimulateGammaSeries:
             simulate_gamma_series([-1e308, 1e308], seed=rng)
         assert rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("activation", [-0.1, 1.5, np.nan, True, np.True_])
+    @pytest.mark.parametrize("activation", [-0.1, 1.5, np.nan, True, np.True_, "0.9", None, 0.9j])
     def test_rejects_activation_outside_unit_interval(self, activation):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
@@ -794,6 +801,21 @@ class TestSimulateGammaSeries:
         simulate_gamma_series(np.arange(steps, dtype=float), 7, default_region_config().scaled_to(nodes))
         step = [("_link_draws", nodes * (nodes - 1) // 2), ("_draw_node_pair", nodes)]
         assert calls == [("_draw_node_pair", nodes)] + step * (steps - 1)
+
+    @pytest.mark.parametrize("nodes", [100, 400])
+    def test_drops_its_pair_layout_on_return(self, monkeypatch, nodes):
+        tables = []
+
+        def recording(node_count):
+            layout = pair_layout(node_count)
+            tables.extend(weakref.ref(table) for table in layout)
+            return layout
+
+        monkeypatch.setattr(network, "pair_layout", recording)
+        cached = shared_layout.cache_info()
+        simulate_gamma_series(np.arange(3, dtype=float), 5, default_region_config().scaled_to(nodes))
+        assert len(tables) == 2 and all(ref() is None for ref in tables)
+        assert shared_layout.cache_info() == cached
 
 
 # nodes -> (evolution steps, sha256 of the last weights, sha256 of their centrality)
