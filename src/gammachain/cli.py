@@ -32,7 +32,10 @@ rejected, 1 when the run fails, and 0 exactly when all requested
 artifacts were written; a reader that closes stdout early does not change it.
 
 Only ``simulate`` and ``pipeline`` simulate, and only they import the
-simulator (``network``) and ``hashlib``.
+simulator (``network``) and ``hashlib``. ``model`` and ``compare`` never
+load numpy: the models, counts and scores are plain Python. The commands
+that read or simulate a series, ``analyze``, ``simulate`` and ``pipeline``,
+load it.
 """
 
 from __future__ import annotations
@@ -40,13 +43,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .inference import (
@@ -138,6 +140,8 @@ def _load_inputs(args: argparse.Namespace) -> None:
         kinds = [args.kind] if "kind" in given else list(_MODELS)
         args.models = {kind: _MODELS[kind][1](args) for kind in kinds}
     if simulates:
+        import numpy as np
+
         args.series = simulate_gamma_series(
             np.arange(args.steps, dtype=float), seed=args.seed, config=args.region_config,
             dropout=args.dropout, activation=args.activation,
@@ -183,6 +187,8 @@ def cmd_model(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
+    import numpy as np
+
     region, series = args.region_config, args.series
     averaged = moving_average(series)
     metadata = {
@@ -225,7 +231,7 @@ def cmd_analyze(args: argparse.Namespace, artifacts: dict[str, str]) -> tuple[Tr
     artifacts["empirical_stationary.json"] = _dumps(stationary.to_json_obj())
     artifacts["occupancy.json"] = _dumps(occupancy_from_counts(counts, args.series).to_json_obj())
     print(f"transition counts over {counts.total} pairs:")
-    print(_render_table(counts.labels, [[str(int(v)) for v in row] for row in counts.counts]))
+    print(_render_table(counts.labels, [[str(v) for v in row] for row in counts.counts]))
     print("empirical transition matrix, rounded to 2 decimals:")
     print(_render_matrix(empirical))
     print(f"empirical stationary distribution: {_render_weights(stationary)}")
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel = argparse.ArgumentParser(add_help=False)
     kernel.add_argument(
         "--length-scale",
-        type=_checked(float, lambda v: 0 < v < np.inf, "must be positive and finite"),
+        type=_checked(float, lambda v: 0 < v < math.inf, "must be positive and finite"),
         default=KernelConfig.length_scale,
         help="kernel length scale",
     )

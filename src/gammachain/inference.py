@@ -7,6 +7,11 @@ counts, so any candidate model can be scored by its log-likelihood gap to
 the empirical one. The gap is zero exactly when the candidate matches the
 empirical matrix on every observed cell, and infinite when the candidate
 assigns probability zero to an observed transition.
+
+The likelihood half (counts, the empirical matrix and the scores) holds
+Python numbers and imports no numpy. The series half (``GammaSeries`` and the
+functions that bin, count or average a series) holds numpy arrays and
+imports numpy when called.
 """
 
 from __future__ import annotations
@@ -15,19 +20,23 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._frozen import ArrayEq, numbers
-from .markov import StateDistribution, TransitionMatrix
+from ._frozen import ArrayEq, cells, numbers
+from .markov import StateDistribution, TransitionMatrix, pairwise_sum
 from .partition import DEFAULT_BOUNDARIES, StrategyPartition, _check_gammas, default_partition
+
+if TYPE_CHECKING:
+    import numpy as np
 
 REFERENCE_COUNTS_FILE = "reference_counts.csv"
 _INTEGER_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def checked_times(times) -> np.ndarray:
-    """A read-only float copy of times; ValueError unless real numbers, 1-D, non-empty, finite and increasing."""
+    """A read-only float array copy of times; ValueError unless real numbers, 1-D, non-empty, finite and increasing."""
+    import numpy as np
+
     times = numbers(times, "times")
     if times.ndim != 1:
         raise ValueError("times must be one-dimensional")
@@ -76,6 +85,8 @@ class GammaSeries(ArrayEq):
     @classmethod
     def from_csv(cls, path) -> "GammaSeries":
         """Read a series file: the header ``time,gamma``, then one ``time,gamma`` row a line."""
+        import numpy as np
+
         with open(path, encoding="utf-8") as fh:
             lines = enumerate(map(str.strip, fh), 1)
             skip, header = next((item for item in lines if item[1]), (0, ""))
@@ -93,13 +104,15 @@ class GammaSeries(ArrayEq):
 
 def moving_average(series: GammaSeries) -> GammaSeries:
     """Cumulative mean of the series, times preserved."""
+    import numpy as np
+
     counts = np.arange(1, len(series) + 1, dtype=float)
     return GammaSeries(series.times, np.cumsum(series.values) / counts)
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionCounts(ArrayEq):
-    """Non-negative transition counts over the states of a partition.
+    """Non-negative transition counts over the states of a partition: ``counts[i][j]``, a tuple of row tuples of ints.
 
     Raises
     ------
@@ -108,29 +121,28 @@ class TransitionCounts(ArrayEq):
         is negative or not a whole number (a fraction, NaN, None, text, a bool or a list).
     """
 
-    counts: np.ndarray
+    counts: tuple[tuple[int, ...], ...]
     partition: StrategyPartition
 
     def __post_init__(self):
-        counts = numbers(self.counts, "counts", np.int64)
+        counts = cells(self.counts, "counts", whole=True, rank=2)
         object.__setattr__(self, "counts", counts)
         k = len(self.partition)
-        if counts.shape != (k, k):
+        if len(counts) != k or any(len(row) != k for row in counts):
             raise ValueError("counts must be square over the partition states")
-        if np.any(counts < 0):
+        if any(c < 0 for row in counts for c in row):
             raise ValueError("counts must be non-negative")
 
     @property
     def total(self) -> int:
-        # python ints: valid int64 cells can sum past 2**63
-        return int(self.counts.sum(dtype=object))
+        return sum(map(sum, self.counts))
 
     @property
     def labels(self) -> tuple[str, ...]:
         return self.partition.labels
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(int(v)) for v in row) for row in self.counts) + "\n"
+        return "\n".join(",".join(map(str, row)) for row in self.counts) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, partition: StrategyPartition = default_partition()) -> "TransitionCounts":
@@ -185,13 +197,14 @@ def count_transitions(series: GammaSeries, partition: StrategyPartition = defaul
     ValueError
         If the series has fewer than two samples.
     """
+    import numpy as np
+
     if len(series) < 2:
         raise ValueError("need at least two samples to count transitions")
     states = partition.index_of(series.values)
     k = len(partition)
     flat = states[:-1] * k + states[1:]
-    counts = np.bincount(flat, minlength=k * k).reshape(k, k)
-    return TransitionCounts(counts, partition)
+    return TransitionCounts(np.bincount(flat, minlength=k * k).reshape(k, k).tolist(), partition)
 
 
 def empirical_transition_matrix(counts: TransitionCounts) -> TransitionMatrix:
@@ -200,16 +213,17 @@ def empirical_transition_matrix(counts: TransitionCounts) -> TransitionMatrix:
     A row with no observations carries no information; it becomes the
     uniform row so the result stays row-stochastic.
     """
-    matrix = counts.counts.astype(float)
-    row_sums = matrix.sum(axis=1, keepdims=True)
-    k = matrix.shape[0]
-    uniform = np.full((k, k), 1.0 / k)
-    normalized = np.where(row_sums > 0, matrix / np.maximum(row_sums, 1.0), uniform)
+    k = len(counts.labels)
+    rows = [[float(c) for c in row] for row in counts.counts]
+    totals = map(pairwise_sum, rows)
+    normalized = [[c / total for c in row] if total > 0 else [1.0 / k] * k for row, total in zip(rows, totals)]
     return TransitionMatrix(normalized, counts.labels)
 
 
 def occupancy_fractions(series: GammaSeries, partition: StrategyPartition = default_partition()) -> StateDistribution:
     """Fraction of samples falling in each partition state."""
+    import numpy as np
+
     states = partition.index_of(series.values)
     k = len(partition)
     occ = np.bincount(states, minlength=k) / len(series)
@@ -218,9 +232,9 @@ def occupancy_fractions(series: GammaSeries, partition: StrategyPartition = defa
 
 def occupancy_from_counts(counts: TransitionCounts, series: GammaSeries) -> StateDistribution:
     """``occupancy_fractions`` of the series ``counts`` came from: each sample but the last opens one pair."""
-    occ = counts.counts.sum(axis=1)
+    occ = [sum(row) for row in counts.counts]
     occ[counts.partition.index_of(series.values[-1])] += 1
-    return StateDistribution(occ / len(series), counts.labels)
+    return StateDistribution([c / len(series) for c in occ], counts.labels)
 
 
 def log_likelihood(model: TransitionMatrix, counts: TransitionCounts) -> float:
@@ -238,12 +252,10 @@ def log_likelihood(model: TransitionMatrix, counts: TransitionCounts) -> float:
     """
     if model.labels != counts.labels:
         raise ValueError(f"model states {model.labels} differ from counts states {counts.labels}")
-    observed = counts.counts > 0
-    theta = model.entries[observed]
-    if np.any(theta <= 0.0):
+    observed = [(c, p) for crow, prow in zip(counts.counts, model.entries) for c, p in zip(crow, prow) if c > 0]
+    if any(p <= 0.0 for _, p in observed):
         return float("-inf")
-    weights = counts.counts[observed].astype(float)
-    return float((weights * np.log(theta)).sum())
+    return pairwise_sum([float(c) * math.log(p) for c, p in observed])
 
 
 def _gap_to_best(model_log_likelihood: float, counts: TransitionCounts) -> float:

@@ -7,35 +7,56 @@ squared-exponential similarity kernel over source and target intervals and
 normalizes by the integral over the whole unit interval. A linear solver
 recovers the stationary distribution of any chain with exactly one closed
 class, the one case in which it is unique; states outside that class, the
-transient ones, get weight 0.
+transient ones, get weight 0. Matrices and distributions hold Python floats
+in tuples, and the module imports no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
-import numpy as np
-
-from ._frozen import ArrayEq, is_real, numbers
+from ._frozen import ArrayEq, cells, real_float
 from .partition import StrategyPartition
 
 _ROW_SUM_TOL = 1e-9
 _STATIONARY_RESIDUAL_TOL = 1e-10
 
 
-def _check_probabilities(rows: np.ndarray) -> None:
-    """The probability rule, for a matrix of rows or one row: entries in [0, 1] up to a 1e-12
+def pairwise_sum(values) -> float:
+    """Sum of a sequence of floats in numpy's pairwise order, so that it equals ``np.sum`` bit for bit.
+
+    Below 8 values, a plain loop from 0.0; up to 128, eight running sums of
+    every eighth value, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+    the tail; past that, the sum of two halves summed the same way, the first
+    cut to a multiple of 8.
+    """
+    # reduce(add), not sum(): from Python 3.12 sum() compensates float rounding, which numpy does not
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        tail = n - n % 8
+        r = [reduce(add, values[j:tail:8]) for j in range(8)]
+        return reduce(add, values[tail:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+def _check_probabilities(rows) -> None:
+    """The probability rule, for rows of probabilities: entries in [0, 1] up to a 1e-12
     rounding slack (NaN rejected), and each row summing to 1 within 1e-9."""
-    if not np.all((rows >= -1e-12) & (rows <= 1.0 + 1e-12)):
+    if not all(-1e-12 <= p <= 1.0 + 1e-12 for row in rows for p in row):
         raise ValueError("probabilities must lie in [0, 1]")
-    if np.any(np.abs(rows.sum(axis=-1) - 1.0) > _ROW_SUM_TOL):
+    if any(abs(pairwise_sum(row) - 1.0) > _ROW_SUM_TOL for row in rows):
         raise ValueError("probabilities must sum to 1 within 1e-9 in every row")
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix(ArrayEq):
-    """Row-stochastic matrix over partition states.
+    """Row-stochastic matrix over partition states: ``entries[i][j]``, a tuple of row tuples of floats.
 
     Raises
     ------
@@ -44,22 +65,22 @@ class TransitionMatrix(ArrayEq):
         outside [0, 1] (NaN included), or has a row that does not sum to 1 within 1e-9.
     """
 
-    entries: np.ndarray
+    entries: tuple[tuple[float, ...], ...]
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        entries = numbers(self.entries, "probabilities")
+        entries = cells(self.entries, "probabilities", rank=2)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        if any(len(row) != len(entries) for row in entries):
             raise ValueError("transition matrix must be square")
-        if entries.shape[0] != len(self.labels):
+        if len(entries) != len(self.labels):
             raise ValueError("label count must match matrix size")
         _check_probabilities(entries)
 
     @property
     def size(self) -> int:
-        return self.entries.shape[0]
+        return len(self.entries)
 
     def to_json_obj(self) -> dict:
         return {"labels": list(self.labels), "entries": [[_sig12(v) for v in row] for row in self.entries]}
@@ -70,19 +91,19 @@ class TransitionMatrix(ArrayEq):
 
 @dataclass(frozen=True, eq=False)
 class StateDistribution(ArrayEq):
-    """Probability vector over partition states; ValueError unless real numbers, one per label, that
-    keep the probability rule of ``TransitionMatrix`` (NaN is out of range)."""
+    """Probability vector over partition states, a tuple of floats; ValueError unless real numbers, one per
+    label, that keep the probability rule of ``TransitionMatrix`` (NaN is out of range)."""
 
-    weights: np.ndarray
+    weights: tuple[float, ...]
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        weights = numbers(self.weights, "probabilities")
+        weights = cells(self.weights, "probabilities")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if weights.ndim != 1 or weights.shape[0] != len(self.labels):
+        if len(weights) != len(self.labels):
             raise ValueError("weight count must match label count")
-        _check_probabilities(weights)
+        _check_probabilities((weights,))
 
     def to_json_obj(self) -> dict:
         return {"labels": list(self.labels), "weights": [_sig12(v) for v in self.weights]}
@@ -93,12 +114,13 @@ class StateDistribution(ArrayEq):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Length scale of the squared-exponential kernel, a positive and finite real number (not a bool or text)."""
+    """Length scale of the squared-exponential kernel, a positive real number (not a bool or text) below
+    the float range's top."""
 
     length_scale: float = 0.25
 
     def __post_init__(self):
-        if not is_real(self.length_scale) or not 0 < self.length_scale < math.inf:
+        if not 0 < real_float(self.length_scale) < math.inf:
             raise ValueError("length_scale must be positive and finite")
 
 
@@ -114,11 +136,9 @@ def model1_transition_matrix(partition: StrategyPartition) -> TransitionMatrix:
     targets j, where d is the midpoint distance. On [0, 1] the distance never
     exceeds 1, so all weights are non-negative.
     """
-    mids = np.asarray(partition.midpoints())
-    lens = np.asarray(partition.lengths())
-    dist = np.abs(mids[None, :] - mids[:, None])
-    weights = lens[None, :] * (1.0 - dist)
-    entries = weights / weights.sum(axis=1, keepdims=True)
+    mids, lens = partition.midpoints(), partition.lengths()
+    weights = [[length * (1.0 - abs(mid - source)) for mid, length in zip(mids, lens)] for source in mids]
+    entries = [[w / total for w in row] for row, total in zip(weights, map(pairwise_sum, weights))]
     return TransitionMatrix(entries, partition.labels)
 
 
@@ -201,27 +221,48 @@ def model2_transition_matrix(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    entries = np.empty((k, k))
+    entries = []
     for i in range(k):
         denom = integral(0.0, 1.0, lo[i], hi[i])
         if not 0.0 < denom < math.inf:
             raise ValueError(f"length_scale {config.length_scale!r} gives a row kernel mass of {denom}")
-        for j in range(k):
-            entries[i, j] = integral(lo[j], hi[j], lo[i], hi[i]) / denom
+        entries.append([integral(lo[j], hi[j], lo[i], hi[i]) / denom for j in range(k)])
     return TransitionMatrix(entries, partition.labels)
 
 
-def _reach(matrix: TransitionMatrix) -> np.ndarray:
-    """Entry (i, j): whether state i reaches state j; the closure by repeated boolean squaring."""
-    reach = (matrix.entries > 0) | np.eye(matrix.size, dtype=bool)
-    for _ in range(max(1, math.ceil(math.log2(matrix.size)) + 1)):
-        reach = reach | (reach @ reach)
+def _reach(matrix: TransitionMatrix) -> list[set[int]]:
+    """The states each state reaches, itself included: Warshall's closure of the positive entries."""
+    reach = [{j for j, p in enumerate(row) if p > 0} | {i} for i, row in enumerate(matrix.entries)]
+    for via, through in enumerate(reach):
+        for states in reach:
+            if via in states:
+                states |= through
     return reach
 
 
 def is_irreducible(matrix: TransitionMatrix) -> bool:
     """Whether every state reaches every other under positive-probability steps."""
-    return bool(_reach(matrix).all())
+    return all(len(states) == matrix.size for states in _reach(matrix))
+
+
+def _solve(system: list[list[float]], rhs: list[float]) -> list[float]:
+    """x with system x = rhs, by Gaussian elimination with partial pivoting; ValueError if singular."""
+    n = len(rhs)
+    rows = [[*row, b] for row, b in zip(system, rhs)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        if top[col] == 0.0:
+            raise ValueError("stationary solve met a singular system")
+        for row in rows[col + 1 :]:
+            factor = row[col] / top[col]
+            for c in range(col, n + 1):
+                row[c] -= factor * top[c]
+    x = [0.0] * n
+    for r in reversed(range(n)):
+        x[r] = (rows[r][n] - reduce(add, (rows[r][c] * x[c] for c in range(r + 1, n)), 0.0)) / rows[r][r]
+    return x
 
 
 def stationary_distribution(matrix: TransitionMatrix) -> StateDistribution:
@@ -236,21 +277,24 @@ def stationary_distribution(matrix: TransitionMatrix) -> StateDistribution:
     Raises
     ------
     ValueError
-        If the chain has more than one closed class, or the solution fails
-        the residual bound 1e-10 against the full matrix.
+        If the chain has more than one closed class, the balance system is
+        singular in floating point, or the solution fails the residual bound
+        1e-10 against the full matrix.
     """
-    closed = _reach(matrix).all(axis=0)
-    if not closed.any():
+    entries = matrix.entries
+    closed = sorted(set(range(matrix.size)).intersection(*_reach(matrix)))
+    if not closed:
         raise ValueError("stationary distribution is not unique: the chain has more than one closed class")
-    k = int(closed.sum())
-    system = matrix.entries[np.ix_(closed, closed)].T - np.eye(k)
-    system[-1, :] = 1.0
-    rhs = np.zeros(k)
-    rhs[-1] = 1.0
-    solved = np.linalg.solve(system, rhs)
-    pi = np.zeros(matrix.size)
-    pi[closed] = solved / solved.sum()
-    residual = float(np.abs(pi @ matrix.entries - pi).max())
+    # the balance equations of the class, transposed, the last replaced by sum(pi) = 1
+    system = [[entries[j][i] - float(i == j) for j in closed] for i in closed[:-1]] + [[1.0] * len(closed)]
+    solved = _solve(system, [0.0] * (len(closed) - 1) + [1.0])
+    total = pairwise_sum(solved)
+    pi = [0.0] * matrix.size
+    for state, weight in zip(closed, solved):
+        pi[state] = weight / total
+    residual = max(
+        abs(pairwise_sum([p * row[j] for p, row in zip(pi, entries)]) - pi[j]) for j in range(matrix.size)
+    )
     if residual >= _STATIONARY_RESIDUAL_TOL:
         raise ValueError(f"stationary solve residual {residual:.3e} exceeds 1e-10")
     return StateDistribution(pi, matrix.labels)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import ArrayEq, is_real, numbers, readonly
+from ._frozen import ArrayEq, is_real, numbers, readonly, real_float
 from ._kernels import (
     INACTIVE,
     WEIGHT_CEIL,
@@ -304,7 +304,7 @@ def sample_skew_normal(shape: float, seed=None) -> float:
 
 
 def _check_step(delta_t: float) -> None:
-    if not is_real(delta_t) or not 0 < delta_t < math.inf:
+    if not 0 < real_float(delta_t) < math.inf:
         raise ValueError("delta_t must be positive and finite")
 
 

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._frozen import numbers
+from ._frozen import cells, numbers
 
 DEFAULT_BOUNDARIES = (0.0, 0.675, 0.76, 0.761, 1.0)
 DEFAULT_LABELS = ("HM", "SM", "LSM", "EFSM")
 
 
-def _check_gammas(values: np.ndarray) -> None:
-    """The gamma range rule, shared with ``GammaSeries``: every value in [0, 1], NaN rejected."""
-    if not np.all((values >= 0.0) & (values <= 1.0)):
+def _check_gammas(values) -> None:
+    """The gamma range rule for a numpy array, shared with ``GammaSeries``: every value in [0, 1], NaN rejected."""
+    if not ((values >= 0.0) & (values <= 1.0)).all():
         raise ValueError("gamma values must lie in [0, 1]")
 
 
@@ -45,12 +43,12 @@ class StrategyPartition:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        bounds, labels = numbers(self.bounds, "partition bounds"), tuple(self.labels)
+        bounds, labels = cells(self.bounds, "partition bounds"), tuple(self.labels)
         if not all(isinstance(label, str) for label in labels):
             raise ValueError("interval labels must be strings")
-        if bounds.ndim != 1 or not labels or len(bounds) != len(labels) + 1:
+        if not labels or len(bounds) != len(labels) + 1:
             raise ValueError("partition needs at least one interval and one label per interval")
-        object.__setattr__(self, "bounds", tuple(bounds.tolist()))
+        object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "labels", labels)
         if (bounds[0], bounds[-1]) != (0.0, 1.0):
             raise ValueError("partition bounds must run from 0 to 1")
@@ -70,7 +68,7 @@ class StrategyPartition:
         return tuple(lo + (hi - lo) / 2.0 for lo, hi in zip(self.bounds, self.bounds[1:]))
 
     def index_of(self, values):
-        """Index of the interval containing each value, for a scalar or an array.
+        """Index of the interval containing each value, for a scalar or an array; imports numpy.
 
         Interior boundaries belong to the interval that starts there and
         1.0 belongs to the final interval.
@@ -80,6 +78,8 @@ class StrategyPartition:
         ValueError
             If a value is not a real number, is NaN or lies outside [0, 1].
         """
+        import numpy as np
+
         arr = numbers(values, "gamma values")
         _check_gammas(arr)
         return np.searchsorted(self.bounds[1:-1], arr, side="right")

@@ -93,14 +93,14 @@ def test_criterion_03_model2_matches_published_matrix():
     partition = default_partition()
     closed = model2_transition_matrix(partition, KernelConfig(0.25))
     quad = model2_transition_matrix(partition, KernelConfig(0.25), method="quadrature")
-    route_gap = np.abs(closed.entries - quad.entries).max()
+    route_gap = np.abs(np.subtract(closed.entries, quad.entries)).max()
     errors = np.abs(closed.entries - P2)
     worst = tuple(int(i) for i in np.unravel_index(errors.argmax(), errors.shape))
     _verdict(
         "criterion 3",
         errors.max() <= 0.01 and route_gap <= 1e-7,
         f"max entry error {errors.max():.5f} at {worst} "
-        f"(computed {closed.entries[worst]:.6f} vs published {P2[worst]}), "
+        f"(computed {closed.entries[worst[0]][worst[1]]:.6f} vs published {P2[worst]}), "
         f"closed-form/quadrature gap {route_gap:.2e}",
     )
 
@@ -210,7 +210,7 @@ def test_criterion_08_monotonicity_suite():
         pair = int(gen.integers(0, k - 1))
         bounds[pair + 1] = (bounds[pair] + bounds[pair + 2]) / 2
         partition = make_partition(bounds.tolist())
-        entries = model1_transition_matrix(partition).entries
+        entries = np.array(model1_transition_matrix(partition).entries)
         mids = np.array(partition.midpoints())
         for row in range(k):
             d_left = abs(mids[pair] - mids[row])
@@ -368,7 +368,7 @@ def test_criterion_10_stationary_solver_residuals():
     worst_residual = 0.0
     worst_sum = 0.0
     for chain in chains:
-        pi = stationary_distribution(chain).weights
+        pi = np.array(stationary_distribution(chain).weights)
         residual = np.abs(pi @ chain.entries - pi).max()
         worst_residual = max(worst_residual, residual)
         worst_sum = max(worst_sum, abs(float(pi.sum()) - 1.0))

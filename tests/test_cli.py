@@ -182,7 +182,7 @@ class TestModelCommand:
         obj = json.loads(text)
         again = TransitionMatrix(obj["entries"], obj["labels"])
         exact = model1_transition_matrix(default_partition())
-        assert np.abs(again.entries - exact.entries).max() < 1e-11
+        assert np.abs(np.subtract(again.entries, exact.entries)).max() < 1e-11
 
     def test_kernel_kind_selects_other_model(self, tmp_path, capsys):
         assert run(tmp_path, "model", "--kind", "kernel") == 0
@@ -488,7 +488,7 @@ class TestCompareCommand:
     def test_counts_proportional_to_a_model_score_zero(self, tmp_path):
         # the log-likelihood gap of these counts to model1 rounds to about -2.4e-7
         entries = model1_transition_matrix(default_partition()).entries
-        rows = np.rint(entries * 483293023.85717523).astype(np.int64)
+        rows = np.rint(np.multiply(entries, 483293023.85717523)).astype(np.int64)
         counts_file = write_file(tmp_path, "".join(",".join(map(str, row)) + "\n" for row in rows))
         out = tmp_path / "out"
         assert run(out, "compare", "--counts", str(counts_file)) == 0

@@ -1,8 +1,9 @@
 """What importing the package and running each command loads.
 
 The package resolves its public names on first access, and the CLI imports
-the simulator and ``hashlib`` only in the commands that use them. Modules
-accumulate in a process, so every check starts its own child interpreter.
+the simulator and ``hashlib`` only in the commands that use them, and numpy
+only in the commands that read or simulate a series. Modules accumulate in a
+process, so every check starts its own child interpreter.
 """
 
 import subprocess
@@ -34,8 +35,8 @@ def child_modules(code, *args):
 
 # command line -> (modules it must load, modules it must not load)
 COMMANDS = {
-    "compare": (["compare"], set(), SIMULATOR),
-    "model-kernel": (["model", "--kind", "kernel"], set(), SIMULATOR),
+    "compare": (["compare"], set(), SIMULATOR | {"numpy"}),
+    "model-kernel": (["model", "--kind", "kernel"], set(), SIMULATOR | {"numpy"}),
     "analyze-series": (["analyze", "--series", "{series}"], set(), SIMULATOR),
     "simulate": (["simulate", "--steps", "5"], SIMULATOR, set()),
     "pipeline": (["pipeline", "--steps", "5"], SIMULATOR, set()),

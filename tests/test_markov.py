@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from gammachain import markov
+from gammachain.inference import empirical_transition_matrix, load_reference_counts
 from gammachain.markov import (
     KernelConfig,
     StateDistribution,
@@ -18,6 +19,7 @@ from gammachain.markov import (
     kernel_box_integral,
     model1_transition_matrix,
     model2_transition_matrix,
+    pairwise_sum,
     sq_exp_kernel,
     stationary_distribution,
 )
@@ -40,19 +42,18 @@ class TestModel1:
     def test_single_interval(self):
         part = StrategyPartition((0.0, 1.0), ("ALL",))
         matrix = model1_transition_matrix(part)
-        assert matrix.entries.shape == (1, 1)
-        assert matrix.entries[0, 0] == pytest.approx(1.0)
+        assert matrix.entries == ((pytest.approx(1.0),),)
 
     def test_rows_sum_to_one(self):
         matrix = model1_transition_matrix(default_partition())
-        assert matrix.entries.sum(axis=1) == pytest.approx([1.0] * 4, abs=1e-12)
+        assert np.sum(matrix.entries, axis=1) == pytest.approx([1.0] * 4, abs=1e-12)
 
     def test_all_entries_positive(self):
-        assert (model1_transition_matrix(default_partition()).entries > 0).all()
+        assert (np.array(model1_transition_matrix(default_partition()).entries) > 0).all()
 
     @given(grid_partitions())
     def test_random_partitions_row_stochastic(self, part):
-        entries = model1_transition_matrix(part).entries
+        entries = np.array(model1_transition_matrix(part).entries)
         assert entries.sum(axis=1) == pytest.approx([1.0] * len(part), abs=1e-9)
         assert (entries >= 0).all()
 
@@ -84,8 +85,9 @@ class TestKernel:
             KernelConfig(0.0)
         with pytest.raises(ValueError):
             KernelConfig(-0.25)
-        # a bool is not a length, though True compares as 1, and neither is text, None or a complex
-        for bad in (True, np.True_, "0.5", None, 1j):
+        # a bool is not a length, though True compares as 1, and neither is text, None, a complex
+        # or an int past the float range
+        for bad in (True, np.True_, "0.5", None, 1j, 10**400):
             with pytest.raises(ValueError, match="^length_scale must be positive and finite$"):
                 KernelConfig(bad)
 
@@ -137,12 +139,11 @@ class TestModel2:
     def test_single_interval(self):
         part = StrategyPartition((0.0, 1.0), ("ALL",))
         entries = model2_transition_matrix(part).entries
-        assert entries.shape == (1, 1)
-        assert entries[0, 0] == pytest.approx(1.0)
+        assert entries == ((pytest.approx(1.0),),)
 
     def test_symmetric_halves(self):
         part = StrategyPartition((0.0, 0.5, 1.0), ("LO", "HI"))
-        entries = model2_transition_matrix(part).entries
+        entries = np.array(model2_transition_matrix(part).entries)
         p = entries[0, 0]
         assert p > 0.5
         expected = np.array([[p, 1.0 - p], [1.0 - p, p]])
@@ -152,15 +153,15 @@ class TestModel2:
     def test_quadrature_agrees_with_closed_form(self, length_scale):
         part = default_partition()
         config = KernelConfig(length_scale)
-        closed = model2_transition_matrix(part, config, method="closed_form").entries
-        quad = model2_transition_matrix(part, config, method="quadrature").entries
+        closed = np.array(model2_transition_matrix(part, config, method="closed_form").entries)
+        quad = np.array(model2_transition_matrix(part, config, method="quadrature").entries)
         assert np.abs(closed - quad).max() < 1e-9
 
     def test_no_entry_negative_at_small_length_scales(self):
         # the four-term erf sum cancels where a box integral is near zero
         part = default_partition()
         for length_scale in np.geomspace(1e-5, 1.0, 400):
-            entries = model2_transition_matrix(part, KernelConfig(float(length_scale))).entries
+            entries = np.array(model2_transition_matrix(part, KernelConfig(float(length_scale))).entries)
             assert (entries >= 0.0).all(), length_scale
 
     def test_quadrature_alone_needs_scipy(self, monkeypatch):
@@ -176,13 +177,13 @@ class TestModel2:
             model2_transition_matrix(default_partition(), method="simpson")
 
     def test_rows_sum_to_one(self):
-        entries = model2_transition_matrix(default_partition()).entries
+        entries = np.array(model2_transition_matrix(default_partition()).entries)
         assert entries.sum(axis=1) == pytest.approx([1.0] * 4, abs=1e-12)
 
     @settings(max_examples=25)
     @given(grid_partitions(max_cuts=4))
     def test_random_partitions_row_stochastic(self, part):
-        entries = model2_transition_matrix(part).entries
+        entries = np.array(model2_transition_matrix(part).entries)
         assert entries.sum(axis=1) == pytest.approx([1.0] * len(part), abs=1e-9)
         assert (entries > 0).all()
 
@@ -255,16 +256,21 @@ class TestStationaryDistribution:
     def test_fixed_point_residual(self):
         for build in (model1_transition_matrix, model2_transition_matrix):
             matrix = build(default_partition())
-            pi = stationary_distribution(matrix).weights
+            pi = np.array(stationary_distribution(matrix).weights)
             assert np.abs(pi @ matrix.entries - pi).max() < 1e-10
             assert abs(pi.sum() - 1.0) < 1e-12
 
     def test_rejects_a_solution_off_balance(self, monkeypatch):
         # a solver that misses the balance equations: pi P = (0.83, 0.17) for pi = (0.9, 0.1)
-        monkeypatch.setattr(markov.np.linalg, "solve", lambda system, rhs: np.array([0.9, 0.1]))
+        monkeypatch.setattr(markov, "_solve", lambda system, rhs: [0.9, 0.1])
         m = TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]), ("A", "B"))
         with pytest.raises(ValueError, match=r"^stationary solve residual 7\.000e-02 exceeds 1e-10$"):
             stationary_distribution(m)
+
+    def test_solver_pivots_past_a_zero_diagonal_and_refuses_a_singular_system(self):
+        assert markov._solve([[0.0, 1.0], [1.0, 1.0]], [1.0, 3.0]) == [2.0, 1.0]
+        with pytest.raises(ValueError, match="^stationary solve met a singular system$"):
+            markov._solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
 
     @settings(max_examples=60)
     @given(
@@ -275,9 +281,65 @@ class TestStationaryDistribution:
         entries = np.random.default_rng(seed).uniform(0.05, 1.0, (k, k))
         entries /= entries.sum(axis=1, keepdims=True)
         matrix = TransitionMatrix(entries, tuple(f"S{i}" for i in range(k)))
-        pi = stationary_distribution(matrix).weights
+        pi = np.array(stationary_distribution(matrix).weights)
         assert np.abs(pi @ entries - pi).max() < 1e-10
         assert (pi >= 0).all()
+
+
+class TestPairwiseSum:
+    """The sums that reach artifact bytes add in numpy's order, so they equal numpy's bit for bit."""
+
+    def test_equals_numpy_sum(self):
+        gen = np.random.default_rng(5)
+        for n in range(1, 301):
+            values = gen.standard_normal(n) * 10.0 ** gen.integers(-8, 9, n)
+            assert pairwise_sum(values.tolist()) == float(np.sum(values)), n
+
+    def test_equals_numpy_row_sums(self):
+        gen = np.random.default_rng(6)
+        for k in range(1, 41):
+            matrix = gen.standard_normal((k, k)) * 10.0 ** gen.integers(-8, 9, (k, k))
+            assert [pairwise_sum(row) for row in matrix.tolist()] == np.sum(matrix, axis=1).tolist(), k
+
+
+def _numpy_stationary(matrix):
+    """The stationary distribution by ``np.linalg.solve`` on the closed class, found by boolean squaring."""
+    entries = np.array(matrix.entries)
+    k = len(entries)
+    reach = (entries > 0) | np.eye(k, dtype=bool)
+    for _ in range(k):
+        reach = reach | (reach @ reach)
+    closed = reach.all(axis=0)
+    system = entries[np.ix_(closed, closed)].T - np.eye(int(closed.sum()))
+    system[-1, :] = 1.0
+    rhs = np.zeros(len(system))
+    rhs[-1] = 1.0
+    solved = np.linalg.solve(system, rhs)
+    pi = np.zeros(k)
+    pi[closed] = solved / solved.sum()
+    return pi
+
+
+def test_stationary_solve_agrees_with_numpy_in_every_written_digit():
+    # model1 and 40 length scales of model2 on six partitions, plus the bundled empirical chain: 247 chains
+    partitions = [default_partition()] + [
+        make_partition(bounds)
+        for bounds in (
+            (0.0, 0.5, 1.0),
+            (0.0, 0.3, 0.6, 1.0),
+            (0.0, 0.1, 0.9, 1.0),
+            (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
+            tuple(np.linspace(0.0, 1.0, 9).tolist()),
+        )
+    ]
+    chains = [empirical_transition_matrix(load_reference_counts())]
+    for part in partitions:
+        chains.append(model1_transition_matrix(part))
+        chains += [model2_transition_matrix(part, KernelConfig(float(l))) for l in np.geomspace(1e-3, 1e3, 40)]
+    assert len(chains) == 247
+    for chain in chains:
+        written = [f"{v:.12g}" for v in stationary_distribution(chain).weights]
+        assert written == [f"{v:.12g}" for v in _numpy_stationary(chain)], chain
 
 
 class TestValueValidation:
@@ -292,6 +354,9 @@ class TestValueValidation:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             TransitionMatrix(np.array([[0.5, 0.5]]), ("A", "B"))
+        for flat in ([0.5, 0.5], 1.0):
+            with pytest.raises(ValueError, match="^probabilities must be a sequence, not one value$"):
+                TransitionMatrix(flat, ("A", "B"))
 
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError):
@@ -334,8 +399,8 @@ class TestValueValidation:
 
     def test_matrix_is_immutable(self):
         matrix = model1_transition_matrix(default_partition())
-        with pytest.raises(ValueError):
-            matrix.entries[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            matrix.entries[0][0] = 0.0
 
 
 class TestSerialization:
@@ -344,7 +409,7 @@ class TestSerialization:
         obj = matrix.to_json_obj()
         again = TransitionMatrix(obj["entries"], obj["labels"])
         assert again.to_json_obj() == obj
-        assert np.abs(again.entries - matrix.entries).max() < 1e-11
+        assert np.abs(np.subtract(again.entries, matrix.entries)).max() < 1e-11
 
     def test_csv_has_one_row_per_state(self):
         csv = model1_transition_matrix(default_partition()).to_csv()

@@ -400,7 +400,7 @@ class TestEvolveNetwork:
 
     def test_rejects_non_positive_delta_t(self):
         prev = init_network(seed=0)
-        for bad in (0.0, -1.0, np.inf, np.nan, True, np.True_, "1", None, 1j):
+        for bad in (0.0, -1.0, np.inf, np.nan, True, np.True_, "1", None, 1j, 10**400):
             with pytest.raises(ValueError, match=r"^delta_t must be positive and finite$"):
                 evolve_network(prev, bad, seed=0)
 
