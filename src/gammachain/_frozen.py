@@ -1,16 +1,18 @@
-"""Value semantics shared by the package's dataclasses.
+"""Value semantics shared by the package's dataclasses, and the one home of every scalar rule.
 
 One number rule holds for every field filled from outside the package: each cell is a real
-number (not text, a bool, None or a list) and, in an integer field, a whole one that fits in
-int64. ``cells`` keeps it for the analytic fields, tuples of Python floats or ints, and imports
-no numpy; ``numbers`` keeps it for the series and network fields, read-only numpy arrays, and
-imports numpy when called. ``ArrayEq`` compares arrays by value, other fields with ``==``.
+number (not text, a bool, None or a list) that fits in a 64-bit float and, in an integer field,
+a whole one that fits in int64. ``cells`` keeps it for the analytic fields, tuples of Python
+floats or ints, and imports no numpy; ``numbers`` keeps it for the series and network fields,
+read-only numpy arrays, and imports numpy when called. ``ArrayEq`` compares arrays by value.
+The ``check_*`` rules, which the library and the command line's flags share, and the two link
+defaults cover the scalar parameters: length scale, ``delta_t``, dropout, activation, the
+skew-normal shape and the two nodes a race needs.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import fields
 from numbers import Integral, Real
 
@@ -20,13 +22,33 @@ def is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def real_float(value) -> float:
-    """``value`` as a float for a scalar range rule: NaN, which fails every range, unless a real number
-    that fits in a float."""
-    try:
-        return float(value) if is_real(value) else math.nan
-    except OverflowError:
-        return math.nan
+def rule(accept, message: str, whole: bool = False):
+    """A scalar rule: its value as a float, or as the int given if ``whole``; ValueError(``message``) unless
+    ``accept`` takes it. A float rule passes ``accept`` NaN, which fails every range, for what is no real
+    number that fits in a float; a ``whole`` rule never goes through a float."""
+
+    def check(value):
+        if not whole:
+            try:
+                value = float(value) if is_real(value) else math.nan
+            except OverflowError:
+                value = math.nan
+        if not accept(value):
+            raise ValueError(message)
+        return value
+
+    return check
+
+
+# the simulator's link probabilities: initial dropout and per-step activation
+DROPOUT, ACTIVATION = 0.1, 0.9
+check_length_scale = rule(lambda v: 0 < v < math.inf, "length_scale must be positive and finite")
+check_delta_t = rule(lambda v: 0 < v < math.inf, "delta_t must be positive and finite")
+check_dropout = rule(lambda v: 0 <= v < 1, "dropout must lie in [0, 1)")
+check_activation = rule(lambda v: 0 <= v <= 1, "activation must lie in [0, 1]")
+# the skew-normal kernel squares its shape
+check_shape = rule(lambda v: math.isfinite(v * v), "shape must be a real number whose square is finite")
+check_nodes = rule(lambda n: n >= 2, "need at least two nodes to race propagation", whole=True)
 
 
 def _cell(cell, field: str, whole: bool):
@@ -34,7 +56,10 @@ def _cell(cell, field: str, whole: bool):
     if not is_real(cell) or whole and not (isinstance(cell, Integral) or float(cell).is_integer()):
         raise ValueError(f"{field} must be {'whole numbers' if whole else 'numbers, not strings or bools'}")
     if not whole:
-        return float(cell)
+        try:
+            return float(cell)
+        except OverflowError:
+            raise ValueError(f"{field} must fit in a 64-bit float") from None
     if not -(2**63) <= int(cell) < 2**63:
         raise ValueError(f"{field} must fit in a signed 64-bit integer")
     return int(cell)
@@ -73,16 +98,15 @@ def numbers(values, field: str, dtype=float):
 
 
 class ArrayEq:
-    """Field-wise ``==`` for ``@dataclass(eq=False)`` subclasses, which stay unhashable."""
+    """Field-wise ``==``, arrays by value, for ``@dataclass(eq=False)`` subclasses, which stay unhashable."""
 
     def __eq__(self, other):
+        import numpy as np
+
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # an array field exists only once numpy is loaded, so this never imports it
-        np = sys.modules.get("numpy")
         for field in fields(self):
             mine, theirs = getattr(self, field.name), getattr(other, field.name)
-            same = np.array_equal(mine, theirs) if np and isinstance(mine, np.ndarray) else mine == theirs
-            if not same:
+            if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs):
                 return False
         return True

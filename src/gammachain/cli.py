@@ -43,7 +43,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import platform
 import sys
@@ -51,6 +50,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from . import __version__
+from ._frozen import ACTIVATION, DROPOUT, check_activation, check_dropout, check_length_scale, check_nodes, rule
 from .inference import (
     GammaSeries,
     TransitionCounts,
@@ -274,8 +274,8 @@ def cmd_pipeline(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
         print(f"  {name:<9} {_render_weights(dist)}")
 
 
-def _checked(convert, accept, message: str):
-    """Argparse type: ``convert`` the text, then reject values ``accept`` refuses.
+def _checked(convert, check):
+    """Argparse type: ``convert`` the text, then ``check`` it; the rule's ValueError text is the flag's error.
 
     The callable carries the converter's name, so a malformed value reads
     "invalid int value: 'x'" or "invalid float value: 'x'".
@@ -283,17 +283,18 @@ def _checked(convert, accept, message: str):
 
     def parse(text: str):
         value = convert(text)
-        if not accept(value):
-            raise argparse.ArgumentTypeError(message)
-        return value
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     parse.__name__ = convert.__name__
     return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
-    positive_int = _checked(int, lambda v: v >= 1, "must be a positive integer")
-    non_negative_int = _checked(int, lambda v: v >= 0, "must be a non-negative integer")
+    positive_int = _checked(int, rule(lambda v: v >= 1, "must be a positive integer", whole=True))
+    non_negative_int = _checked(int, rule(lambda v: v >= 0, "must be a non-negative integer", whole=True))
     parser = argparse.ArgumentParser(
         prog="gammachain",
         description="Markov models and latency-network simulation of the fork-following fraction.",
@@ -305,20 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=non_negative_int, default=0, help="simulation seed")
     sim.add_argument(
         "--nodes",
-        type=_checked(int, lambda v: v >= 2, "must be at least 2"),
+        type=_checked(int, check_nodes),
         default=None, metavar="N",
         help="rescale the region layout to N nodes in the same proportions (default: the layout's own count)",
     )
     sim.add_argument(
-        "--dropout",
-        type=_checked(float, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
-        default=0.1,
-        help="initial inactive-link probability",
+        "--dropout", type=_checked(float, check_dropout), default=DROPOUT, help="initial inactive-link probability"
     )
     sim.add_argument(
         "--activation",
-        type=_checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-        default=0.9,
+        type=_checked(float, check_activation),
+        default=ACTIVATION,
         help="per-step link activation probability",
     )
     sim.add_argument(
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel = argparse.ArgumentParser(add_help=False)
     kernel.add_argument(
         "--length-scale",
-        type=_checked(float, lambda v: 0 < v < math.inf, "must be positive and finite"),
+        type=_checked(float, check_length_scale),
         default=KernelConfig.length_scale,
         help="kernel length scale",
     )

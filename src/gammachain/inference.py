@@ -110,8 +110,8 @@ def moving_average(series: GammaSeries) -> GammaSeries:
     return GammaSeries(series.times, np.cumsum(series.values) / counts)
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionCounts(ArrayEq):
+@dataclass(frozen=True)
+class TransitionCounts:
     """Non-negative transition counts over the states of a partition: ``counts[i][j]``, a tuple of row tuples of ints.
 
     Raises

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from ._frozen import ArrayEq, cells, real_float
+from ._frozen import cells, check_length_scale
 from .partition import StrategyPartition
 
 _ROW_SUM_TOL = 1e-9
@@ -54,14 +54,14 @@ def _check_probabilities(rows) -> None:
         raise ValueError("probabilities must sum to 1 within 1e-9 in every row")
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix(ArrayEq):
+@dataclass(frozen=True)
+class TransitionMatrix:
     """Row-stochastic matrix over partition states: ``entries[i][j]``, a tuple of row tuples of floats.
 
     Raises
     ------
     ValueError
-        If an entry is not a real number, the matrix is not square, has entries
+        If an entry is not a real number, the matrix has no state or is not square, has entries
         outside [0, 1] (NaN included), or has a row that does not sum to 1 within 1e-9.
     """
 
@@ -72,6 +72,8 @@ class TransitionMatrix(ArrayEq):
         entries = cells(self.entries, "probabilities", rank=2)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "labels", tuple(self.labels))
+        if not entries:
+            raise ValueError("transition matrix must have at least one state")
         if any(len(row) != len(entries) for row in entries):
             raise ValueError("transition matrix must be square")
         if len(entries) != len(self.labels):
@@ -89,8 +91,8 @@ class TransitionMatrix(ArrayEq):
         return "\n".join(",".join(f"{v:.12g}" for v in row) for row in self.entries) + "\n"
 
 
-@dataclass(frozen=True, eq=False)
-class StateDistribution(ArrayEq):
+@dataclass(frozen=True)
+class StateDistribution:
     """Probability vector over partition states, a tuple of floats; ValueError unless real numbers, one per
     label, that keep the probability rule of ``TransitionMatrix`` (NaN is out of range)."""
 
@@ -120,8 +122,7 @@ class KernelConfig:
     length_scale: float = 0.25
 
     def __post_init__(self):
-        if not 0 < real_float(self.length_scale) < math.inf:
-            raise ValueError("length_scale must be positive and finite")
+        check_length_scale(self.length_scale)
 
 
 def _sig12(value: float) -> float:

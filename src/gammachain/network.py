@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import ArrayEq, is_real, numbers, readonly, real_float
+from ._frozen import ACTIVATION, DROPOUT, ArrayEq, numbers, readonly
+from ._frozen import check_activation, check_delta_t, check_dropout, check_nodes, check_shape
 from ._kernels import (
     INACTIVE,
     WEIGHT_CEIL,
@@ -56,8 +57,6 @@ from .inference import GammaSeries, checked_times
 
 _POWER_ITERATIONS = 50
 _POWER_TOL = 1e-5
-_DROPOUT = 0.1
-_ACTIVATION = 0.9
 
 REGION_NAMES = (
     "NORTH_AMERICA",
@@ -226,8 +225,7 @@ def _pair_ends(values: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _initial_flat(config: RegionConfig, dropout: float, rng: np.random.Generator, cols: np.ndarray):
     """Validated initial draw over ``pair_layout`` columns: node regions, pair means and flat weights."""
-    if not is_real(dropout) or not 0.0 <= dropout < 1.0:
-        raise ValueError("dropout must lie in [0, 1)")
+    dropout = check_dropout(dropout)
     region_of = config.region_assignment()
     means = config.mean_latency[_pair_ends(region_of, cols)]
     drop_uniforms = rng.random(len(means))
@@ -239,7 +237,7 @@ def _initial_flat(config: RegionConfig, dropout: float, rng: np.random.Generator
     return region_of, means, np.where(drop_uniforms < dropout, INACTIVE, drawn)
 
 
-def init_network(config: RegionConfig = default_region_config(), dropout: float = _DROPOUT, seed=None) -> NetworkState:
+def init_network(config: RegionConfig = default_region_config(), dropout: float = DROPOUT, seed=None) -> NetworkState:
     """Draw the initial latency network.
 
     Each unordered node pair is inactive with probability ``dropout``;
@@ -296,21 +294,10 @@ def eigenvector_centrality(state: NetworkState) -> np.ndarray:
 
 
 def sample_skew_normal(shape: float, seed=None) -> float:
-    """One skew-normal draw of ``shape``, a real number: ``_kernels.skew_normal`` on two standard normals."""
-    if not is_real(shape):
-        raise ValueError("shape must be a real number")
+    """One skew-normal draw of ``shape``, a real number with a finite square: ``_kernels.skew_normal``."""
+    shape = check_shape(shape)
     u0, u1 = np.random.default_rng(seed).standard_normal((2, 1))
     return float(skew_normal(np.full(1, shape, dtype=float), u0, u1)[0])
-
-
-def _check_step(delta_t: float) -> None:
-    if not 0 < real_float(delta_t) < math.inf:
-        raise ValueError("delta_t must be positive and finite")
-
-
-def _check_activation(activation: float) -> None:
-    if not is_real(activation) or not 0.0 <= activation <= 1.0:
-        raise ValueError("activation must lie in [0, 1]")
 
 
 def _link_draws(rng: np.random.Generator, pair_count: int, activation: float):
@@ -339,7 +326,7 @@ def evolve_network(
     prev: NetworkState,
     delta_t: float,
     config: RegionConfig = default_region_config(),
-    activation: float = _ACTIVATION,
+    activation: float = ACTIVATION,
     seed=None,
 ) -> NetworkState:
     """One stochastic evolution step; returns a new state.
@@ -358,8 +345,7 @@ def evolve_network(
         If delta_t is not a positive, finite real number, activation is not
         one in [0, 1], or the config does not match the state's node regions.
     """
-    _check_step(delta_t)
-    _check_activation(activation)
+    delta_t, activation = check_delta_t(delta_t), check_activation(activation)
     if not np.array_equal(config.region_assignment(), prev.region_of):
         raise ValueError("config region layout does not match the network state")
     layout = shared_layout(prev.node_count)
@@ -428,8 +414,8 @@ def simulate_gamma_series(
     schedule,
     seed=None,
     config: RegionConfig = default_region_config(),
-    dropout: float = _DROPOUT,
-    activation: float = _ACTIVATION,
+    dropout: float = DROPOUT,
+    activation: float = ACTIVATION,
 ) -> GammaSeries:
     """Simulate gamma over a sampling schedule; deterministic given the seed.
 
@@ -457,11 +443,8 @@ def simulate_gamma_series(
     times = checked_times(schedule)
     if len(times) > 1:
         # every gap is positive and none exceeds the span; python floats overflow to inf without a warning
-        _check_step(float(times[-1]) - float(times[0]))
-    _check_activation(activation)
-    n = config.node_count
-    if n < 2:
-        raise ValueError("need at least two nodes to race propagation")
+        check_delta_t(float(times[-1]) - float(times[0]))
+    activation, n = check_activation(activation), check_nodes(config.node_count)
     rng = np.random.default_rng(seed)
 
     # this series' own index tables, dropped when it returns

@@ -16,6 +16,7 @@ import pytest
 
 import gammachain
 from gammachain import cli
+from gammachain._frozen import check_nodes
 from gammachain.inference import GammaSeries, TransitionCounts
 from gammachain.markov import KernelConfig, TransitionMatrix, model1_transition_matrix
 from gammachain.network import default_region_config, init_network, simulate_gamma_series
@@ -813,8 +814,9 @@ class TestArgumentHandling:
             ("--nodes", ["-1", "0", "1", "2", "3"]),
         ],
     )
-    def test_flag_rules_and_defaults_match_the_library(self, tmp_path, flag, values):
-        # the parser keeps its own copy of each rule, to exit 2 before any input file is read
+    def test_flag_rules_and_defaults_match_the_library(self, tmp_path, capsys, flag, values):
+        # each flag's type calls the library's rule, so a rejected value exits 2 with the library's
+        # text before any input file is read
         simulate_defaults = inspect.signature(simulate_gamma_series).parameters
         library, default = {
             "--dropout": (lambda v: init_network(dropout=v, seed=0), simulate_defaults["dropout"].default),
@@ -823,10 +825,8 @@ class TestArgumentHandling:
                 simulate_defaults["activation"].default,
             ),
             "--length-scale": (KernelConfig, KernelConfig.length_scale),
-            "--nodes": (
-                lambda n: simulate_gamma_series([0.0], config=default_region_config().scaled_to(n)),
-                default_region_config().node_count,
-            ),
+            # the simulator's rule for its layout's node count; a layout below one node is refused before it
+            "--nodes": (check_nodes, default_region_config().node_count),
         }[flag]
         parser = cli.build_parser()
         parsed = getattr(parser.parse_args(["pipeline"]), flag[2:].replace("-", "_"))
@@ -837,9 +837,16 @@ class TestArgumentHandling:
             assert json.loads((tmp_path / "run_metadata.json").read_text())["nodes"] == default
         else:
             assert parsed == default
+        capsys.readouterr()
         for text in values:
-            parser_rejects = _raises(SystemExit, parser.parse_args, ["pipeline", f"{flag}={text}"])
-            assert parser_rejects == _raises(ValueError, library, type(default)(text)), (flag, text)
+            try:
+                library(type(default)(text))
+                message = None
+            except ValueError as exc:
+                message = str(exc)
+            assert _raises(SystemExit, parser.parse_args, ["pipeline", f"{flag}={text}"]) == (message is not None)
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: argument {flag}: {message}\n") if message else not err, (flag, text, err)
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAMMACHAIN_OUT_DIR", str(tmp_path / "from_env"))

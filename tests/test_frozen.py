@@ -1,5 +1,5 @@
-"""Value semantics of the array-holding dataclasses: read-only fields,
-field-wise equality, no hashing, and one number rule for every array field."""
+"""Value semantics of the dataclasses that hold numbers: read-only fields, field-wise
+equality, hashing only for the tuple-holding ones, and one number rule for every field."""
 
 from dataclasses import fields, replace
 
@@ -55,20 +55,32 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("cls, args, changed", CASES, ids=[case[0].__name__ for case in CASES])
-def test_equality_is_field_wise_and_instances_are_unhashable(cls, args, changed):
+def assert_field_wise_equality(cls, args, changed):
     obj = cls(**args)
     assert set(changed) == {field.name for field in fields(cls)}
     assert obj == cls(**args)
     for name, value in changed.items():
         assert obj != replace(obj, **{name: value}), name
     assert obj.__eq__(object()) is NotImplemented
-    with pytest.raises(TypeError):
-        hash(obj)
     for field in fields(cls):
         value = getattr(obj, field.name)
         if isinstance(value, np.ndarray):
             assert not value.flags.writeable
+    return obj
+
+
+# the first three hold numpy arrays, the rest tuples of Python numbers
+@pytest.mark.parametrize("cls, args, changed", CASES[:3], ids=[case[0].__name__ for case in CASES[:3]])
+def test_equality_is_field_wise_and_instances_are_unhashable(cls, args, changed):
+    obj = assert_field_wise_equality(cls, args, changed)
+    with pytest.raises(TypeError):
+        hash(obj)
+
+
+@pytest.mark.parametrize("cls, args, changed", CASES[3:], ids=[case[0].__name__ for case in CASES[3:]])
+def test_equality_is_field_wise_and_equal_values_hash_equal(cls, args, changed):
+    obj = assert_field_wise_equality(cls, args, changed)
+    assert hash(obj) == hash(cls(**args))
 
 
 # each integer field, built with one chosen entry
@@ -117,6 +129,13 @@ def test_float_fields_refuse_what_is_not_a_number(case, entry):
     field, build = FLOAT_FIELDS[case]
     with pytest.raises(ValueError, match=f"^{field} must be numbers, not strings or bools$"):
         build(entry)
+
+
+@pytest.mark.parametrize("case", FLOAT_FIELDS)
+def test_float_fields_refuse_an_int_past_the_float_range(case):
+    field, build = FLOAT_FIELDS[case]
+    with pytest.raises(ValueError, match=f"^{field} must fit in a 64-bit float$"):
+        build(10**400)
 
 
 SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)

@@ -60,6 +60,17 @@ def test_command_loads_only_its_layers(command, tmp_path):
     assert not [m for m in modules if m.partition(".")[0] == "scipy"]
 
 
+def test_flag_rules_load_no_simulator():
+    # every flag's rule lives in _frozen, so parsing a simulating command's flags loads neither numpy nor the simulator
+    code = (
+        "from gammachain import cli\n"
+        "cli.build_parser().parse_args(['pipeline', '--dropout', '0.5', '--activation', '0.5',"
+        " '--length-scale', '0.5', '--nodes', '4', '--seed', '1', '--steps', '3'])\n"
+    )
+    modules = child_modules(code)
+    assert not modules & {"numpy", "gammachain.network"}, sorted(modules & {"numpy", "gammachain.network"})
+
+
 def test_package_import_loads_no_layer():
     modules = child_modules("import gammachain")
     assert not [m for m in modules if m.startswith("gammachain.")]

@@ -397,6 +397,10 @@ class TestValueValidation:
         with pytest.raises(ValueError, match=message):
             build(row)
 
+    def test_a_chain_needs_a_state(self):
+        with pytest.raises(ValueError, match="^transition matrix must have at least one state$"):
+            TransitionMatrix((), ())
+
     def test_matrix_is_immutable(self):
         matrix = model1_transition_matrix(default_partition())
         with pytest.raises(TypeError):

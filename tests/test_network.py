@@ -356,9 +356,14 @@ class TestSampleSkewNormal:
     def test_deterministic_given_seed(self):
         assert sample_skew_normal(3.0, 7) == sample_skew_normal(3.0, 7)
 
-    @pytest.mark.parametrize("shape", ["3", True, None, 3j])
+    # the kernel squares the shape: past about 1.3e154 the square overflows, and the draw would be no skew normal
+    @pytest.mark.parametrize(
+        "shape",
+        ["3", True, None, 3j, 10**400, np.inf, -np.inf, np.nan, 1e308],
+        ids=["3", "True", "None", "3j", "10**400", "inf", "-inf", "nan", "1e308"],
+    )
     def test_rejects_a_shape_that_is_no_real_number(self, shape):
-        with pytest.raises(ValueError, match="^shape must be a real number$"):
+        with pytest.raises(ValueError, match="^shape must be a real number whose square is finite$"):
             sample_skew_normal(shape, 0)
 
 
