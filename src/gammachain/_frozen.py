@@ -1,20 +1,22 @@
-"""Value semantics shared by the package's dataclasses, and the one home of every scalar rule.
+"""Value semantics shared by the package's data types, and the one home of every scalar rule.
 
+``frozen`` makes each data type a frozen value class over its annotated fields: a constructor that
+sets them once, then runs ``__post_init__``; field-wise ``==``, numpy arrays by value; a hash of the
+fields, so a type that holds arrays is not hashable; and the ``Name(field=value, ...)`` repr.
 One number rule holds for every field filled from outside the package: each cell is a real
 number (not text, a bool, None or a list) that fits in a 64-bit float and, in an integer field,
 a whole one that fits in int64. ``cells`` keeps it for the analytic fields, tuples of Python
 floats or ints, and imports no numpy; ``numbers`` keeps it for the series and network fields,
-read-only numpy arrays, and imports numpy when called. ``ArrayEq`` compares arrays by value.
-The ``check_*`` rules, which the library and the command line's flags share, and the two link
-defaults cover the scalar parameters: length scale, ``delta_t``, dropout, activation, the
-skew-normal shape and the two nodes a race needs.
+read-only numpy arrays, and imports numpy when called. The ``check_*`` rules, which the library
+and the command line's flags share, and the two link defaults cover the scalar parameters:
+length scale, ``delta_t``, dropout, activation, the skew-normal shape and the two nodes a race needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import fields
-from numbers import Integral, Real
+import sys
+from numbers import Rational, Real
 
 
 def is_real(value) -> bool:
@@ -53,7 +55,9 @@ check_nodes = rule(lambda n: n >= 2, "need at least two nodes to race propagatio
 
 def _cell(cell, field: str, whole: bool):
     """``cell`` as a Python int if ``whole``, else a float; ValueError unless it keeps the rule above."""
-    if not is_real(cell) or whole and not (isinstance(cell, Integral) or float(cell).is_integer()):
+    # a fraction is whole by its denominator, exactly; any other real number is or converts to a float
+    exact = isinstance(cell, Rational)
+    if not is_real(cell) or whole and not (cell.denominator == 1 if exact else float(cell).is_integer()):
         raise ValueError(f"{field} must be {'whole numbers' if whole else 'numbers, not strings or bools'}")
     if not whole:
         try:
@@ -97,16 +101,39 @@ def numbers(values, field: str, dtype=float):
     return readonly(values, dtype)
 
 
-class ArrayEq:
-    """Field-wise ``==``, arrays by value, for ``@dataclass(eq=False)`` subclasses, which stay unhashable."""
+def frozen(cls):
+    """``cls`` as a frozen value class over its annotated fields, their class attributes the defaults."""
+    names, fields = tuple(cls.__annotations__), set(cls.__annotations__)
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or not kwargs.keys().isdisjoint(names[: len(args)]) or values.keys() != fields:
+            raise TypeError(f"{cls.__name__}() takes {', '.join(names)}: each once, by position or keyword")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        import numpy as np
-
         if other.__class__ is not self.__class__:
             return NotImplemented
-        for field in fields(self):
-            mine, theirs = getattr(self, field.name), getattr(other, field.name)
-            if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs):
-                return False
-        return True
+        np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+        pairs = ((getattr(self, name), getattr(other, name)) for name in names)
+        return all(np.array_equal(a, b) if np and isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in names))
+
+    def __repr__(self):
+        return f"{cls.__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    for method in (__init__, __setattr__, __delattr__, __eq__, __hash__, __repr__):
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls

@@ -32,10 +32,10 @@ rejected, 1 when the run fails, and 0 exactly when all requested
 artifacts were written; a reader that closes stdout early does not change it.
 
 Only ``simulate`` and ``pipeline`` simulate, and only they import the
-simulator (``network``) and ``hashlib``. ``model`` and ``compare`` never
-load numpy: the models, counts and scores are plain Python. The commands
-that read or simulate a series, ``analyze``, ``simulate`` and ``pipeline``,
-load it.
+simulator (``network``), ``hashlib`` and ``platform``. ``model`` and
+``compare`` never load numpy: the models, counts and scores are plain
+Python. The commands that read or simulate a series, ``analyze``,
+``simulate`` and ``pipeline``, load it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import argparse
 import io
 import json
 import os
-import platform
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -187,6 +186,8 @@ def cmd_model(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
+    import platform
+
     import numpy as np
 
     region, series = args.region_config, args.series

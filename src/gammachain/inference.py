@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from ._frozen import ArrayEq, cells, numbers
+from ._frozen import cells, frozen, numbers
 from .markov import StateDistribution, TransitionMatrix, pairwise_sum
 from .partition import DEFAULT_BOUNDARIES, StrategyPartition, _check_gammas, default_partition
 
@@ -50,8 +49,8 @@ def checked_times(times) -> np.ndarray:
     return times
 
 
-@dataclass(frozen=True, eq=False)
-class GammaSeries(ArrayEq):
+@frozen
+class GammaSeries:
     """Gamma samples over a strictly increasing time schedule.
 
     Raises
@@ -110,7 +109,7 @@ def moving_average(series: GammaSeries) -> GammaSeries:
     return GammaSeries(series.times, np.cumsum(series.values) / counts)
 
 
-@dataclass(frozen=True)
+@frozen
 class TransitionCounts:
     """Non-negative transition counts over the states of a partition: ``counts[i][j]``, a tuple of row tuples of ints.
 
@@ -160,7 +159,7 @@ def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-@dataclass(frozen=True)
+@frozen
 class LikelihoodReport:
     """Score of one model against observed counts."""
 

@@ -14,11 +14,10 @@ in tuples, and the module imports no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from ._frozen import cells, check_length_scale
+from ._frozen import cells, check_length_scale, frozen
 from .partition import StrategyPartition
 
 _ROW_SUM_TOL = 1e-9
@@ -54,7 +53,7 @@ def _check_probabilities(rows) -> None:
         raise ValueError("probabilities must sum to 1 within 1e-9 in every row")
 
 
-@dataclass(frozen=True)
+@frozen
 class TransitionMatrix:
     """Row-stochastic matrix over partition states: ``entries[i][j]``, a tuple of row tuples of floats.
 
@@ -91,7 +90,7 @@ class TransitionMatrix:
         return "\n".join(",".join(f"{v:.12g}" for v in row) for row in self.entries) + "\n"
 
 
-@dataclass(frozen=True)
+@frozen
 class StateDistribution:
     """Probability vector over partition states, a tuple of floats; ValueError unless real numbers, one per
     label, that keep the probability rule of ``TransitionMatrix`` (NaN is out of range)."""
@@ -114,7 +113,7 @@ class StateDistribution:
         return ",".join(f"{v:.12g}" for v in self.weights) + "\n"
 
 
-@dataclass(frozen=True)
+@frozen
 class KernelConfig:
     """Length scale of the squared-exponential kernel, a positive real number (not a bool or text) below
     the float range's top."""

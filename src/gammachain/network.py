@@ -36,11 +36,10 @@ bit for bit (see ``_kernels``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import ACTIVATION, DROPOUT, ArrayEq, numbers, readonly
+from ._frozen import ACTIVATION, DROPOUT, frozen, numbers, readonly
 from ._frozen import check_activation, check_delta_t, check_dropout, check_nodes, check_shape
 from ._kernels import (
     INACTIVE,
@@ -77,8 +76,8 @@ DEFAULT_MEAN_LATENCY = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class RegionConfig(ArrayEq):
+@frozen
+class RegionConfig:
     """Region layout: names, node counts per region, mean latency matrix.
 
     Raises
@@ -167,8 +166,8 @@ def default_region_config() -> RegionConfig:
     return RegionConfig()
 
 
-@dataclass(frozen=True, eq=False)
-class NetworkState(ArrayEq):
+@frozen
+class NetworkState:
     """Immutable latency snapshot: the pair vector ``flat`` plus each node's region.
 
     ``flat`` holds one weight per unordered node pair in upper-triangle order,

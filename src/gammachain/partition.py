@@ -11,9 +11,7 @@ equal-fork-stubborn mining (EFSM).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ._frozen import cells, numbers
+from ._frozen import cells, frozen, numbers
 
 DEFAULT_BOUNDARIES = (0.0, 0.675, 0.76, 0.761, 1.0)
 DEFAULT_LABELS = ("HM", "SM", "LSM", "EFSM")
@@ -25,7 +23,7 @@ def _check_gammas(values) -> None:
         raise ValueError("gamma values must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@frozen
 class StrategyPartition:
     """Labeled intervals covering [0, 1]: interval i is [bounds[i], bounds[i + 1]), named labels[i].
 

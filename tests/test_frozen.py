@@ -1,7 +1,11 @@
-"""Value semantics of the dataclasses that hold numbers: read-only fields, field-wise
-equality, hashing only for the tuple-holding ones, and one number rule for every field."""
+"""Value semantics of the package's frozen value classes: read-only fields, field-wise
+equality, hashing only for the tuple-holding ones, the dataclass constructor and repr, and one
+number rule for every field."""
 
-from dataclasses import fields, replace
+import copy
+import pickle
+from dataclasses import make_dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gammachain._frozen import numbers
-from gammachain.inference import GammaSeries, TransitionCounts
-from gammachain.markov import StateDistribution, TransitionMatrix
+from gammachain.inference import GammaSeries, LikelihoodReport, TransitionCounts
+from gammachain.markov import KernelConfig, StateDistribution, TransitionMatrix
 from gammachain.network import NetworkState, RegionConfig
 from gammachain.partition import StrategyPartition, default_partition
 
@@ -55,15 +59,18 @@ CASES = [
 ]
 
 
+def field_values(obj):
+    return {name: getattr(obj, name) for name in type(obj).__match_args__}
+
+
 def assert_field_wise_equality(cls, args, changed):
     obj = cls(**args)
-    assert set(changed) == {field.name for field in fields(cls)}
+    assert list(changed) == list(cls.__match_args__)
     assert obj == cls(**args)
     for name, value in changed.items():
-        assert obj != replace(obj, **{name: value}), name
+        assert obj != cls(**{**field_values(obj), name: value}), name
     assert obj.__eq__(object()) is NotImplemented
-    for field in fields(cls):
-        value = getattr(obj, field.name)
+    for value in field_values(obj).values():
         if isinstance(value, np.ndarray):
             assert not value.flags.writeable
     return obj
@@ -83,6 +90,62 @@ def test_equality_is_field_wise_and_equal_values_hash_equal(cls, args, changed):
     assert hash(obj) == hash(cls(**args))
 
 
+# every data type, with constructor arguments
+VALUES = [(cls, args) for cls, args, _ in CASES] + [
+    (StrategyPartition, dict(bounds=(0.0, 0.5, 1.0), labels=("A", "B"))),
+    (KernelConfig, dict(length_scale=0.5)),
+    (LikelihoodReport, dict(model_name="model1", relative_likelihood=1.5, log_likelihood=-2.0)),
+]
+VALUE_IDS = [cls.__name__ for cls, _ in VALUES]
+
+
+@pytest.mark.parametrize("cls, args", VALUES, ids=VALUE_IDS)
+def test_fields_refuse_assignment_and_deletion(cls, args):
+    obj = cls(**args)
+    for name, value in field_values(obj).items():
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is value
+
+
+@pytest.mark.parametrize("cls, args", VALUES, ids=VALUE_IDS)
+def test_constructor_takes_each_field_once_by_position_or_keyword(cls, args):
+    first, *rest = cls.__match_args__
+    assert cls(*args.values()) == cls(args[first], **{name: args[name] for name in rest}) == cls(**args)
+    for name in cls.__match_args__:
+        if not hasattr(cls, name):  # a field with no default
+            with pytest.raises(TypeError):
+                cls(**{key: value for key, value in args.items() if key != name})
+    with pytest.raises(TypeError):
+        cls(**args, unknown=1)
+    with pytest.raises(TypeError):
+        cls(args[first], **args)
+    with pytest.raises(TypeError):
+        cls(*args.values(), 1)
+
+
+def test_a_default_reads_from_the_class():
+    assert KernelConfig.length_scale == 0.25
+    assert KernelConfig() == KernelConfig(0.25)
+    assert repr(KernelConfig()) == "KernelConfig(length_scale=0.25)"
+
+
+@pytest.mark.parametrize("cls, args", VALUES, ids=VALUE_IDS)
+def test_repr_is_the_dataclass_form(cls, args):
+    obj = cls(**args)
+    reference = make_dataclass(cls.__name__, cls.__match_args__)(**field_values(obj))
+    assert repr(obj) == repr(reference)
+
+
+@pytest.mark.parametrize("cls, args", VALUES, ids=VALUE_IDS)
+def test_pickle_and_copy_round_trip_to_an_equal_value(cls, args):
+    obj = cls(**args)
+    for other in (pickle.loads(pickle.dumps(obj)), copy.copy(obj)):
+        assert type(other) is cls and other == obj
+
+
 # each integer field, built with one chosen entry
 INTEGER_FIELDS = {
     "node counts": lambda entry: RegionConfig(("A", "B"), (1, entry), [[10.0, 20.0], [20.0, 30.0]]),
@@ -94,8 +157,8 @@ INTEGER_FIELDS = {
 @pytest.mark.parametrize("field", INTEGER_FIELDS)
 @pytest.mark.parametrize(
     "entry",
-    [1.5, np.nan, np.inf, None, "1", True, np.True_, [0.5]],
-    ids=["fraction", "nan", "inf", "none", "text", "bool", "np-bool", "nested"],
+    [1.5, Fraction(10**400 + 1, 2), 1 + Fraction(1, 10**20), np.nan, np.inf, None, "1", True, np.True_, [0.5]],
+    ids=["fraction", "huge-fraction", "near-whole-fraction", "nan", "inf", "none", "text", "bool", "np-bool", "nested"],
 )
 def test_integer_fields_refuse_what_is_not_a_whole_number(field, entry):
     with pytest.raises(ValueError, match=f"^{field} must be whole numbers$"):
@@ -104,9 +167,10 @@ def test_integer_fields_refuse_what_is_not_a_whole_number(field, entry):
 
 @pytest.mark.parametrize("field", INTEGER_FIELDS)
 def test_integer_fields_take_whole_floats_and_refuse_past_int64(field):
-    assert INTEGER_FIELDS[field](1.0) == INTEGER_FIELDS[field](np.int32(1))
-    with pytest.raises(ValueError, match=f"^{field} must fit in a signed 64-bit integer$"):
-        INTEGER_FIELDS[field](2**63)
+    assert INTEGER_FIELDS[field](1.0) == INTEGER_FIELDS[field](np.int32(1)) == INTEGER_FIELDS[field](Fraction(2, 2))
+    for entry in (2**63, Fraction(10**400)):
+        with pytest.raises(ValueError, match=f"^{field} must fit in a signed 64-bit integer$"):
+            INTEGER_FIELDS[field](entry)
 
 
 # each float field, built with one chosen entry: the name its message gives, and the builder;

@@ -17,6 +17,9 @@ from helpers import subprocess_env, write_file
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SIMULATOR = {"gammachain.network", "gammachain._kernels", "hashlib"}
+# the analytic commands' cold start: the value classes need no dataclasses (nor the inspect it loads), and
+# only the simulating commands record the platform
+COLD = {"numpy", "dataclasses", "inspect", "platform"}
 
 
 def child_modules(code, *args):
@@ -35,8 +38,8 @@ def child_modules(code, *args):
 
 # command line -> (modules it must load, modules it must not load)
 COMMANDS = {
-    "compare": (["compare"], set(), SIMULATOR | {"numpy"}),
-    "model-kernel": (["model", "--kind", "kernel"], set(), SIMULATOR | {"numpy"}),
+    "compare": (["compare"], set(), SIMULATOR | COLD),
+    "model-kernel": (["model", "--kind", "kernel"], set(), SIMULATOR | COLD),
     "analyze-series": (["analyze", "--series", "{series}"], set(), SIMULATOR),
     "simulate": (["simulate", "--steps", "5"], SIMULATOR, set()),
     "pipeline": (["pipeline", "--steps", "5"], SIMULATOR, set()),
@@ -69,6 +72,16 @@ def test_flag_rules_load_no_simulator():
     )
     modules = child_modules(code)
     assert not modules & {"numpy", "gammachain.network"}, sorted(modules & {"numpy", "gammachain.network"})
+
+
+def test_comparing_analytic_values_loads_no_numpy():
+    code = (
+        "from gammachain import default_partition, model1_transition_matrix\n"
+        "matrix = model1_transition_matrix(default_partition())\n"
+        "assert matrix == model1_transition_matrix(default_partition()) and matrix != object()\n"
+        "assert hash(matrix) == hash(model1_transition_matrix(default_partition()))\n"
+    )
+    assert "numpy" not in child_modules(code)
 
 
 def test_package_import_loads_no_layer():
