@@ -7,7 +7,7 @@ One number rule holds for every field filled from outside the package: each cell
 number (not text, a bool, None or a list) that fits in a 64-bit float and, in an integer field,
 a whole one that fits in int64. ``cells`` keeps it for the analytic fields, tuples of Python
 floats or ints, and imports no numpy; ``numbers`` keeps it for the series and network fields,
-read-only numpy arrays, and imports numpy when called. The ``check_*`` rules, which the library
+read-only numpy copies, and imports numpy when called. The ``check_*`` rules, which the library
 and the command line's flags share, and the two link defaults cover the scalar parameters:
 length scale, ``delta_t``, dropout, activation, the skew-normal shape and the two nodes a race needs.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from numbers import Rational, Real
+from numbers import Real
 
 
 def is_real(value) -> bool:
@@ -55,9 +55,8 @@ check_nodes = rule(lambda n: n >= 2, "need at least two nodes to race propagatio
 
 def _cell(cell, field: str, whole: bool):
     """``cell`` as a Python int if ``whole``, else a float; ValueError unless it keeps the rule above."""
-    # a fraction is whole by its denominator, exactly; any other real number is or converts to a float
-    exact = isinstance(cell, Rational)
-    if not is_real(cell) or whole and not (cell.denominator == 1 if exact else float(cell).is_integer()):
+    # wholeness is tested exactly, not through a float that a huge value overflows; NaN fails the bound
+    if not is_real(cell) or whole and not (abs(cell) < math.inf and int(cell) == cell):
         raise ValueError(f"{field} must be {'whole numbers' if whole else 'numbers, not strings or bools'}")
     if not whole:
         try:
@@ -81,15 +80,6 @@ def cells(values, field: str, whole: bool = False, rank: int = 1) -> tuple:
     return tuple(_cell(cell, field, whole) for cell in items)
 
 
-def readonly(arr, dtype=float):
-    """A read-only numpy copy of ``arr`` as ``dtype``, for arrays the package builds itself."""
-    import numpy as np
-
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
 def numbers(values, field: str, dtype=float):
     """A read-only float64 or int64 numpy copy of ``values``; ValueError unless every cell keeps the rule above."""
     import numpy as np
@@ -98,7 +88,9 @@ def numbers(values, field: str, dtype=float):
     if not (isinstance(values, np.ndarray) and values.dtype.kind in ("i" if whole else "fiu")):
         for cell in np.asarray(values, dtype=object).flat:
             _cell(cell, field, whole)
-    return readonly(values, dtype)
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 def frozen(cls):

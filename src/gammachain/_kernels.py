@@ -4,8 +4,9 @@ The latency update works on the flat pair vector of a network: one weight per
 unordered node pair in ``np.triu_indices(n, 1)`` order, with the sentinel 1e7
 marking an inactive link. ``pair_layout`` builds each pair's column and each
 off-diagonal matrix entry's pair, through which a pair vector becomes a
-symmetric matrix (``fill_off_diagonal``). A simulation builds and drops its
-own; the one-call helpers share ``shared_layout``'s cached copies.
+symmetric matrix (``fill_off_diagonal``), and ``pair_ends`` reads a node
+vector at each pair's two ends. A simulation builds and drops its own
+layout; the one-call helpers share ``shared_layout``'s cached copies.
 
 The race reads a square matrix row by row as out-links, in plain numpy; it
 needs no symmetry, and a non-negative diagonal has no effect. From its source it settles, in
@@ -55,6 +56,11 @@ def pair_layout(node_count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 shared_layout = lru_cache(maxsize=8)(pair_layout)
+
+
+def pair_ends(values: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` at each pair's two ends, in pair order: its row (n - 1 zeros, n - 2 ones, ...) and its column."""
+    return np.repeat(values[:-1], np.arange(len(values) - 1, 0, -1)), values[cols]
 
 
 def fill_off_diagonal(matrix: np.ndarray, flat: np.ndarray, entries: np.ndarray) -> np.ndarray:

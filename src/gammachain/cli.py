@@ -53,6 +53,7 @@ from ._frozen import ACTIVATION, DROPOUT, check_activation, check_dropout, check
 from .inference import (
     GammaSeries,
     TransitionCounts,
+    _series_csv,
     count_transitions,
     empirical_transition_matrix,
     load_reference_counts,
@@ -165,13 +166,6 @@ def _render_weights(dist: StateDistribution) -> str:
     return "(" + ", ".join(f"{v:.2f}" for v in dist.weights) + ")"
 
 
-def _plot_csv(series: GammaSeries, averaged: GammaSeries) -> str:
-    lines = ["time,gamma,moving_average"]
-    for t, v, m in zip(series.times, series.values, averaged.values):
-        lines.append(f"{float(t)!r},{float(v)!r},{float(m)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_model(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     matrix = args.models[args.kind]
     stationary = stationary_distribution(matrix)
@@ -212,7 +206,7 @@ def cmd_simulate(args: argparse.Namespace, artifacts: dict[str, str]) -> None:
     }
     artifacts["series.csv"] = series.to_csv()
     artifacts["moving_average.csv"] = averaged.to_csv()
-    artifacts["plot_data.csv"] = _plot_csv(series, averaged)
+    artifacts["plot_data.csv"] = _series_csv("time,gamma,moving_average", series.times, series.values, averaged.values)
     artifacts["run_metadata.json"] = _dumps(metadata)
     print(
         f"simulated {len(series)} samples on {region.node_count} nodes "

@@ -49,6 +49,13 @@ def checked_times(times) -> np.ndarray:
     return times
 
 
+def _series_csv(header: str, *columns: np.ndarray) -> str:
+    """``header``, then one row per index of the equal-length float ``columns``, each cell its float's repr."""
+    # repr of a python float is the shortest exact round-trip form
+    rows = zip(*(column.tolist() for column in columns))
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 @frozen
 class GammaSeries:
     """Gamma samples over a strictly increasing time schedule.
@@ -76,10 +83,7 @@ class GammaSeries:
         return len(self.values)
 
     def to_csv(self) -> str:
-        # repr of a python float is the shortest exact round-trip form
-        lines = ["time,gamma"]
-        lines += [f"{float(t)!r},{float(v)!r}" for t, v in zip(self.times, self.values)]
-        return "\n".join(lines) + "\n"
+        return _series_csv("time,gamma", self.times, self.values)
 
     @classmethod
     def from_csv(cls, path) -> "GammaSeries":

@@ -39,13 +39,14 @@ import math
 
 import numpy as np
 
-from ._frozen import ACTIVATION, DROPOUT, frozen, numbers, readonly
+from ._frozen import ACTIVATION, DROPOUT, frozen, numbers
 from ._frozen import check_activation, check_delta_t, check_dropout, check_nodes, check_shape
 from ._kernels import (
     INACTIVE,
     WEIGHT_CEIL,
     WEIGHT_FLOOR,
     fill_off_diagonal,
+    pair_ends,
     pair_layout,
     perturb_weights,
     race_latencies,
@@ -217,22 +218,16 @@ class NetworkState:
         return matrix
 
 
-def _pair_ends(values: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` at each pair's row, in pair order n - 1 zeros, then n - 2 ones and so on, and at its column."""
-    return np.repeat(values[:-1], np.arange(len(values) - 1, 0, -1)), values[cols]
-
-
 def _initial_flat(config: RegionConfig, dropout: float, rng: np.random.Generator, cols: np.ndarray):
     """Validated initial draw over ``pair_layout`` columns: node regions, pair means and flat weights."""
     dropout = check_dropout(dropout)
     region_of = config.region_assignment()
-    means = config.mean_latency[_pair_ends(region_of, cols)]
+    means = config.mean_latency[pair_ends(region_of, cols)]
     drop_uniforms = rng.random(len(means))
     pareto_uniforms = rng.random(len(means))
     shape = 0.2 * means
     scale = means - 5.0
-    drawn = scale / pareto_uniforms ** (1.0 / shape)
-    drawn = np.minimum(np.maximum(drawn, WEIGHT_FLOOR), WEIGHT_CEIL)
+    drawn = np.clip(scale / pareto_uniforms ** (1.0 / shape), WEIGHT_FLOOR, WEIGHT_CEIL)
     return region_of, means, np.where(drop_uniforms < dropout, INACTIVE, drawn)
 
 
@@ -289,7 +284,9 @@ def eigenvector_centrality(state: NetworkState) -> np.ndarray:
     the module docstring); the step itself scores its sampled ``active`` draws.
     """
     n = state.node_count
-    return readonly(_power_iteration(fill_off_diagonal(np.eye(n), state.flat < INACTIVE, shared_layout(n)[1])))
+    centrality = _power_iteration(fill_off_diagonal(np.eye(n), state.flat < INACTIVE, shared_layout(n)[1]))
+    centrality.setflags(write=False)
+    return centrality
 
 
 def sample_skew_normal(shape: float, seed=None) -> float:
@@ -317,7 +314,7 @@ def _evolve_flat(flat, means, delta_t, draws, adjacency, layout) -> np.ndarray:
     cols, entries = layout
     fill_off_diagonal(adjacency, active, entries)
     omega = _power_iteration(adjacency)
-    omega_sum = np.add(*_pair_ends(omega, cols))
+    omega_sum = np.add(*pair_ends(omega, cols))
     return perturb_weights(flat, means, omega_sum, u0, u1, float(delta_t), active)
 
 
@@ -348,7 +345,7 @@ def evolve_network(
     if not np.array_equal(config.region_assignment(), prev.region_of):
         raise ValueError("config region layout does not match the network state")
     layout = shared_layout(prev.node_count)
-    means = config.mean_latency[_pair_ends(prev.region_of, layout[0])]
+    means = config.mean_latency[pair_ends(prev.region_of, layout[0])]
     draws = _link_draws(np.random.default_rng(seed), len(means), activation)
     flat = _evolve_flat(prev.flat, means, delta_t, draws, np.eye(prev.node_count), layout)
     return NetworkState(flat, prev.region_of)

@@ -13,6 +13,15 @@ from gammachain.network import NetworkState
 from gammachain.partition import StrategyPartition
 
 
+# sha256 of the seed-3 gamma values over ``np.arange(steps)`` on the default layout scaled to ``nodes``, by
+# ``(nodes, steps)``; the CPU-path test checks the 500- and the 40-step pin under other BLAS and SIMD paths
+SEED3_DIGESTS = {
+    (100, 500): "d260d3269b9e3a9204b2166a10819ef9c7696b84f546c67b9340f7de50ff3db9",
+    (100, 5000): "ed1fb806d230a8a2ee073f56b03b17184c4241adbe09e5dee90f95d33b3dd6f1",
+    (400, 40): "b48429cdc87c75c1406bd8c65e0b5f1f17497e24d2dbfdaf9966c103f9c774be",
+}
+
+
 def make_partition(boundaries):
     return StrategyPartition(boundaries, tuple(f"S{i}" for i in range(len(boundaries) - 1)))
 

@@ -21,7 +21,7 @@ from gammachain.inference import GammaSeries, TransitionCounts
 from gammachain.markov import KernelConfig, TransitionMatrix, model1_transition_matrix
 from gammachain.network import default_region_config, init_network, simulate_gamma_series
 from gammachain.partition import StrategyPartition, default_partition
-from helpers import subprocess_env, write_file
+from helpers import SEED3_DIGESTS, subprocess_env, write_file
 
 FIXTURE_SERIES = "time,gamma\n0.0,0.1\n1.0,0.2\n2.0,0.7\n3.0,0.9\n"
 # the Pareto scale of the initial draw is mean - 5, so a mean of 3 is malformed
@@ -131,6 +131,56 @@ SIMULATE_CONFIG_HASH = "d9902f3b4ba8f403388f31b840ede7e4bec6ed8853ed14e7126b3df8
 def benchmark_shaped_series(rows=3000):
     """Series text laid out like perfbench's analyze input: times "t.0", repr values, all four bins hit."""
     return "time,gamma\n" + "".join(f"{t}.0,{(t * 0.6180339887498949) % 1.0!r}\n" for t in range(rows))
+
+
+# the paths the CPU-path test runs a child on: two older OpenBLAS kernels, and numpy's dispatch capped below AVX-512
+CPU_PATHS = {
+    "openblas-sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy-below-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+# prints as JSON numpy's AVX512_SKX dispatch flag; given arguments, it also runs them as a command and adds
+# that command's stdout and the seed-3 gamma digests at 100 nodes over 500 steps and at 400 nodes over 40
+CPU_PATH_CHILD = """
+import contextlib, hashlib, io, json, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+
+result = {"avx512_skx": __cpu_features__["AVX512_SKX"]}
+if sys.argv[1:]:
+    from gammachain import cli
+    from gammachain.network import default_region_config, simulate_gamma_series
+
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert cli.main(sys.argv[1:]) == 0
+    result["stdout"], result["digests"] = stdout.getvalue(), []
+    for nodes, steps in ((100, 500), (400, 40)):
+        config = default_region_config().scaled_to(nodes)
+        values = simulate_gamma_series(np.arange(steps, dtype=float), seed=3, config=config).values
+        result["digests"].append(hashlib.sha256(values.tobytes()).hexdigest())
+print(json.dumps(result))
+"""
+
+
+def cpu_path_child(setting, *args):
+    """The finished ``CPU_PATH_CHILD`` run on ``args`` with ``setting`` in its environment and OpenBLAS verbose."""
+    env = {**subprocess_env(), "OPENBLAS_VERBOSE": "2", **setting}
+    child = subprocess.run([sys.executable, "-c", CPU_PATH_CHILD, *args], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return child
+
+
+def openblas_core(stderr):
+    """The core OpenBLAS reports at load with OPENBLAS_VERBOSE=2, or None from a build that reports none."""
+    found = re.search(r"^Core: (\S+)$", stderr, re.MULTILINE)
+    return found and found[1]
+
+
+@pytest.fixture(scope="module")
+def default_cpu_path():
+    """``(OpenBLAS core, numpy's AVX512_SKX flag)`` of a child in the test environment as given."""
+    child = cpu_path_child({})
+    return openblas_core(child.stderr), json.loads(child.stdout)["avx512_skx"]
 
 
 def run(tmp_path, *args):
@@ -287,10 +337,14 @@ class TestSimulateCommand:
 
     def test_plot_data_columns(self, tmp_path):
         run(tmp_path, "simulate", "--steps", "3")
-        lines = (tmp_path / "plot_data.csv").read_text().splitlines()
+        names = ("plot_data.csv", "series.csv", "moving_average.csv")
+        lines, series, averaged = ((tmp_path / name).read_text().splitlines() for name in names)
         assert lines[0] == "time,gamma,moving_average"
         assert len(lines) == 4
-        assert all(len(line.split(",")) == 3 for line in lines[1:])
+        # each row is the series row, then the moving average cell at the same time
+        for row, point, mean in zip(lines[1:], series[1:], averaged[1:], strict=True):
+            time, gamma, average = row.split(",")
+            assert (point, mean) == (f"{time},{gamma}", f"{time},{average}")
 
 
 class TestAnalyzeCommand:
@@ -662,6 +716,17 @@ class TestPinnedArtifacts:
         out = tmp_path / "out"
         assert run(out, *command.format(counts=counts_file).split()) == 0
         assert_pinned(command, out, capsys.readouterr().out)
+
+    @pytest.mark.parametrize("setting", CPU_PATHS.values(), ids=CPU_PATHS)
+    def test_gamma_and_artifacts_hold_on_other_cpu_paths(self, tmp_path, default_cpu_path, setting):
+        # STATE_DIGESTS pin this machine's BLAS kernel and SIMD level; gamma and the artifacts must not move with them
+        command, out = "pipeline --nodes 400 --steps 30 --seed 7", tmp_path / "out"
+        child = cpu_path_child(setting, *command.split(), "--out", str(out))
+        result = json.loads(child.stdout)
+        if (openblas_core(child.stderr), result["avx512_skx"]) == default_cpu_path:
+            pytest.skip(f"{setting} changes neither OpenBLAS's core nor numpy's AVX-512 dispatch: {default_cpu_path}")
+        assert result["digests"] == [SEED3_DIGESTS[100, 500], SEED3_DIGESTS[400, 40]], setting
+        assert_pinned(command, out, result["stdout"])
 
 
 class TestArgumentHandling:

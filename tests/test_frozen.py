@@ -168,7 +168,8 @@ def test_integer_fields_refuse_what_is_not_a_whole_number(field, entry):
 @pytest.mark.parametrize("field", INTEGER_FIELDS)
 def test_integer_fields_take_whole_floats_and_refuse_past_int64(field):
     assert INTEGER_FIELDS[field](1.0) == INTEGER_FIELDS[field](np.int32(1)) == INTEGER_FIELDS[field](Fraction(2, 2))
-    for entry in (2**63, Fraction(10**400)):
+    # a longdouble past the float range is whole, not an overflowed float
+    for entry in (2**63, Fraction(10**400), np.longdouble("1e4000")):
         with pytest.raises(ValueError, match=f"^{field} must fit in a signed 64-bit integer$"):
             INTEGER_FIELDS[field](entry)
 
