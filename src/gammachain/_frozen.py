@@ -26,14 +26,14 @@ def is_real(value) -> bool:
 
 def rule(accept, message: str, whole: bool = False):
     """A scalar rule: its value as a float, or as the int given if ``whole``; ValueError(``message``) unless
-    ``accept`` takes it. A float rule passes ``accept`` NaN, which fails every range, for what is no real
-    number that fits in a float; a ``whole`` rule never goes through a float."""
+    ``accept`` takes it. A float rule passes ``accept`` NaN, which fails every range, for what ``_cell``
+    refuses as a float cell; a ``whole`` rule never goes through a float."""
 
     def check(value):
         if not whole:
             try:
-                value = float(value) if is_real(value) else math.nan
-            except OverflowError:
+                value = _cell(value, "value", whole=False)
+            except ValueError:
                 value = math.nan
         if not accept(value):
             raise ValueError(message)
@@ -55,14 +55,13 @@ check_nodes = rule(lambda n: n >= 2, "need at least two nodes to race propagatio
 
 def _cell(cell, field: str, whole: bool):
     """``cell`` as a Python int if ``whole``, else a float; ValueError unless it keeps the rule above."""
-    # wholeness is tested exactly, not through a float that a huge value overflows; NaN fails the bound
+    # fit and wholeness are tested by value, not through a float a huge cell overflows; NaN and inf pass on
     if not is_real(cell) or whole and not (abs(cell) < math.inf and int(cell) == cell):
         raise ValueError(f"{field} must be {'whole numbers' if whole else 'numbers, not strings or bools'}")
     if not whole:
-        try:
-            return float(cell)
-        except OverflowError:
-            raise ValueError(f"{field} must fit in a 64-bit float") from None
+        if sys.float_info.max < abs(cell) < math.inf:
+            raise ValueError(f"{field} must fit in a 64-bit float")
+        return float(cell)
     if not -(2**63) <= int(cell) < 2**63:
         raise ValueError(f"{field} must fit in a signed 64-bit integer")
     return int(cell)
@@ -85,7 +84,8 @@ def numbers(values, field: str, dtype=float):
     import numpy as np
 
     whole = np.dtype(dtype).kind == "i"
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in ("i" if whole else "fiu")):
+    # an array of up to 8-byte numbers fits; a long double may not, so it is checked cell by cell
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in ("i" if whole else "fiu") and values.itemsize <= 8):
         for cell in np.asarray(values, dtype=object).flat:
             _cell(cell, field, whole)
     out = np.array(values, dtype=dtype)

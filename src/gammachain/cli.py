@@ -97,7 +97,7 @@ def _read(path, parse, text=True):
     """``parse`` an input file's text (its path if not ``text``); a wrong shape raises ValueError."""
     try:
         return parse(Path(path).read_text(encoding="utf-8") if text else path)
-    except (KeyError, TypeError, OverflowError, RecursionError, ValueError) as exc:
+    except (KeyError, TypeError, RecursionError, ValueError) as exc:
         raise ValueError(f"malformed input file {path}: {type(exc).__name__}: {exc}") from exc
 
 

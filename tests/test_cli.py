@@ -37,6 +37,8 @@ TWELVE_NODE_REGION = '{"region_names": ["a", "b"], "node_counts": [5, 7], "mean_
 ONE_NODE_REGION = '{"region_names": ["a"], "node_counts": [1], "mean_latency": [[10]]}'
 # deeper than the JSON decoder's recursion limit
 DEEP_JSON = "[" * 100000 + "]" * 100000
+# an integer of 401 digits, past both the float and the int64 range
+HUGE = "1" + "0" * 400
 
 # sha256 of every artifact of each pinned run, and of its stdout without the
 # "wrote" lines. run_metadata.json is hashed with "versions" removed, so that a
@@ -1043,3 +1045,36 @@ class TestArgumentHandling:
             assert err.endswith(f"{path}: ValueError: node_counts length must match region_names\n")
         if text == RAGGED_MEAN_REGION:
             assert err.endswith(f"{path}: ValueError: mean_latency must be square over the regions\n")
+
+    # a 401-digit number in each input file, and as --nodes: each refused by its field's rule, no traceback
+    @pytest.mark.parametrize(
+        "args, text, message",
+        [
+            (
+                "compare --partition",
+                f'[{{"lower": 0, "upper": {HUGE}, "label": "ALL"}}]',
+                "ValueError: partition bounds must fit in a 64-bit float",
+            ),
+            (
+                "simulate --steps 3 --region-config",
+                f'{{"region_names": ["a", "b"], "node_counts": [1, 1], "mean_latency": [[10, {HUGE}], [{HUGE}, 12]]}}',
+                "ValueError: mean latencies must fit in a 64-bit float",
+            ),
+            (
+                "compare --counts",
+                "0,0,0,0\n" * 3 + f"0,0,0,{HUGE}\n",
+                "ValueError: counts must fit in a signed 64-bit integer",
+            ),
+            # numpy's reader takes the number as inf
+            ("analyze --series", f"time,gamma\n0,0.5\n1,{HUGE}\n", "ValueError: gamma values must lie in [0, 1]"),
+            ("simulate --steps 3 --nodes", None, "node counts must fit in a signed 64-bit integer"),
+        ],
+        ids=["partition", "region-config", "counts", "series", "nodes"],
+    )
+    def test_number_past_every_range_exits_one(self, tmp_path, capsys, args, text, message):
+        out = tmp_path / "out"
+        value = HUGE if text is None else str(write_file(tmp_path, text))
+        assert run(out, *args.split(), value) == 1
+        source = "" if text is None else f"malformed input file {value}: "
+        assert capsys.readouterr().err == f"error: {source}{message}\n"
+        assert not out.exists()

@@ -196,11 +196,37 @@ def test_float_fields_refuse_what_is_not_a_number(case, entry):
         build(entry)
 
 
+# finite real numbers past the float range: float() of 10**400 raises, of the long double gives inf,
+# and of the int less than half an ulp above the largest float rounds down to it
+PAST_THE_FLOAT_RANGE = (10**400, Fraction(10**400), np.longdouble("1e4000"), 2**1024 - 2**971 + 1)
+
+
 @pytest.mark.parametrize("case", FLOAT_FIELDS)
-def test_float_fields_refuse_an_int_past_the_float_range(case):
+def test_float_fields_refuse_a_number_past_the_float_range(case):
     field, build = FLOAT_FIELDS[case]
+    for entry in PAST_THE_FLOAT_RANGE:
+        with pytest.raises(ValueError, match=f"^{field} must fit in a 64-bit float$"):
+            build(entry)
+
+
+# the float fields numpy copies, each built from one array of three increasing numbers in [0, 1]:
+# the name its message gives, and the builder; a weight must be at least 1
+LONG_DOUBLE_FIELDS = {
+    "pair weights": ("pair weights", lambda row: NetworkState(row + 1, [0, 1, 2])),
+    "times": ("times", lambda row: GammaSeries(row, [0.1, 0.2, 0.3])),
+    "gamma values": ("gamma values", lambda row: GammaSeries([0.0, 1.0, 2.0], row)),
+    "index_of": ("gamma values", lambda row: tuple(default_partition().index_of(row))),
+}
+
+
+@pytest.mark.parametrize("case", LONG_DOUBLE_FIELDS)
+def test_array_fields_check_a_long_double_array_cell_by_cell(case):
+    field, build = LONG_DOUBLE_FIELDS[case]
+    row = np.array(["0.25", "0.5", "0.75"], dtype=np.longdouble)
+    assert build(row) == build(row.astype(float))
+    row[1] = np.longdouble("1e4000")
     with pytest.raises(ValueError, match=f"^{field} must fit in a 64-bit float$"):
-        build(10**400)
+        build(row)
 
 
 SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)

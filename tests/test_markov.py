@@ -86,8 +86,8 @@ class TestKernel:
         with pytest.raises(ValueError):
             KernelConfig(-0.25)
         # a bool is not a length, though True compares as 1, and neither is text, None, a complex
-        # or an int past the float range
-        for bad in (True, np.True_, "0.5", None, 1j, 10**400):
+        # or a number past the float range
+        for bad in (True, np.True_, "0.5", None, 1j, 10**400, np.longdouble("1e4000")):
             with pytest.raises(ValueError, match="^length_scale must be positive and finite$"):
                 KernelConfig(bad)
 

@@ -359,8 +359,8 @@ class TestSampleSkewNormal:
     # the kernel squares the shape: past about 1.3e154 the square overflows, and the draw would be no skew normal
     @pytest.mark.parametrize(
         "shape",
-        ["3", True, None, 3j, 10**400, np.inf, -np.inf, np.nan, 1e308],
-        ids=["3", "True", "None", "3j", "10**400", "inf", "-inf", "nan", "1e308"],
+        ["3", True, None, 3j, 10**400, np.longdouble("1e4000"), np.inf, -np.inf, np.nan, 1e308],
+        ids=["3", "True", "None", "3j", "10**400", "longdouble-1e4000", "inf", "-inf", "nan", "1e308"],
     )
     def test_rejects_a_shape_that_is_no_real_number(self, shape):
         with pytest.raises(ValueError, match="^shape must be a real number whose square is finite$"):
@@ -405,7 +405,7 @@ class TestEvolveNetwork:
 
     def test_rejects_non_positive_delta_t(self):
         prev = init_network(seed=0)
-        for bad in (0.0, -1.0, np.inf, np.nan, True, np.True_, "1", None, 1j, 10**400):
+        for bad in (0.0, -1.0, np.inf, np.nan, True, np.True_, "1", None, 1j, 10**400, np.longdouble("1e4000")):
             with pytest.raises(ValueError, match=r"^delta_t must be positive and finite$"):
                 evolve_network(prev, bad, seed=0)
 

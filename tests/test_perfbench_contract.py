@@ -54,6 +54,27 @@ def test_network_calls_take_the_harness_arguments():
     assert latencies.shape == (12,) and latencies[pair[0]] == 0.0
 
 
+def test_analytic_calls_take_the_harness_arguments():
+    # the harness's analytic-layer import and the calls it times, with its arguments; quadrature needs scipy
+    from gammachain import (
+        default_partition,
+        load_reference_counts,
+        model1_transition_matrix,
+        model2_transition_matrix,
+        relative_likelihood,
+        stationary_distribution,
+    )
+
+    partition = default_partition()
+    counts = load_reference_counts(partition)
+    model = model1_transition_matrix(partition)
+    quadrature = model2_transition_matrix(partition, method="quadrature")
+    for matrix in (model, model2_transition_matrix(partition), quadrature):
+        assert matrix.labels == partition.labels
+    assert stationary_distribution(model).labels == partition.labels
+    assert relative_likelihood(model, counts) >= 0.0
+
+
 def test_cli_runs_reach_every_wrapped_span(tmp_path, monkeypatch):
     calls = {}
 
