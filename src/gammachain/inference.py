@@ -102,6 +102,19 @@ class GammaSeries:
         rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip, encoding="utf-8")
         if rows.shape[1] != 2:
             raise ValueError("series CSV rows must hold two fields, time and gamma")
+        nonfinite = ~np.isfinite(rows)
+        if nonfinite.any():
+            # a number past the float range reads as inf: the constructor gets it exact, for the number rule,
+            # clamped to 1e400 in size so that a huge exponent costs no time
+            from decimal import Decimal
+            from fractions import Fraction
+
+            with open(path, encoding="utf-8") as fh:
+                texts = [line.split(",") for line in fh if line.strip()][1:]
+            rows = rows.astype(object)
+            for row, col in zip(*np.nonzero(nonfinite)):
+                if (exact := Decimal(texts[row][col])).is_finite():
+                    rows[row, col] = Fraction(min(exact.copy_abs(), Decimal("1e400")).copy_sign(exact))
         return cls(rows[:, 0], rows[:, 1])
 
 

@@ -4,7 +4,7 @@ Two constructions produce row-stochastic transition matrices on the partition
 states. The midpoint model weights each target interval by its length damped
 by the distance between interval midpoints. The kernel model integrates a
 squared-exponential similarity kernel over source and target intervals and
-normalizes by the integral over the whole unit interval. A linear solver
+normalizes by the integral over the whole unit interval. GTH elimination
 recovers the stationary distribution of any chain with exactly one closed
 class, the one case in which it is unique; states outside that class, the
 transient ones, get weight 0. Matrices and distributions hold Python floats
@@ -245,56 +245,49 @@ def is_irreducible(matrix: TransitionMatrix) -> bool:
     return all(len(states) == matrix.size for states in _reach(matrix))
 
 
-def _solve(system: list[list[float]], rhs: list[float]) -> list[float]:
-    """x with system x = rhs, by Gaussian elimination with partial pivoting; ValueError if singular."""
-    n = len(rhs)
-    rows = [[*row, b] for row, b in zip(system, rhs)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        if top[col] == 0.0:
-            raise ValueError("stationary solve met a singular system")
-        for row in rows[col + 1 :]:
-            factor = row[col] / top[col]
-            for c in range(col, n + 1):
-                row[c] -= factor * top[c]
-    x = [0.0] * n
-    for r in reversed(range(n)):
-        x[r] = (rows[r][n] - reduce(add, (rows[r][c] * x[c] for c in range(r + 1, n)), 0.0)) / rows[r][r]
-    return x
+def _gth(chain: list[list[float]]) -> list[float]:
+    """Stationary weights, summing to 1, of an irreducible stochastic matrix by GTH elimination.
+
+    States are censored out from the last: each pivot is a state's exit mass to the states before
+    it, so no step subtracts, and each weight is off by a few roundings per state (O'Cinneide 1993).
+    Back-substitution keeps every weight at most 1 by exact powers of two; a weight past the float
+    range, as from a pivot of 0, outweighs all before it, and the weights restart there.
+    """
+    a, pivots = [list(row) for row in chain], [1.0] * len(chain)
+    for k in reversed(range(1, len(a))):
+        pivots[k] = pivot = pairwise_sum(a[k][:k])
+        exits = [p / pivot for p in a[k][:k]] if pivot else [0.0] * k
+        for row in a[:k]:
+            row[:k] = [v + row[k] * e for v, e in zip(row, exits)]
+    weights = [1.0]
+    for k in range(1, len(a)):
+        weight = pairwise_sum([w * row[k] for w, row in zip(weights, a)]) / pivots[k] if pivots[k] else math.inf
+        shift = max(0, math.frexp(weight)[1])
+        weights = [math.ldexp(w, -shift) for w in weights + [weight]] if weight < math.inf else [0.0] * k + [1.0]
+    total = pairwise_sum(weights)
+    return [w / total for w in weights]
 
 
 def stationary_distribution(matrix: TransitionMatrix) -> StateDistribution:
     """Solve pi = pi P with sum(pi) = 1 on the chain's one closed class; transient states get 0.
 
-    The closed class is the states that every state reaches (all of them
-    in an irreducible chain); with none, the chain has two or more closed
-    classes and no unique solution. The class's submatrix is stochastic and
-    irreducible, so eigenvalue 1 is simple (Perron-Frobenius), and the
-    balance system with one equation replaced by sum(pi) = 1 is nonsingular.
+    The closed class is the states that every state reaches, all of them in an irreducible chain;
+    with none, the chain has two or more closed classes and no unique solution. On the class the
+    chain is irreducible, and ``_gth`` solves it from the off-diagonal entries without a subtraction.
 
     Raises
     ------
     ValueError
-        If the chain has more than one closed class, the balance system is
-        singular in floating point, or the solution fails the residual bound
-        1e-10 against the full matrix.
+        If the chain has more than one closed class, or the solution fails
+        the residual bound 1e-10 against the full matrix.
     """
     entries = matrix.entries
     closed = sorted(set(range(matrix.size)).intersection(*_reach(matrix)))
     if not closed:
         raise ValueError("stationary distribution is not unique: the chain has more than one closed class")
-    # the balance equations of the class, transposed, the last replaced by sum(pi) = 1
-    system = [[entries[j][i] - float(i == j) for j in closed] for i in closed[:-1]] + [[1.0] * len(closed)]
-    solved = _solve(system, [0.0] * (len(closed) - 1) + [1.0])
-    total = pairwise_sum(solved)
-    pi = [0.0] * matrix.size
-    for state, weight in zip(closed, solved):
-        pi[state] = weight / total
-    residual = max(
-        abs(pairwise_sum([p * row[j] for p, row in zip(pi, entries)]) - pi[j]) for j in range(matrix.size)
-    )
+    weights = dict(zip(closed, _gth([[entries[i][j] for j in closed] for i in closed])))
+    pi = [weights.get(state, 0.0) for state in range(matrix.size)]
+    residual = max(abs(pairwise_sum([p * row[j] for p, row in zip(pi, entries)]) - q) for j, q in enumerate(pi))
     if residual >= _STATIONARY_RESIDUAL_TOL:
         raise ValueError(f"stationary solve residual {residual:.3e} exceeds 1e-10")
     return StateDistribution(pi, matrix.labels)

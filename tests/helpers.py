@@ -2,6 +2,7 @@
 and the child-interpreter environment shared across test modules."""
 
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,40 @@ def grid_partitions(max_cuts=5):
         .map(lambda cuts: [0.0] + sorted(c / 1000 for c in cuts) + [1.0])
         .map(make_partition)
     )
+
+
+def exact_stationary(matrix):
+    """The stationary distribution, in ``Fraction``s, of the chain that ``matrix``'s off-diagonal entries give.
+
+    Each diagonal entry is taken as 1 minus the rest of its row, exactly, so the balance equations
+    are exactly dependent and the solution does not hang on which one gives way to sum(pi) = 1.
+    They are solved by Gauss-Jordan elimination on the closed class, the states that every state
+    reaches (found by Warshall's closure of the positive entries); the other states get 0.
+    """
+    entries = [[Fraction(p) for p in row] for row in matrix.entries]
+    k = len(entries)
+    reach = [{j for j, p in enumerate(row) if p > 0} | {i} for i, row in enumerate(entries)]
+    for via in range(k):
+        for states in reach:
+            if via in states:
+                states |= reach[via]
+    closed = [j for j in range(k) if all(j in states for states in reach)]
+    # column j of the balance system: inflow to j minus outflow of j; the last row is sum(pi) = 1
+    rows = [
+        [entries[i][j] if i != j else -sum(entries[j][m] for m in closed if m != j) for i in closed] + [Fraction(0)]
+        for j in closed[:-1]
+    ] + [[Fraction(1)] * (len(closed) + 1)]
+    for col in range(len(closed)):
+        top = next(r for r in range(col, len(rows)) if rows[r][col] != 0)
+        rows[col], rows[top] = rows[top], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col] != 0:
+                rows[r] = [v - row[col] * w for v, w in zip(row, rows[col])]
+    pi = [Fraction(0)] * k
+    for state, row in zip(closed, rows):
+        pi[state] = row[-1]
+    return pi
 
 
 def dijkstra_numpy(weights, source):

@@ -458,6 +458,24 @@ class TestAnalyzeCommand:
         assert caught == []
         assert capsys.readouterr().err == ""
 
+    # numpy's reader takes a number past the float range as inf; the file's exact value meets the number rule
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (f"-{HUGE},0.5\n\n1,0.25\n", "times must fit in a 64-bit float"),
+            (f"0,0.5\n\n1,{HUGE}\n", "gamma values must fit in a 64-bit float"),
+            ("0,0.5\n\n1,1e99999999999\n", "gamma values must fit in a 64-bit float"),
+            ("0,0.5\n\ninf,0.25\n", "times must be finite"),
+        ],
+        ids=["huge-time", "huge-gamma", "huge-exponent", "inf-time"],
+    )
+    def test_series_number_past_the_float_range_names_its_rule(self, tmp_path, capsys, rows, message):
+        series_file = write_file(tmp_path, "time,gamma\n" + rows)
+        out = tmp_path / "out"
+        assert run(out, "analyze", "--series", str(series_file)) == 1
+        assert capsys.readouterr().err == f"error: malformed input file {series_file}: ValueError: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["benchmark-shaped", "simulated"])
     def test_artifacts_match_pinned_digests(self, tmp_path, capsys, source):
         if source == "simulated":
@@ -1065,8 +1083,7 @@ class TestArgumentHandling:
                 "0,0,0,0\n" * 3 + f"0,0,0,{HUGE}\n",
                 "ValueError: counts must fit in a signed 64-bit integer",
             ),
-            # numpy's reader takes the number as inf
-            ("analyze --series", f"time,gamma\n0,0.5\n1,{HUGE}\n", "ValueError: gamma values must lie in [0, 1]"),
+            ("analyze --series", f"time,gamma\n0,0.5\n1,{HUGE}\n", "ValueError: gamma values must fit in a 64-bit float"),
             ("simulate --steps 3 --nodes", None, "node counts must fit in a signed 64-bit integer"),
         ],
         ids=["partition", "region-config", "counts", "series", "nodes"],

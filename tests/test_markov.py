@@ -1,4 +1,4 @@
-"""Analytical transition models, kernel integrals, and the stationary solver."""
+"""Analytical transition models, kernel integrals, and the stationary solve."""
 
 import math
 import sys
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
-from gammachain import markov
 from gammachain.inference import empirical_transition_matrix, load_reference_counts
 from gammachain.markov import (
     KernelConfig,
@@ -25,7 +24,7 @@ from gammachain.markov import (
 )
 from gammachain.partition import StrategyPartition, default_partition
 
-from helpers import make_partition, grid_partitions
+from helpers import exact_stationary, make_partition, grid_partitions
 
 
 class TestModel1:
@@ -260,17 +259,25 @@ class TestStationaryDistribution:
             assert np.abs(pi @ matrix.entries - pi).max() < 1e-10
             assert abs(pi.sum() - 1.0) < 1e-12
 
-    def test_rejects_a_solution_off_balance(self, monkeypatch):
-        # a solver that misses the balance equations: pi P = (0.83, 0.17) for pi = (0.9, 0.1)
-        monkeypatch.setattr(markov, "_solve", lambda system, rhs: [0.9, 0.1])
-        m = TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]), ("A", "B"))
-        with pytest.raises(ValueError, match=r"^stationary solve residual 7\.000e-02 exceeds 1e-10$"):
+    def test_rejects_a_solution_off_balance(self):
+        # a row that sums to 1 only within the 1e-9 rule leaves the weights 3.375e-10 off the balance equations
+        m = TransitionMatrix([[0.5, 0.5 + 9e-10], [0.3, 0.7]], ("A", "B"))
+        with pytest.raises(ValueError, match=r"^stationary solve residual 3\.375e-10 exceeds 1e-10$"):
             stationary_distribution(m)
 
-    def test_solver_pivots_past_a_zero_diagonal_and_refuses_a_singular_system(self):
-        assert markov._solve([[0.0, 1.0], [1.0, 1.0]], [1.0, 3.0]) == [2.0, 1.0]
-        with pytest.raises(ValueError, match="^stationary solve met a singular system$"):
-            markov._solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [
+            # the pivot of state 1 underflows to 0: state 1 outweighs state 0, and state 2 keeps its 1e-200
+            ([[0.0, 1.0, 0.0], [0.0, 1.0, 1e-200], [1e-200, 1.0, 0.0]], (0.0, 1.0, 1e-200)),
+            # weights 1e-600 : 1e-300 : 1, whose ratios to state 0 overflow a float
+            ([[0.0, 1.0, 0.0], [1e-300, 0.0, 1.0 - 1e-300], [0.0, 1e-300, 1.0 - 1e-300]], (0.0, 1e-300, 1.0)),
+        ],
+    )
+    def test_extreme_weight_ratios_give_the_rounded_exact_weights(self, entries, expected):
+        weights = stationary_distribution(TransitionMatrix(entries, ("A", "B", "C"))).weights
+        assert weights == expected
+        assert not any(math.copysign(1.0, w) < 0 for w in weights)
 
     @settings(max_examples=60)
     @given(
@@ -302,26 +309,8 @@ class TestPairwiseSum:
             assert [pairwise_sum(row) for row in matrix.tolist()] == np.sum(matrix, axis=1).tolist(), k
 
 
-def _numpy_stationary(matrix):
-    """The stationary distribution by ``np.linalg.solve`` on the closed class, found by boolean squaring."""
-    entries = np.array(matrix.entries)
-    k = len(entries)
-    reach = (entries > 0) | np.eye(k, dtype=bool)
-    for _ in range(k):
-        reach = reach | (reach @ reach)
-    closed = reach.all(axis=0)
-    system = entries[np.ix_(closed, closed)].T - np.eye(int(closed.sum()))
-    system[-1, :] = 1.0
-    rhs = np.zeros(len(system))
-    rhs[-1] = 1.0
-    solved = np.linalg.solve(system, rhs)
-    pi = np.zeros(k)
-    pi[closed] = solved / solved.sum()
-    return pi
-
-
-def test_stationary_solve_agrees_with_numpy_in_every_written_digit():
-    # model1 and 40 length scales of model2 on six partitions, plus the bundled empirical chain: 247 chains
+def test_stationary_weights_match_the_exact_solve_in_every_written_digit():
+    # model1 and 40 length scales of model2 on seven partitions, plus the bundled empirical chain: 288 chains
     partitions = [default_partition()] + [
         make_partition(bounds)
         for bounds in (
@@ -330,16 +319,18 @@ def test_stationary_solve_agrees_with_numpy_in_every_written_digit():
             (0.0, 0.1, 0.9, 1.0),
             (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
             tuple(np.linspace(0.0, 1.0, 9).tolist()),
+            (0.0, 0.001, 0.002, 0.5, 0.999, 1.0),
         )
     ]
     chains = [empirical_transition_matrix(load_reference_counts())]
     for part in partitions:
         chains.append(model1_transition_matrix(part))
         chains += [model2_transition_matrix(part, KernelConfig(float(l))) for l in np.geomspace(1e-3, 1e3, 40)]
-    assert len(chains) == 247
+    assert len(chains) == 288
     for chain in chains:
-        written = [f"{v:.12g}" for v in stationary_distribution(chain).weights]
-        assert written == [f"{v:.12g}" for v in _numpy_stationary(chain)], chain
+        weights = stationary_distribution(chain).weights
+        assert [f"{v:.12g}" for v in weights] == [f"{float(v):.12g}" for v in exact_stationary(chain)], chain
+        assert all(math.copysign(1.0, v) > 0 for v in weights), chain
 
 
 class TestValueValidation:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammachain import network
@@ -779,6 +779,39 @@ class TestSimulateGammaSeries:
         series, evolved = simulate_recording(monkeypatch, schedule, rng_a, config, dropout, activation)
 
         rng_b = np.random.default_rng(seed)
+        values, flats = reference(schedule, rng_b, config, dropout, activation)
+        assert evolved == [flat.tobytes() for flat in flats]
+        assert series.values.tobytes() == values.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.data(),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([0.0, 0.5, 0.99, None]),
+        st.sampled_from([0.0, 1.0, None]),
+        st.sampled_from([1e-9, 1.0, 50.0, 1e6]),
+        st.integers(min_value=1, max_value=29),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_loop_matches_the_written_out_reference_on_small_layouts(
+        self, data, regions, dropout, activation, scale, samples, seed
+    ):
+        # the two-point test's checks on random layouts: empty regions, all links down or up, tiny and huge steps
+        counts = data.draw(
+            st.lists(st.integers(0, 12), min_size=regions, max_size=regions).filter(lambda c: 2 <= sum(c) <= 12)
+        )
+        latency, upper = np.zeros((regions, regions)), np.triu_indices(regions)
+        latency[upper] = data.draw(st.lists(st.floats(5.5, 500.0), min_size=len(upper[0]), max_size=len(upper[0])))
+        config = RegionConfig(tuple(f"r{i}" for i in range(regions)), counts, np.maximum(latency, latency.T))
+        if dropout is None:
+            dropout = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        if activation is None:
+            activation = data.draw(st.floats(0.0, 1.0))
+        schedule = np.cumsum(np.random.default_rng(seed).uniform(0.1, 2.0, samples)) * scale
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            series, evolved = simulate_recording(patch, schedule, rng_a, config, dropout, activation)
         values, flats = reference(schedule, rng_b, config, dropout, activation)
         assert evolved == [flat.tobytes() for flat in flats]
         assert series.values.tobytes() == values.tobytes()
