@@ -22,7 +22,7 @@ from importlib import resources
 from typing import TYPE_CHECKING
 
 from ._frozen import cells, frozen, numbers
-from .markov import StateDistribution, TransitionMatrix, pairwise_sum
+from .markov import StateDistribution, TransitionMatrix, _sig12
 from .partition import DEFAULT_BOUNDARIES, StrategyPartition, _check_gammas, default_partition
 
 if TYPE_CHECKING:
@@ -173,7 +173,8 @@ class TransitionCounts:
 
 
 def _finite_or_none(value: float) -> float | None:
-    return value if math.isfinite(value) else None
+    # 12 significant digits, as markov writes, so the last bit of libm's log or erf moves no byte
+    return _sig12(value) if math.isfinite(value) else None
 
 
 @frozen
@@ -189,7 +190,7 @@ class LikelihoodReport:
             raise ValueError("relative likelihood must be non-negative")
 
     def to_json_obj(self) -> dict:
-        """Strict-JSON form: a non-finite figure becomes null with a note."""
+        """Strict-JSON form at 12 significant digits: a non-finite figure becomes null with a note."""
         obj = {
             "model_name": self.model_name,
             "relative_likelihood": _finite_or_none(self.relative_likelihood),
@@ -231,7 +232,7 @@ def empirical_transition_matrix(counts: TransitionCounts) -> TransitionMatrix:
     """
     k = len(counts.labels)
     rows = [[float(c) for c in row] for row in counts.counts]
-    totals = map(pairwise_sum, rows)
+    totals = map(math.fsum, rows)
     normalized = [[c / total for c in row] if total > 0 else [1.0 / k] * k for row, total in zip(rows, totals)]
     return TransitionMatrix(normalized, counts.labels)
 
@@ -271,7 +272,7 @@ def log_likelihood(model: TransitionMatrix, counts: TransitionCounts) -> float:
     observed = [(c, p) for crow, prow in zip(counts.counts, model.entries) for c, p in zip(crow, prow) if c > 0]
     if any(p <= 0.0 for _, p in observed):
         return float("-inf")
-    return pairwise_sum([float(c) * math.log(p) for c, p in observed])
+    return math.fsum(float(c) * math.log(p) for c, p in observed)
 
 
 def _gap_to_best(model_log_likelihood: float, counts: TransitionCounts) -> float:

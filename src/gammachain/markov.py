@@ -14,8 +14,6 @@ in tuples, and the module imports no numpy.
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 
 from ._frozen import cells, check_length_scale, frozen
 from .partition import StrategyPartition
@@ -24,32 +22,12 @@ _ROW_SUM_TOL = 1e-9
 _STATIONARY_RESIDUAL_TOL = 1e-10
 
 
-def pairwise_sum(values) -> float:
-    """Sum of a sequence of floats in numpy's pairwise order, so that it equals ``np.sum`` bit for bit.
-
-    Below 8 values, a plain loop from 0.0; up to 128, eight running sums of
-    every eighth value, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
-    the tail; past that, the sum of two halves summed the same way, the first
-    cut to a multiple of 8.
-    """
-    # reduce(add), not sum(): from Python 3.12 sum() compensates float rounding, which numpy does not
-    n = len(values)
-    if n < 8:
-        return reduce(add, values, 0.0)
-    if n <= 128:
-        tail = n - n % 8
-        r = [reduce(add, values[j:tail:8]) for j in range(8)]
-        return reduce(add, values[tail:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-    half = n // 2 - n // 2 % 8
-    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
-
-
 def _check_probabilities(rows) -> None:
     """The probability rule, for rows of probabilities: entries in [0, 1] up to a 1e-12
     rounding slack (NaN rejected), and each row summing to 1 within 1e-9."""
     if not all(-1e-12 <= p <= 1.0 + 1e-12 for row in rows for p in row):
         raise ValueError("probabilities must lie in [0, 1]")
-    if any(abs(pairwise_sum(row) - 1.0) > _ROW_SUM_TOL for row in rows):
+    if any(abs(math.fsum(row) - 1.0) > _ROW_SUM_TOL for row in rows):
         raise ValueError("probabilities must sum to 1 within 1e-9 in every row")
 
 
@@ -138,7 +116,7 @@ def model1_transition_matrix(partition: StrategyPartition) -> TransitionMatrix:
     """
     mids, lens = partition.midpoints(), partition.lengths()
     weights = [[length * (1.0 - abs(mid - source)) for mid, length in zip(mids, lens)] for source in mids]
-    entries = [[w / total for w in row] for row, total in zip(weights, map(pairwise_sum, weights))]
+    entries = [[w / total for w in row] for row, total in zip(weights, map(math.fsum, weights))]
     return TransitionMatrix(entries, partition.labels)
 
 
@@ -255,16 +233,16 @@ def _gth(chain: list[list[float]]) -> list[float]:
     """
     a, pivots = [list(row) for row in chain], [1.0] * len(chain)
     for k in reversed(range(1, len(a))):
-        pivots[k] = pivot = pairwise_sum(a[k][:k])
+        pivots[k] = pivot = math.fsum(a[k][:k])
         exits = [p / pivot for p in a[k][:k]] if pivot else [0.0] * k
         for row in a[:k]:
             row[:k] = [v + row[k] * e for v, e in zip(row, exits)]
     weights = [1.0]
     for k in range(1, len(a)):
-        weight = pairwise_sum([w * row[k] for w, row in zip(weights, a)]) / pivots[k] if pivots[k] else math.inf
+        weight = math.fsum(w * row[k] for w, row in zip(weights, a)) / pivots[k] if pivots[k] else math.inf
         shift = max(0, math.frexp(weight)[1])
         weights = [math.ldexp(w, -shift) for w in weights + [weight]] if weight < math.inf else [0.0] * k + [1.0]
-    total = pairwise_sum(weights)
+    total = math.fsum(weights)
     return [w / total for w in weights]
 
 
@@ -287,7 +265,7 @@ def stationary_distribution(matrix: TransitionMatrix) -> StateDistribution:
         raise ValueError("stationary distribution is not unique: the chain has more than one closed class")
     weights = dict(zip(closed, _gth([[entries[i][j] for j in closed] for i in closed])))
     pi = [weights.get(state, 0.0) for state in range(matrix.size)]
-    residual = max(abs(pairwise_sum([p * row[j] for p, row in zip(pi, entries)]) - q) for j, q in enumerate(pi))
+    residual = max(abs(math.fsum(p * row[j] for p, row in zip(pi, entries)) - q) for j, q in enumerate(pi))
     if residual >= _STATIONARY_RESIDUAL_TOL:
         raise ValueError(f"stationary solve residual {residual:.3e} exceeds 1e-10")
     return StateDistribution(pi, matrix.labels)

@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import json
+import math
 import platform
 import re
 import shlex
@@ -10,14 +11,15 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gammachain
-from gammachain import cli
+from gammachain import cli, inference, markov
 from gammachain._frozen import check_nodes
-from gammachain.inference import GammaSeries, TransitionCounts
+from gammachain.inference import GammaSeries, TransitionCounts, empirical_transition_matrix, log_likelihood
 from gammachain.markov import KernelConfig, TransitionMatrix, model1_transition_matrix
 from gammachain.network import default_region_config, init_network, simulate_gamma_series
 from gammachain.partition import StrategyPartition, default_partition
@@ -84,15 +86,15 @@ CLI_DIGESTS = {
         "stdout": "d9100cdc09cdeb5e5b142a026ad0e8f1f6efaafb551a468ad3680c0854588c58",
     },
     "compare": {
-        "comparison.json": "7e6cf10f06d9870d252d38eff19e2df77c9c47fd282bea01e2028e6d676b4d23",
+        "comparison.json": "15fe4e46b520b96d09bc88c480745425ddf02de3df99a38448f82c5ea028bd6c",
         "stdout": "dbc2440d665e246817d19708fbe00bbc42cad41812b36634ab9f8da7511cefaf",
     },
     "compare --counts {counts}": {
-        "comparison.json": "9027a41c3523ca97d4fb0ddf5397dd6ccd6184a6594cbbcf1a6c21eadbd0c066",
+        "comparison.json": "e161d9b26602265d751ec43adc4b6c2b38792f39338a7f8b27892ed68dbcbd1e",
         "stdout": "26b3a4d038ac0adc42a3e5c6d117b3f4c6dd851e0a5f0cc8af9919772b30a409",
     },
     "pipeline --steps 300 --seed 7": {
-        "comparison.json": "ca98958fbf05dfd67615b26d721d2ec442a82468405dac16837cc33a668fa650",
+        "comparison.json": "632c572a4f66874b2841efbf4684e05c097291b98a76c36ffa89af282545dd75",
         "empirical_matrix.csv": "ebe615476d909e4512b22cf80ccabcc3b5deca07c92518f3444009fd55d34750",
         "empirical_matrix.json": "6e9c7e81110d8a73f0b62b497047aabe7e4382ed71ba9ff6d7e225493156aa7c",
         "empirical_stationary.json": "cbfab1c774248e5decd3fb309bf617b655992b81e8e2cd7da7d21b9fbed2b0d5",
@@ -101,12 +103,12 @@ CLI_DIGESTS = {
         "plot_data.csv": "b2f19d20d8e9f047ba9128e481b3cb7e0e174a5e48e895f5c89b140b395010a4",
         "run_metadata.json": "809fa45a859249720a24ae473e0fcb83a45240faf930588b76db6ac7087c1159",
         "series.csv": "0ea63f00d2cfe72f5d451de5d3a5e916ea2140f9926a210d48db3ed66edc30d2",
-        "summary.json": "e69e879c45e858c2426d9548d7348953c52b4504fa73d6205223d9b90f88d1a5",
+        "summary.json": "46d4326cb2f78ce6eeff9f644799d68869f67cc4ea869f050ca65f02669a7a01",
         "transition_counts.csv": "c74c2d58e4c0ad9e6dd4c175d95cfb59ee79d29bd36139ee10ffbaa550b47e1b",
         "stdout": "09440f97e3d3063fe58f992075149bc7f0e82ea6c394519fbea31edacd2fef7f",
     },
     "pipeline --nodes 400 --steps 30 --seed 7": {
-        "comparison.json": "c8634e3f505ce9038f3c4b021d7cfa5e6138ee750f85dfe5e692f12d00afed1a",
+        "comparison.json": "2c9fa1499a4695b94b6d9f8d1222ebe2607e725bfd9eeaab09dfcb223f1aec14",
         "empirical_matrix.csv": "77b9582353e6b2db96087bc4acc5b1fead146ec0b0df9ab3d07399685c8a1aa1",
         "empirical_matrix.json": "74a994af72fe374e2dd370dce66504abd8546596c882b6ecd3f33d122ee75a49",
         "empirical_stationary.json": "4516e290f73752ba24c5c4d897ca63f48a4eb9f609284ef8e115375b758b86ab",
@@ -115,7 +117,7 @@ CLI_DIGESTS = {
         "plot_data.csv": "7fc0bd2d8c0a8fd2b8e9832dc11f33d67e8e11e5a41af3a695b4030400bf9397",
         "run_metadata.json": "d9a0e2c2fa5270fec9399febecdee7ac6db86ddfc6367eee045d8a495f9669d3",
         "series.csv": "193fa006d91e99e106076a991acdd187cb1b21d93d732edb4e9f97adefec0521",
-        "summary.json": "80a4bf0b18e8892a112968584afe39aee61795e10fe164135af1393a05688072",
+        "summary.json": "7feab8e400ab797eb766f5287a136ec21d917b422d12c3f916d1ac35184495bf",
         "transition_counts.csv": "e50d462aee13a3db73b3725c723b49fff77fd3b1d02de20be05c2fe15d157ca0",
         "stdout": "d5bcb935a75259525e5721e99d407aed926f8ed8b4f975b1d31a2dcdcda6299e",
     },
@@ -561,10 +563,12 @@ class TestCompareCommand:
         assert report["verdict"] == "model1 preferred"
 
     def test_counts_proportional_to_a_model_score_zero(self, tmp_path):
-        # the log-likelihood gap of these counts to model1 rounds to about -2.4e-7
-        entries = model1_transition_matrix(default_partition()).entries
-        rows = np.rint(np.multiply(entries, 483293023.85717523)).astype(np.int64)
-        counts_file = write_file(tmp_path, "".join(",".join(map(str, row)) + "\n" for row in rows))
+        # the log-likelihood gap of these counts to model1 rounds to about -9.5e-7, which the score clamps to 0
+        model1 = model1_transition_matrix(default_partition())
+        rows = np.rint(np.multiply(model1.entries, 1.45e9)).astype(np.int64)
+        counts = TransitionCounts(rows, default_partition())
+        assert log_likelihood(empirical_transition_matrix(counts), counts) - log_likelihood(model1, counts) < 0
+        counts_file = write_file(tmp_path, counts.to_csv())
         out = tmp_path / "out"
         assert run(out, "compare", "--counts", str(counts_file)) == 0
         report = json.loads((out / "comparison.json").read_text())
@@ -735,6 +739,28 @@ class TestPinnedArtifacts:
         counts_file = write_file(tmp_path, PINNED_COUNTS, "counts.csv")
         out = tmp_path / "out"
         assert run(out, *command.format(counts=counts_file).split()) == 0
+        assert_pinned(command, out, capsys.readouterr().out)
+
+    @pytest.mark.parametrize("nudged", ["log", "erf"])
+    @pytest.mark.parametrize("command", ["compare", "pipeline --steps 300 --seed 7"])
+    def test_artifacts_hold_when_libm_moves_one_ulp(self, tmp_path, capsys, monkeypatch, nudged, command):
+        # libm need not round log or erf correctly: the 12 written digits must not hang on the last bit
+        calls = []
+
+        def one_ulp_up(f):
+            def nudged_f(x):
+                calls.append(x)
+                return math.nextafter(f(x), math.inf)
+
+            return nudged_f
+
+        if nudged == "log":
+            monkeypatch.setattr(inference, "math", SimpleNamespace(**{**vars(math), "log": one_ulp_up(math.log)}))
+        else:
+            monkeypatch.setattr(markov, "_erf_antiderivative", one_ulp_up(markov._erf_antiderivative))
+        out = tmp_path / "out"
+        assert run(out, *command.split()) == 0
+        assert calls
         assert_pinned(command, out, capsys.readouterr().out)
 
     @pytest.mark.parametrize("setting", CPU_PATHS.values(), ids=CPU_PATHS)

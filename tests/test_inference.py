@@ -1,5 +1,8 @@
 """Binning, transition counting, likelihood scoring, and the reference fixture."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +167,19 @@ class TestLogLikelihood:
         model = model1_transition_matrix(partition)
         expected = 3 * np.log(model.entries[0][0]) + 2 * np.log(model.entries[0][3])
         assert log_likelihood(model, counts) == pytest.approx(expected)
+
+    def test_sum_is_the_correctly_rounded_sum_in_any_row_order(self, partition):
+        # an entry just above 1, which the probability rule admits as rounding slack, gives the one
+        # positive term, 1.8e6, and the others cancel it down to 0.17: a sum in a fixed float order
+        # keeps about 9 digits of it, and which 9 depends on the order of the rows
+        entries = [[1 + 4e-13, 0.0, 0.0, 0.0], [0.5, 0.3, 0.2, 0.0], [0.1, 0.2, 0.3, 0.4], [0.7, 0.1, 0.1, 0.1]]
+        rows = [[2**62, 0, 0, 0], [31415, 26535, 97932, 0], [84626, 33832, 95028, 41971], [2451161, 93993, 51058, 9749]]
+        terms = [c * math.log(p) for crow, prow in zip(rows, entries) for c, p in zip(crow, prow) if c]
+        exact = float(sum(Fraction(t) for t in terms))
+        assert exact == pytest.approx(0.16917361, abs=1e-8)
+        for order in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]):
+            model = TransitionMatrix([entries[i] for i in order], partition.labels)
+            assert log_likelihood(model, TransitionCounts([rows[i] for i in order], partition)) == exact, order
 
     def test_rejects_dimension_mismatch(self, partition):
         counts = TransitionCounts(np.zeros((4, 4), dtype=np.int64), partition)

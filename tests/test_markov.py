@@ -18,7 +18,6 @@ from gammachain.markov import (
     kernel_box_integral,
     model1_transition_matrix,
     model2_transition_matrix,
-    pairwise_sum,
     sq_exp_kernel,
     stationary_distribution,
 )
@@ -291,22 +290,6 @@ class TestStationaryDistribution:
         pi = np.array(stationary_distribution(matrix).weights)
         assert np.abs(pi @ entries - pi).max() < 1e-10
         assert (pi >= 0).all()
-
-
-class TestPairwiseSum:
-    """The sums that reach artifact bytes add in numpy's order, so they equal numpy's bit for bit."""
-
-    def test_equals_numpy_sum(self):
-        gen = np.random.default_rng(5)
-        for n in range(1, 301):
-            values = gen.standard_normal(n) * 10.0 ** gen.integers(-8, 9, n)
-            assert pairwise_sum(values.tolist()) == float(np.sum(values)), n
-
-    def test_equals_numpy_row_sums(self):
-        gen = np.random.default_rng(6)
-        for k in range(1, 41):
-            matrix = gen.standard_normal((k, k)) * 10.0 ** gen.integers(-8, 9, (k, k))
-            assert [pairwise_sum(row) for row in matrix.tolist()] == np.sum(matrix, axis=1).tolist(), k
 
 
 def test_stationary_weights_match_the_exact_solve_in_every_written_digit():
