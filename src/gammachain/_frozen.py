@@ -1,8 +1,9 @@
 """Value semantics shared by the package's data types, and the one home of every scalar rule.
 
 ``frozen`` makes each data type a frozen value class over its annotated fields: a constructor that
-sets them once, then runs ``__post_init__``; field-wise ``==``, numpy arrays by value; a hash of the
-fields, so a type that holds arrays is not hashable; and the ``Name(field=value, ...)`` repr.
+passes the values given, in field order, to the class's check ``_checked`` and stores the values it
+returns, one a field; field-wise ``==``, numpy arrays by value; a hash of the fields, so a type that
+holds arrays is not hashable; and the ``Name(field=value, ...)`` repr.
 One number rule holds for every field filled from outside the package: each cell is a real
 number (not text, a bool, None or a list) that fits in a 64-bit float and, in an integer field,
 a whole one that fits in int64. ``cells`` keeps it for the analytic fields, tuples of Python
@@ -56,10 +57,12 @@ check_nodes = rule(lambda n: n >= 2, "need at least two nodes to race propagatio
 def _cell(cell, field: str, whole: bool):
     """``cell`` as a Python int if ``whole``, else a float; ValueError unless it keeps the rule above."""
     # fit and wholeness are tested by value, not through a float a huge cell overflows; NaN and inf pass on
-    if not is_real(cell) or whole and not (abs(cell) < math.inf and int(cell) == cell):
+    if not is_real(cell) or whole and not (-math.inf < cell < math.inf and int(cell) == cell):
         raise ValueError(f"{field} must be {'whole numbers' if whole else 'numbers, not strings or bools'}")
     if not whole:
-        if sys.float_info.max < abs(cell) < math.inf:
+        # a numpy number of up to 8 bytes fits, as in ``numbers``; comparing a narrower float with the bound
+        # would cast the bound into its type, where it overflows
+        if getattr(cell, "itemsize", 16) > 8 and sys.float_info.max < abs(cell) < math.inf:
             raise ValueError(f"{field} must fit in a 64-bit float")
         return float(cell)
     if not -(2**63) <= int(cell) < 2**63:
@@ -102,9 +105,8 @@ def frozen(cls):
         values = {**defaults, **dict(zip(names, args)), **kwargs}
         if len(args) > len(names) or not kwargs.keys().isdisjoint(names[: len(args)]) or values.keys() != fields:
             raise TypeError(f"{cls.__name__}() takes {', '.join(names)}: each once, by position or keyword")
-        for name in names:
-            object.__setattr__(self, name, values[name])
-        self.__post_init__()
+        for name, value in zip(names, self._checked(*(values[name] for name in names)), strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

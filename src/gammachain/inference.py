@@ -70,14 +70,12 @@ class GammaSeries:
     times: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        times = checked_times(self.times)
-        values = numbers(self.values, "gamma values")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+    def _checked(self, times, values):
+        times, values = checked_times(times), numbers(values, "gamma values")
         if values.shape != times.shape:
             raise ValueError("values must be one-dimensional, one per time")
         _check_gammas(values)
+        return times, values
 
     def __len__(self) -> int:
         return len(self.values)
@@ -104,17 +102,16 @@ class GammaSeries:
             raise ValueError("series CSV rows must hold two fields, time and gamma")
         nonfinite = ~np.isfinite(rows)
         if nonfinite.any():
-            # a number past the float range reads as inf: the constructor gets it exact, for the number rule,
-            # clamped to 1e400 in size so that a huge exponent costs no time
+            # a finite number past the float range reads as inf: the constructor gets one past the range, of
+            # its sign, for the number rule; a literal inf or nan stays as read
             from decimal import Decimal
-            from fractions import Fraction
 
             with open(path, encoding="utf-8") as fh:
                 texts = [line.split(",") for line in fh if line.strip()][1:]
             rows = rows.astype(object)
             for row, col in zip(*np.nonzero(nonfinite)):
                 if (exact := Decimal(texts[row][col])).is_finite():
-                    rows[row, col] = Fraction(min(exact.copy_abs(), Decimal("1e400")).copy_sign(exact))
+                    rows[row, col] = -(10**400) if exact.is_signed() else 10**400
         return cls(rows[:, 0], rows[:, 1])
 
 
@@ -140,14 +137,13 @@ class TransitionCounts:
     counts: tuple[tuple[int, ...], ...]
     partition: StrategyPartition
 
-    def __post_init__(self):
-        counts = cells(self.counts, "counts", whole=True, rank=2)
-        object.__setattr__(self, "counts", counts)
-        k = len(self.partition)
+    def _checked(self, counts, partition):
+        counts, k = cells(counts, "counts", whole=True, rank=2), len(partition)
         if len(counts) != k or any(len(row) != k for row in counts):
             raise ValueError("counts must be square over the partition states")
         if any(c < 0 for row in counts for c in row):
             raise ValueError("counts must be non-negative")
+        return counts, partition
 
     @property
     def total(self) -> int:
@@ -185,9 +181,10 @@ class LikelihoodReport:
     relative_likelihood: float
     log_likelihood: float
 
-    def __post_init__(self):
-        if not self.relative_likelihood >= 0:
+    def _checked(self, model_name, relative_likelihood, log_likelihood):
+        if not relative_likelihood >= 0:
             raise ValueError("relative likelihood must be non-negative")
+        return model_name, relative_likelihood, log_likelihood
 
     def to_json_obj(self) -> dict:
         """Strict-JSON form at 12 significant digits: a non-finite figure becomes null with a note."""
@@ -275,24 +272,20 @@ def log_likelihood(model: TransitionMatrix, counts: TransitionCounts) -> float:
     return math.fsum(float(c) * math.log(p) for c, p in observed)
 
 
-def _gap_to_best(model_log_likelihood: float, counts: TransitionCounts) -> float:
-    best = log_likelihood(empirical_transition_matrix(counts), counts)
-    return max(best - model_log_likelihood, 0.0)
-
-
 def relative_likelihood(model: TransitionMatrix, counts: TransitionCounts) -> float:
     """Log-likelihood gap from the empirical maximum-likelihood matrix.
 
     Always non-negative: zero when the model matches the empirical matrix
     on every observed cell, +inf when the model zeroes an observed cell.
     """
-    return _gap_to_best(log_likelihood(model, counts), counts)
+    return score_model("", model, counts).relative_likelihood
 
 
 def score_model(name: str, model: TransitionMatrix, counts: TransitionCounts) -> LikelihoodReport:
-    """Bundle the two likelihood figures for one model into a report, scoring the model once."""
+    """The model's log-likelihood and its gap to the empirical matrix's, clamped at 0, as one report."""
     model_log_likelihood = log_likelihood(model, counts)
-    return LikelihoodReport(name, _gap_to_best(model_log_likelihood, counts), model_log_likelihood)
+    best = log_likelihood(empirical_transition_matrix(counts), counts)
+    return LikelihoodReport(name, max(best - model_log_likelihood, 0.0), model_log_likelihood)
 
 
 def load_reference_counts(partition: StrategyPartition = default_partition()) -> TransitionCounts:

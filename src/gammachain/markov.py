@@ -45,17 +45,16 @@ class TransitionMatrix:
     entries: tuple[tuple[float, ...], ...]
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        entries = cells(self.entries, "probabilities", rank=2)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "labels", tuple(self.labels))
+    def _checked(self, entries, labels):
+        entries, labels = cells(entries, "probabilities", rank=2), tuple(labels)
         if not entries:
             raise ValueError("transition matrix must have at least one state")
         if any(len(row) != len(entries) for row in entries):
             raise ValueError("transition matrix must be square")
-        if len(entries) != len(self.labels):
+        if len(entries) != len(labels):
             raise ValueError("label count must match matrix size")
         _check_probabilities(entries)
+        return entries, labels
 
     @property
     def size(self) -> int:
@@ -76,13 +75,12 @@ class StateDistribution:
     weights: tuple[float, ...]
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        weights = cells(self.weights, "probabilities")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(weights) != len(self.labels):
+    def _checked(self, weights, labels):
+        weights, labels = cells(weights, "probabilities"), tuple(labels)
+        if len(weights) != len(labels):
             raise ValueError("weight count must match label count")
         _check_probabilities((weights,))
+        return weights, labels
 
     def to_json_obj(self) -> dict:
         return {"labels": list(self.labels), "weights": [_sig12(v) for v in self.weights]}
@@ -94,12 +92,12 @@ class StateDistribution:
 @frozen
 class KernelConfig:
     """Length scale of the squared-exponential kernel, a positive real number (not a bool or text) below
-    the float range's top."""
+    the float range's top, kept as a float."""
 
     length_scale: float = 0.25
 
-    def __post_init__(self):
-        check_length_scale(self.length_scale)
+    def _checked(self, length_scale):
+        return (check_length_scale(length_scale),)
 
 
 def _sig12(value: float) -> float:

@@ -94,15 +94,14 @@ class RegionConfig:
     node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS
     mean_latency: np.ndarray = DEFAULT_MEAN_LATENCY
 
-    def __post_init__(self):
-        names = self.region_names
+    def _checked(self, names, node_counts, mean_latency):
         if isinstance(names, str):
             raise ValueError("region names must be a list, not a string")
         if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
             raise ValueError("region names must be a list of strings")
         names = tuple(names)
-        counts = numbers(self.node_counts, "node counts", np.int64)
-        cells = np.asarray(self.mean_latency, dtype=object)  # keeps a ragged matrix's shape for the square rule
+        counts = numbers(node_counts, "node counts", np.int64)
+        cells = np.asarray(mean_latency, dtype=object)  # keeps a ragged matrix's shape for the square rule
         k = len(names)
         if len(set(names)) != k:
             raise ValueError("region names must be distinct")
@@ -111,9 +110,6 @@ class RegionConfig:
         if cells.shape != (k, k):
             raise ValueError("mean_latency must be square over the regions")
         matrix, counts = numbers(cells, "mean latencies"), tuple(counts.tolist())
-        object.__setattr__(self, "region_names", names)
-        object.__setattr__(self, "node_counts", counts)
-        object.__setattr__(self, "mean_latency", matrix)
         if any(c < 0 for c in counts):
             raise ValueError("node counts must be non-negative")
         if sum(counts) < 1:
@@ -124,6 +120,7 @@ class RegionConfig:
             raise ValueError("mean_latency must be symmetric")
         if np.any(matrix <= 5.0):
             raise ValueError("mean latencies must exceed 5")
+        return names, counts, matrix
 
     @property
     def node_count(self) -> int:
@@ -186,11 +183,8 @@ class NetworkState:
     flat: np.ndarray
     region_of: np.ndarray
 
-    def __post_init__(self):
-        flat = numbers(self.flat, "pair weights")
-        region_of = numbers(self.region_of, "region assignment", np.int64)
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "region_of", region_of)
+    def _checked(self, flat, region_of):
+        flat, region_of = numbers(flat, "pair weights"), numbers(region_of, "region assignment", np.int64)
         # len() of a 0-d array raises TypeError
         if region_of.ndim != 1:
             raise ValueError("region assignment must be a vector")
@@ -204,6 +198,7 @@ class NetworkState:
             raise ValueError(f"inactive links must use the sentinel {INACTIVE}")
         if np.any((flat[finite] < WEIGHT_FLOOR) | (flat[finite] > WEIGHT_CEIL)):
             raise ValueError(f"finite weights must lie in [{WEIGHT_FLOOR}, {WEIGHT_CEIL}]")
+        return flat, region_of
 
     @property
     def node_count(self) -> int:

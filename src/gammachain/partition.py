@@ -40,14 +40,12 @@ class StrategyPartition:
     bounds: tuple[float, ...]
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        bounds, labels = cells(self.bounds, "partition bounds"), tuple(self.labels)
+    def _checked(self, bounds, labels):
+        bounds, labels = cells(bounds, "partition bounds"), tuple(labels)
         if not all(isinstance(label, str) for label in labels):
             raise ValueError("interval labels must be strings")
         if not labels or len(bounds) != len(labels) + 1:
             raise ValueError("partition needs at least one interval and one label per interval")
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "labels", labels)
         if (bounds[0], bounds[-1]) != (0.0, 1.0):
             raise ValueError("partition bounds must run from 0 to 1")
         for lo, hi, label in zip(bounds, bounds[1:], labels):
@@ -55,6 +53,7 @@ class StrategyPartition:
                 raise ValueError(f"interval {label!r} must have positive length")
         if len(set(labels)) != len(labels):
             raise ValueError("interval labels must be unique")
+        return bounds, labels
 
     def __len__(self) -> int:
         return len(self.labels)

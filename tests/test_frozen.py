@@ -4,6 +4,7 @@ number rule for every field."""
 
 import copy
 import pickle
+import warnings
 from dataclasses import make_dataclass
 from fractions import Fraction
 
@@ -13,10 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gammachain._frozen import numbers
+from gammachain._frozen import check_dropout, numbers
 from gammachain.inference import GammaSeries, LikelihoodReport, TransitionCounts
 from gammachain.markov import KernelConfig, StateDistribution, TransitionMatrix
-from gammachain.network import NetworkState, RegionConfig
+from gammachain.network import NetworkState, RegionConfig, evolve_network, init_network
 from gammachain.partition import StrategyPartition, default_partition
 
 from helpers import make_partition
@@ -207,6 +208,49 @@ def test_float_fields_refuse_a_number_past_the_float_range(case):
     for entry in PAST_THE_FLOAT_RANGE:
         with pytest.raises(ValueError, match=f"^{field} must fit in a 64-bit float$"):
             build(entry)
+
+
+# each rule that takes a float, built from a row of two numbers that sum to 1; the network is drawn once
+REGIONS = RegionConfig(("A", "B"), (2, 2), [[10.0, 20.0], [20.0, 30.0]])
+NETWORK = init_network(REGIONS, seed=1)
+NARROW_FLOAT_BUILDS = {
+    "transition matrix": lambda row: TransitionMatrix([row, row[::-1]], ("A", "B")),
+    "state distribution": lambda row: StateDistribution(row, ("A", "B")),
+    "partition bounds": lambda row: StrategyPartition([0.0, row[0], 1.0], ("A", "B")),
+    "gamma series": lambda row: GammaSeries(list(row), list(row)),
+    "index_of": lambda row: int(default_partition().index_of(row[1])),
+    "length scale": lambda row: KernelConfig(row[0]),
+    "dropout": lambda row: check_dropout(row[0]),
+    "delta_t": lambda row: evolve_network(NETWORK, row[1], REGIONS, seed=2),
+}
+
+
+# a float narrower than 64 bits always fits: no bound is cast into its type, where it would overflow;
+# 0.3 and 0.7 round in float32 to two numbers that still sum to 1, but not in float16
+@pytest.mark.parametrize(
+    "dtype, row", [(np.float32, [0.3, 0.7]), (np.float16, [0.375, 0.625])], ids=["float32", "float16"]
+)
+@pytest.mark.parametrize("case", NARROW_FLOAT_BUILDS)
+def test_narrow_floats_are_taken_at_their_value_without_a_warning(case, dtype, row):
+    row = np.array(row, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert NARROW_FLOAT_BUILDS[case](row) == NARROW_FLOAT_BUILDS[case](row.astype(float))
+
+
+# the smallest int64 has no int64 absolute value: each field refuses it by its own rule, with no warning
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_fields_refuse_the_smallest_int64_as_negative(field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative$"):
+            INTEGER_FIELDS[field](np.int64(-(2**63)))
+
+
+def test_a_float_field_takes_the_smallest_int64_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert GammaSeries([np.int64(-(2**63)), 0.0], [0.1, 0.2]).times[0] == -(2.0**63)
 
 
 # the float fields numpy copies, each built from one array of three increasing numbers in [0, 1]:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,13 @@ class TestKernel:
     def test_rejects_infinite_length_scale(self):
         with pytest.raises(ValueError, match="finite"):
             KernelConfig(math.inf)
+
+    @pytest.mark.parametrize("length_scale", [np.float32(0.3), 1, Fraction(1, 4)], ids=["float32", "int", "fraction"])
+    def test_length_scale_is_stored_as_a_float(self, length_scale):
+        config = KernelConfig(length_scale)
+        assert type(config.length_scale) is float and config.length_scale == length_scale
+        expected = model2_transition_matrix(default_partition(), KernelConfig(float(length_scale)))
+        assert model2_transition_matrix(default_partition(), config) == expected
 
     def test_huge_length_scale_fails_in_the_matrix(self):
         # l * l overflows; the NaN row mass is reported against the scale
